@@ -140,7 +140,11 @@ def cmd_verify(args) -> int:
         graphs = verify.connected_corpus(args.seed, args.count, lo, hi)
     else:
         graphs = verify.bipartite_corpus(args.seed, args.count, hi)
-    summary = verify.run_checks(graphs, inject_failure=args.self_test)
+    try:
+        summary = verify.run_checks(graphs, inject_failure=args.self_test)
+    except CapExceededError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return EXIT_CAP
     lines = [summary.table()]
     for name in sorted(summary.checks):
         for failure in summary.checks[name].failures:

@@ -9,8 +9,9 @@ stability number alone at 20.
 DEFAULT_OMEGA_CAP = 16
 DEFAULT_ALPHA_CAP = 20
 
-# Primitive-step allowance for the alternating-structure searches
-# (blossom / flower / posy enumeration).
+# Primitive-step allowance for the exhaustive alternating-structure
+# searches: blossom, flower and posy enumeration only.  Deciding whether a
+# blossom exists (has_blossom) is polynomial and needs no budget.
 DEFAULT_SEARCH_BUDGET = 20_000_000
 
 

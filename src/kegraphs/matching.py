@@ -11,8 +11,13 @@ of the cycle; the one cycle vertex covered by no heavy cycle edge is its
 base.  A flower adds an even-length alternating stem from the base to an
 exposed vertex (sharing only the base with the cycle); a posy joins the
 bases of two blossoms by an odd-length alternating path whose first and
-last edges are heavy.  Detection is exhaustive search over alternating
-walks, guarded by a step budget.
+last edges are heavy.
+
+Whether any blossom exists is decided in polynomial time by one Edmonds
+alternating-tree search per candidate base (see has_blossom).  Listing
+blossoms and searching for flowers and posies, which return concrete
+structures, is exhaustive search over alternating walks, guarded by a step
+budget.
 """
 
 from __future__ import annotations
@@ -112,15 +117,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
                 # v and to lie in the same alternating tree: an odd cycle
                 # closed; shrink it to its base.
                 cur = _cycle_base(match, base, parent, v, to)
-                in_cycle = [False] * n
-                _mark_cycle_path(match, base, parent, in_cycle, v, cur, to)
-                _mark_cycle_path(match, base, parent, in_cycle, to, cur, v)
-                for i in range(n):
-                    if in_cycle[base[i]]:
-                        base[i] = cur
-                        if not in_queue[i]:
-                            in_queue[i] = True
-                            queue.append(i)
+                _shrink(match, base, parent, in_queue, queue, v, to, cur)
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
@@ -156,6 +153,29 @@ def _cycle_base(match: list[int], base: list[int], parent: list[int], a: int, b:
         if v in seen:
             return v
         v = parent[match[v]]
+
+
+def _shrink(
+    match: list[int],
+    base: list[int],
+    parent: list[int],
+    in_queue: list[bool],
+    queue: deque[int],
+    v: int,
+    to: int,
+    cur: int,
+) -> None:
+    """Contract the odd cycle closed by the edge v-to into its base cur and
+    queue the vertices that become outer."""
+    in_cycle = [False] * len(base)
+    _mark_cycle_path(match, base, parent, in_cycle, v, cur, to)
+    _mark_cycle_path(match, base, parent, in_cycle, to, cur, v)
+    for i in range(len(base)):
+        if in_cycle[base[i]]:
+            base[i] = cur
+            if not in_queue[i]:
+                in_queue[i] = True
+                queue.append(i)
 
 
 def _mark_cycle_path(
@@ -241,7 +261,7 @@ class _Budget:
 
 
 def _collect_blossoms(
-    g: Graph, partner: Mapping[int, int], budget: _Budget, stop_at_first: bool
+    g: Graph, partner: Mapping[int, int], budget: _Budget
 ) -> list[Blossom]:
     """All blossoms relative to the matching, canonical and deduplicated.
 
@@ -261,7 +281,7 @@ def _collect_blossoms(
         path = [base_v]
         visited = {base_v}
 
-        def walk() -> bool:
+        def walk() -> None:
             cur = path[-1]
             for w in g.neighbors(cur):
                 budget.spend()
@@ -269,8 +289,6 @@ def _collect_blossoms(
                     # closing edge is light: cur's heavy partner is path[-2]
                     key = canonical(tuple(path))
                     found.setdefault(key, Blossom(key))
-                    if stop_at_first:
-                        return True
                     continue
                 if w in visited:
                     continue
@@ -281,15 +299,12 @@ def _collect_blossoms(
                 visited.add(pw)
                 path.append(w)
                 path.append(pw)
-                if walk():
-                    return True
+                walk()
                 path.pop()
                 path.pop()
                 visited.discard(w)
                 visited.discard(pw)
-            return False
 
-        done = False
         for x1 in g.neighbors(base_v):
             budget.spend()
             if x1 == heavy_of_base:
@@ -299,14 +314,10 @@ def _collect_blossoms(
                 continue
             visited.update((x1, x2))
             path.extend((x1, x2))
-            done = walk()
+            walk()
             path[:] = [base_v]
             visited.clear()
             visited.add(base_v)
-            if done:
-                break
-        if done and stop_at_first:
-            break
 
     blossoms = [found[key] for key in found]
     blossoms.sort(key=lambda b: (len(b.cycle), b.cycle))
@@ -318,23 +329,78 @@ def find_blossoms(
 ) -> tuple[Blossom, ...]:
     """Every blossom relative to m, in deterministic order."""
     m = validate_matching(g, m)
-    return tuple(_collect_blossoms(g, partner_map(m), _Budget(budget), False))
+    return tuple(_collect_blossoms(g, partner_map(m), _Budget(budget)))
 
 
-def has_blossom(g: Graph, m: Iterable[Edge], *, budget: int | None = None) -> bool:
+def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
+    """Whether some blossom exists relative to the matching m.
+
+    m may be any matching, maximum or not.  The test is exact and
+    polynomial: one Edmonds alternating-tree search per candidate base r,
+    in the graph with r's partner and every other exposed vertex deleted.
+    A blossom based at r avoids exactly those vertices: its other vertices
+    are covered by heavy cycle edges, and r's own heavy edge is off the
+    cycle.  With r the only exposed vertex there is no augmenting path, and
+    r is a base if and only if the search shrinks an odd cycle based at r:
+    such a shrink makes a neighbor x of r even, and the even alternating
+    path r ... x plus the light edge x r is a simple odd cycle that the
+    heavy edges near-perfectly match, leaving r uncovered; conversely, both
+    cycle neighbors of a real base r are even, so the edge back to r closes
+    a cycle at r.
+    """
     m = validate_matching(g, m)
-    return bool(_collect_blossoms(g, partner_map(m), _Budget(budget), True))
+    match = [-1] * g.n
+    for u, v in m:
+        match[u] = v
+        match[v] = u
+    return any(_closes_blossom_at(g, match, r) for r in range(g.n))
 
 
-def is_blossom_free(g: Graph, m: Iterable[Edge], *, budget: int | None = None) -> bool:
-    return not has_blossom(g, m, budget=budget)
+def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
+    """Edmonds search from root with root the only exposed vertex left."""
+    n = g.n
+    if g.degree(root) < 2:
+        return False
+    match = matched[:]
+    deleted = [w == -1 for w in match]
+    deleted[root] = False
+    mate = match[root]
+    if mate != -1:
+        deleted[mate] = True
+        match[mate] = match[root] = -1
+    parent = [-1] * n
+    base = list(range(n))
+    in_queue = [False] * n
+    in_queue[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in g.neighbors(v):
+            if deleted[to] or base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or parent[match[to]] != -1:
+                cur = _cycle_base(match, base, parent, v, to)
+                if cur == root:
+                    return True
+                _shrink(match, base, parent, in_queue, queue, v, to, cur)
+            elif parent[to] == -1:
+                # every live vertex but root is matched: no augmenting path
+                parent[to] = v
+                if not in_queue[match[to]]:
+                    in_queue[match[to]] = True
+                    queue.append(match[to])
+    return False
+
+
+def is_blossom_free(g: Graph, m: Iterable[Edge]) -> bool:
+    return not has_blossom(g, m)
 
 
 def _require_maximum(g: Graph, m: Matching) -> None:
-    if len(m) != matching_number(g):
+    mu = matching_number(g)
+    if len(m) != mu:
         raise GraphError(
-            f"matching of size {len(m)} is not maximum (matching number is "
-            f"{matching_number(g)})"
+            f"matching of size {len(m)} is not maximum (matching number is {mu})"
         )
 
 
@@ -354,7 +420,7 @@ def find_flower(
         return None
     partner = partner_map(m)
     budget_box = _Budget(budget)
-    for blossom in _collect_blossoms(g, partner, budget_box, False):
+    for blossom in _collect_blossoms(g, partner, budget_box):
         if blossom.base in exposed:
             return Flower(blossom, (blossom.base,))
         stem = _find_stem(g, partner, blossom, budget_box)
@@ -418,7 +484,7 @@ def find_posy(
     _require_maximum(g, m)
     partner = partner_map(m)
     budget_box = _Budget(budget)
-    blossoms = _collect_blossoms(g, partner, budget_box, False)
+    blossoms = _collect_blossoms(g, partner, budget_box)
     if not blossoms:
         return None
     first_at_base: dict[int, Blossom] = {}

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from kegraphs import matching
 from kegraphs.analysis import (
     check_alpha_plus_pm_criterion,
     check_alpha_plus_three_routes,
@@ -277,3 +278,14 @@ def test_report_json_is_stable():
     second = json.dumps(full_report(fixture_by_name("fig4_g1").graph).to_json_dict(),
                         sort_keys=True)
     assert first == second
+
+
+def test_full_report_never_enters_the_exhaustive_walker(monkeypatch):
+    graphs = [complete_bipartite(8, 8), fixture_by_name("fig3_nonstable").graph]
+    expected = [full_report(g).to_json_dict() for g in graphs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive blossom walker was entered")
+
+    monkeypatch.setattr(matching, "_collect_blossoms", refuse)
+    assert [full_report(g).to_json_dict() for g in graphs] == expected

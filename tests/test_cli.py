@@ -81,6 +81,14 @@ def test_verify_self_test_fails(capsys):
     assert "RESULT: FAIL" in out and "self-test" in out
 
 
+def test_verify_cap_exceeded(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--count", "1",
+                             "--n", "17..17")
+    assert code == 3
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "cap" in err and "Traceback" not in err
+
+
 def test_verify_bipartite_corpus(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "5", "--count", "20",
                            "--n", "2..8", "--corpus", "bipartite")

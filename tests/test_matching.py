@@ -24,6 +24,7 @@ from kegraphs.matching import (
     find_blossoms,
     find_flower,
     find_posy,
+    has_blossom,
     is_blossom_free,
     is_near_perfect_matching,
     is_perfect_matching,
@@ -154,7 +155,37 @@ def test_blossom_search_matches_brute_enumeration():
         m = maximum_matching(g)
         got = find_blossoms(g, m)
         assert all(blossom_is_valid(g, m, b) for b in got)
-        assert {(b.base, frozenset(b.cycle_edges())) for b in got} == brute_blossoms(g, m)
+        brute = brute_blossoms(g, m)
+        assert {(b.base, frozenset(b.cycle_edges())) for b in got} == brute
+        assert has_blossom(g, m) == bool(brute)
+
+
+def _random_non_maximum_matching(g, rng):
+    edges = sorted(g.edges)
+    rng.shuffle(edges)
+    m, covered = [], set()
+    for u, v in edges:
+        if u not in covered and v not in covered and rng.random() < 0.6:
+            m.append((u, v))
+            covered.update((u, v))
+    if m and len(m) == matching_number(g):
+        m.pop(rng.randrange(len(m)))
+    return m
+
+
+def test_has_blossom_agrees_with_the_exhaustive_walker():
+    # the polynomial per-base search against the alternating-walk enumerator,
+    # relative to random non-maximum, canonical and (n <= 8) all maximum
+    # matchings
+    rng = random.Random(2024)
+    for _ in range(400):
+        n = rng.randint(0, 9)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        matchings = [_random_non_maximum_matching(g, rng), maximum_matching(g)]
+        if n <= 8:
+            matchings.extend(enumerate_maximum_matchings(g))
+        for m in matchings:
+            assert has_blossom(g, m) == bool(find_blossoms(g, m))
 
 
 def test_blossoms_relative_to_non_maximum_matchings():
