@@ -56,6 +56,7 @@ from .stable import (
 )
 from .analysis import (
     AnalysisReport,
+    Facts,
     KeDecomposition,
     StabilityClassification,
     TheoremViolationError,
@@ -77,6 +78,7 @@ __all__ = [
     "DEFAULT_ALPHA_CAP",
     "DEFAULT_OMEGA_CAP",
     "ExtensionBlockedError",
+    "Facts",
     "Flower",
     "Graph",
     "GraphError",

@@ -7,6 +7,11 @@ every check computes both sides of an equivalence by independent routes
 (definition vs. core sizes vs. matching structure) and reports whether
 they agree, rather than inferring one side from the other.
 
+Every verdict reads one Facts, a per-graph cache, so each quantity is
+computed once however many verdicts read it: check_x(Facts(g)).  Only
+entry points that start from a bare graph take a Graph: full_report,
+is_koenig_egervary, is_edge_addition_stable and is_alpha_critical.
+
 Statements that hold only under connectivity assumptions are gated: the
 checks raise on inputs outside their scope, and full_report applies them
 per connected component.
@@ -15,6 +20,7 @@ per connected component.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .graph import (
@@ -37,13 +43,13 @@ from .matching import (
     find_flower,
     find_posy,
     has_blossom,
-    matching_number,
     maximum_matching,
     partner_map,
     validate_matching,
 )
 from .stable import (
     CoreReport,
+    StableSetFamily,
     core_report,
     maximum_stable_sets,
     stability_after_adding_edge,
@@ -58,11 +64,7 @@ class TheoremViolationError(AssertionError):
 
 def is_koenig_egervary(g: Graph, cap: int | None = None) -> bool:
     """Whether the stability number plus the matching number equals n."""
-    return stability_number(g, cap=cap) + matching_number(g) == g.n
-
-
-def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and matching_number(g) == g.n // 2
+    return Facts(g, cap).is_ke
 
 
 def is_edge_addition_stable(g: Graph, cap: int | None = None) -> bool:
@@ -86,6 +88,99 @@ def is_alpha_critical(g: Graph, v: int, cap: int | None = None) -> bool:
     )
 
 
+class Facts:
+    """Per-graph quantities, each computed on first use and then shared.
+
+    A verdict may read any cached value, but the three routes to
+    edge-addition stability stay apart: stable_by_definition runs the
+    definition on its own (its own alpha, one more per added edge), the
+    core-size route reads core and anticore (and whether a perfect
+    matching exists), and the matching-structure route reads only
+    matchings and blossoms.  cap bounds the exact oracles as in the
+    functions it is passed to.
+    """
+
+    def __init__(self, graph: Graph, cap: int | None = None):
+        self.graph = graph
+        self.cap = cap
+        self._derived: dict[Graph, Facts] = {}
+
+    def facts_of(self, h: Graph) -> Facts:
+        """The Facts of a graph derived from this one (a component, a
+        deletion, a construction), one per distinct graph; a connected
+        graph is its own component and gets this very Facts back."""
+        if h == self.graph:
+            return self  # storing self in _derived would make a reference cycle
+        if h not in self._derived:
+            self._derived[h] = Facts(h, self.cap)
+        return self._derived[h]
+
+    @cached_property
+    def matching(self) -> Matching:
+        """The canonical maximum matching."""
+        return maximum_matching(self.graph)
+
+    @cached_property
+    def mu(self) -> int:
+        return len(self.matching)
+
+    @cached_property
+    def maximum_matchings(self) -> tuple[Matching, ...]:
+        return enumerate_maximum_matchings(self.graph, cap=self.cap)
+
+    @cached_property
+    def family(self) -> StableSetFamily:
+        return maximum_stable_sets(self.graph, cap=self.cap)
+
+    @cached_property
+    def alpha(self) -> int:
+        return stability_number(self.graph, cap=self.cap)
+
+    @cached_property
+    def core(self) -> CoreReport:
+        return core_report(self.family)
+
+    @cached_property
+    def is_ke(self) -> bool:
+        return self.alpha + self.mu == self.graph.n
+
+    @cached_property
+    def has_pm(self) -> bool:
+        return 2 * self.mu == self.graph.n
+
+    @cached_property
+    def connected(self) -> bool:
+        return is_connected(self.graph)
+
+    @cached_property
+    def sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
+        return bipartition(self.graph)
+
+    @property
+    def bipartite(self) -> bool:
+        return self.sides is not None
+
+    @cached_property
+    def blossom_free(self) -> bool:
+        return not has_blossom(self.graph, self.matching)
+
+    @cached_property
+    def stable_by_definition(self) -> bool:
+        return is_edge_addition_stable(self.graph, cap=self.cap)
+
+    @cached_property
+    def pendants(self) -> tuple[int, ...]:
+        return pendant_vertices(self.graph)
+
+    @cached_property
+    def alpha_critical_pendants(self) -> tuple[int, ...]:
+        g = self.graph
+        return tuple(
+            p for p in self.pendants
+            if stability_number(delete_vertices(g, {p}), cap=self.cap) < self.alpha
+        )
+
+
 # -- decomposition ------------------------------------------------------------
 
 
@@ -99,23 +194,22 @@ class KeDecomposition:
     cut_matching: Matching
 
 
-def decompose(g: Graph, cap: int | None = None) -> KeDecomposition:
+def decompose(f: Facts) -> KeDecomposition:
     """Split a connected KE graph as stable set * rest with a cut matching.
 
     The stable side is the lexicographically first maximum stable set; the
     witness matching is the canonical maximum matching, which necessarily
     covers all of the rest and crosses the cut.
     """
-    if not is_connected(g):
+    g = f.graph
+    if not f.connected:
         raise GraphError("decompose requires a connected graph; split by component")
-    if not is_koenig_egervary(g, cap=cap):
+    if not f.is_ke:
         raise GraphError("decompose requires a Koenig-Egervary graph")
-    fam = maximum_stable_sets(g, cap=cap)
-    s = fam.sets[0]
+    s = f.family.sets[0]
     rest = frozenset(range(g.n)) - s
-    m = maximum_matching(g)
-    cut = cut_edges(g, s, rest)
-    if not m <= cut:
+    m = f.matching
+    if not m <= cut_edges(g, s, rest):
         raise TheoremViolationError("maximum matching leaves the cut of a KE split")
     if len(m) != len(rest):
         raise TheoremViolationError("cut matching does not cover the non-stable side")
@@ -135,9 +229,8 @@ class StabilityClassification:
     witness_edge: Edge | None = None
 
 
-def classify_alpha_plus(g: Graph, cap: int | None = None) -> StabilityClassification:
-    fam = maximum_stable_sets(g, cap=cap)
-    rep = core_report(fam)
+def classify_alpha_plus(f: Facts) -> StabilityClassification:
+    rep = f.core
     if rep.core_size == 0:
         return StabilityClassification("alpha0_plus", rep.core)
     if rep.core_size == 1:
@@ -146,7 +239,7 @@ def classify_alpha_plus(g: Graph, cap: int | None = None) -> StabilityClassifica
     # two core vertices are never adjacent, and joining them kills every
     # maximum stable set at once
     witness = (u, v)
-    if stability_after_adding_edge(g, witness, cap=cap) >= fam.alpha:
+    if stability_after_adding_edge(f.graph, witness, cap=f.cap) >= f.alpha:
         raise TheoremViolationError("core pair addition failed to lower alpha")
     return StabilityClassification("not_stable", rep.core, witness)
 
@@ -172,12 +265,9 @@ class ArithmeticVerdict:
         )
 
 
-def check_ke_arithmetic(g: Graph, cap: int | None = None) -> ArithmeticVerdict:
-    alpha = stability_number(g, cap=cap)
-    mu = matching_number(g)
-    ke = alpha + mu == g.n
-    pm = has_perfect_matching(g)
-    bounds = (2 * alpha >= g.n >= 2 * mu) if ke else True
+def check_ke_arithmetic(f: Facts) -> ArithmeticVerdict:
+    alpha, mu, n, ke, pm = f.alpha, f.mu, f.graph.n, f.is_ke, f.has_pm
+    bounds = (2 * alpha >= n >= 2 * mu) if ke else True
     iff1 = (pm == (alpha == mu)) if ke else True
     iff2 = ((alpha == mu) == ke) if pm else True
     return ArithmeticVerdict(bounds, iff1, iff2)
@@ -193,11 +283,10 @@ class CutContainmentVerdict:
     holds: bool
 
 
-def check_matchings_in_cuts(g: Graph, cap: int | None = None) -> CutContainmentVerdict:
-    if not is_koenig_egervary(g, cap=cap):
+def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
+    if not f.is_ke:
         raise GraphError("cut containment is a KE-only property")
-    fam = maximum_stable_sets(g, cap=cap)
-    matchings = enumerate_maximum_matchings(g, cap=cap)
+    g, fam, matchings = f.graph, f.family, f.maximum_matchings
     full = frozenset(range(g.n))
     for s in fam.sets:
         cut = cut_edges(g, s, full - s)
@@ -234,13 +323,13 @@ def _all_stable_sets(g: Graph) -> list[frozenset[int]]:
     return out
 
 
-def check_certificate_equivalence(g: Graph, cap: int | None = None) -> CertificateVerdict:
-    if not is_koenig_egervary(g, cap=cap):
+def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
+    if not f.is_ke:
         raise GraphError("the stable-set certificate is a KE-only property")
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "certificate equivalence scan")
-    fam = maximum_stable_sets(g, cap=cap)
-    members = set(fam.sets)
-    matchings = enumerate_maximum_matchings(g, cap=cap)
+    g = f.graph
+    check_cap(g.n, f.cap, DEFAULT_OMEGA_CAP, "certificate equivalence scan")
+    members = set(f.family.sets)
+    matchings = f.maximum_matchings
     exposed_by_matching = [
         (m, frozenset(range(g.n)) - {v for e in m for v in e}) for m in matchings
     ]
@@ -270,19 +359,20 @@ class AnticoreEmptyVerdict:
         return self.anticore_empty == self.pm_and_blossom_free
 
 
-def check_anticore_empty_criterion(
-    g: Graph, cap: int | None = None
-) -> AnticoreEmptyVerdict:
-    if g.n < 2:
+def _require_connected_ke(f: Facts) -> None:
+    """The scope of the anticore and alpha-plus criteria."""
+    if f.graph.n < 2:
         raise GraphError("criterion requires order at least 2")
-    if not is_connected(g):
+    if not f.connected:
         raise GraphError("criterion requires a connected graph")
-    if not is_koenig_egervary(g, cap=cap):
+    if not f.is_ke:
         raise GraphError("criterion requires a Koenig-Egervary graph")
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    pm = has_perfect_matching(g)
-    right = pm and not has_blossom(g, maximum_matching(g))
-    return AnticoreEmptyVerdict(rep.anticore_size == 0, right)
+
+
+def check_anticore_empty_criterion(f: Facts) -> AnticoreEmptyVerdict:
+    _require_connected_ke(f)
+    right = f.has_pm and f.blossom_free
+    return AnticoreEmptyVerdict(f.core.anticore_size == 0, right)
 
 
 @dataclass(frozen=True)
@@ -298,17 +388,10 @@ class PmCriterionVerdict:
         return self.stable_by_definition == self.pm_and_small_anticore
 
 
-def check_alpha_plus_pm_criterion(
-    g: Graph, cap: int | None = None
-) -> PmCriterionVerdict:
-    if not is_connected(g):
-        raise GraphError("criterion requires a connected graph")
-    if not is_koenig_egervary(g, cap=cap):
-        raise GraphError("criterion requires a Koenig-Egervary graph")
-    left = is_edge_addition_stable(g, cap=cap)
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    right = has_perfect_matching(g) and rep.anticore_size <= 1
-    return PmCriterionVerdict(left, right)
+def check_alpha_plus_pm_criterion(f: Facts) -> PmCriterionVerdict:
+    _require_connected_ke(f)
+    right = f.has_pm and f.core.anticore_size <= 1
+    return PmCriterionVerdict(f.stable_by_definition, right)
 
 
 @dataclass(frozen=True)
@@ -325,7 +408,7 @@ class ThreeRouteVerdict:
         return self.by_definition == self.by_core_sets == self.by_matching_structure
 
 
-def _structural_stability_route(g: Graph) -> bool:
+def _structural_stability_route(f: Facts) -> bool:
     """Matching-only route: a perfect matching must exist, and the graph is
     either blossom-free, or some pendant vertex p with neighbor q leaves
     G - {p, q} blossom-free with a perfect matching.
@@ -336,48 +419,35 @@ def _structural_stability_route(g: Graph) -> bool:
     pendant pairs, the route is equivalent to the core-size route on every
     KE graph of order at least 2.
     """
-    if not has_perfect_matching(g):
+    if not f.has_pm:
         return False
-    if not has_blossom(g, maximum_matching(g)):
+    if f.blossom_free:
         return True
-    for p in pendant_vertices(g):
-        q = g.neighbors(p)[0]
-        h = delete_vertices(g, {p, q})
-        if h.n == 0:
-            continue
-        if not has_perfect_matching(h):
-            continue
-        if not has_blossom(h, maximum_matching(h)):
+    g = f.graph
+    for p in f.pendants:
+        h = f.facts_of(delete_vertices(g, {p, g.neighbors(p)[0]}))
+        if h.graph.n and h.has_pm and h.blossom_free:
             return True
     return False
 
 
-def check_alpha_plus_three_routes(
-    g: Graph, cap: int | None = None
-) -> ThreeRouteVerdict:
-    if g.n < 2:
-        raise GraphError("criterion requires order at least 2")
-    if not is_connected(g):
-        raise GraphError("criterion requires a connected graph")
-    if not is_koenig_egervary(g, cap=cap):
-        raise GraphError("criterion requires a Koenig-Egervary graph")
-    by_def = is_edge_addition_stable(g, cap=cap)
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    by_core = rep.anticore_size == 0 or (
-        rep.anticore_size == 1 and has_perfect_matching(g)
+def check_alpha_plus_three_routes(f: Facts) -> ThreeRouteVerdict:
+    _require_connected_ke(f)
+    rep = f.core
+    by_core = rep.anticore_size == 0 or (rep.anticore_size == 1 and f.has_pm)
+    return ThreeRouteVerdict(
+        f.stable_by_definition, by_core, _structural_stability_route(f)
     )
-    return ThreeRouteVerdict(by_def, by_core, _structural_stability_route(g))
 
 
-def pm_via_core(g: Graph, cap: int | None = None) -> bool:
+def pm_via_core(f: Facts) -> bool:
     """Perfect-matching test through core sizes: for KE graphs a perfect
     matching exists exactly when core and anticore have the same size.
     Refuses non-KE inputs, where the equality proves nothing."""
-    if not is_koenig_egervary(g, cap=cap):
+    if not f.is_ke:
         raise GraphError("core-size comparison decides perfect matchings only "
                          "for Koenig-Egervary graphs")
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    return rep.core_size == rep.anticore_size
+    return f.core.core_size == f.core.anticore_size
 
 
 @dataclass(frozen=True)
@@ -394,15 +464,16 @@ class CoreDualityVerdict:
 
 
 def check_core_anticore_duality(
-    g: Graph, m: Iterable[Edge] | None = None, cap: int | None = None
+    f: Facts, m: Iterable[Edge] | None = None
 ) -> CoreDualityVerdict:
-    if not is_koenig_egervary(g, cap=cap):
+    """Reads the canonical maximum matching unless another m is given."""
+    if not f.is_ke:
         raise GraphError("core/anticore duality is a KE-only property")
-    m = maximum_matching(g) if m is None else validate_matching(g, m)
-    if len(m) != matching_number(g):
+    m = f.matching if m is None else validate_matching(f.graph, m)
+    if len(m) != f.mu:
         raise GraphError("duality check needs a maximum matching")
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    lemma5 = neighborhood(g, rep.core) == rep.anticore
+    rep = f.core
+    lemma5 = neighborhood(f.graph, rep.core) == rep.anticore
     partner = partner_map(m)
     lemma6 = all(
         v in partner and partner[v] in rep.core for v in rep.anticore
@@ -419,13 +490,12 @@ class NearPerfectVerdict:
     holds: bool
 
 
-def check_near_perfect_necessity(g: Graph, cap: int | None = None) -> NearPerfectVerdict:
-    if not is_koenig_egervary(g, cap=cap):
+def check_near_perfect_necessity(f: Facts) -> NearPerfectVerdict:
+    if not f.is_ke:
         raise GraphError("near-perfect necessity is stated for KE graphs")
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    if rep.core_size > 1:
+    if f.core.core_size > 1:
         return NearPerfectVerdict(False, True)
-    return NearPerfectVerdict(True, g.n - 2 * matching_number(g) <= 1)
+    return NearPerfectVerdict(True, f.graph.n - 2 * f.mu <= 1)
 
 
 @dataclass(frozen=True)
@@ -443,23 +513,17 @@ class PendantVerdict:
         return self.pendant_pm == self.pendant_count_non_critical == self.ke_stable_pendant_count
 
 
-def pendant_characterization(g: Graph, cap: int | None = None) -> PendantVerdict:
+def pendant_characterization(f: Facts) -> PendantVerdict:
+    g = f.graph
     if g.n < 2:
         raise GraphError("pendant characterization requires order at least 2")
-    pendants = pendant_vertices(g)
-    pendant_edges = {(p, g.neighbors(p)[0]) for p in pendants}
-    pendant_edges = {tuple(sorted(e)) for e in pendant_edges}
+    pendants = f.pendants
+    pendant_edges = {tuple(sorted((p, g.neighbors(p)[0]))) for p in pendants}
     covered = [v for e in pendant_edges for v in e]
     stmt1 = len(covered) == len(set(covered)) == g.n
-    alpha = stability_number(g, cap=cap)
-    stmt2 = len(pendants) == alpha and not any(
-        is_alpha_critical(g, p, cap=cap) for p in pendants
-    )
-    stmt3 = (
-        is_koenig_egervary(g, cap=cap)
-        and is_edge_addition_stable(g, cap=cap)
-        and len(pendants) == alpha
-    )
+    count_is_alpha = len(pendants) == f.alpha
+    stmt2 = count_is_alpha and not f.alpha_critical_pendants
+    stmt3 = count_is_alpha and f.is_ke and f.stable_by_definition
     return PendantVerdict(stmt1, stmt2, stmt3)
 
 
@@ -479,18 +543,15 @@ class CoreLowerBoundVerdict:
         return self.oversized_alpha_holds and self.unequal_sides_holds
 
 
-def check_core_lower_bounds(g: Graph, cap: int | None = None) -> CoreLowerBoundVerdict:
-    if g.n < 2 or not is_connected(g):
+def check_core_lower_bounds(f: Facts) -> CoreLowerBoundVerdict:
+    if f.graph.n < 2 or not f.connected:
         raise GraphError("core lower bounds are stated for connected graphs of "
                          "order at least 2")
-    alpha = stability_number(g, cap=cap)
-    ke = is_koenig_egervary(g, cap=cap)
-    semi_applies = ke and 2 * alpha > g.n
-    rep = core_report(maximum_stable_sets(g, cap=cap))
-    semi_holds = rep.core_size >= 2 if semi_applies else True
-    sides = bipartition(g)
+    semi_applies = f.is_ke and 2 * f.alpha > f.graph.n
+    semi_holds = f.core.core_size >= 2 if semi_applies else True
+    sides = f.sides
     cor_applies = sides is not None and len(sides[0]) != len(sides[1])
-    cor_holds = rep.core_size >= 2 if cor_applies else True
+    cor_holds = f.core.core_size >= 2 if cor_applies else True
     return CoreLowerBoundVerdict(semi_applies, semi_holds, cor_applies, cor_holds)
 
 
@@ -515,22 +576,18 @@ class BipartiteEquivalenceVerdict:
         )
 
 
-def check_bipartite_equivalences(
-    g: Graph, cap: int | None = None
-) -> BipartiteEquivalenceVerdict:
-    if g.n < 2 or not is_connected(g):
+def check_bipartite_equivalences(f: Facts) -> BipartiteEquivalenceVerdict:
+    if f.graph.n < 2 or not f.connected:
         raise GraphError("bipartite equivalences are stated for connected graphs "
                          "of order at least 2")
-    if bipartition(g) is None:
+    if not f.bipartite:
         raise GraphError("graph is not bipartite")
-    by_def = is_edge_addition_stable(g, cap=cap)
-    pm = has_perfect_matching(g)
-    fam = maximum_stable_sets(g, cap=cap)
-    members = set(fam.sets)
-    full = frozenset(range(g.n))
-    pair = any(full - s in members for s in fam.sets)
-    empty_core = core_report(fam).core_size == 0
-    return BipartiteEquivalenceVerdict(by_def, pm, pair, empty_core)
+    members = set(f.family.sets)
+    full = frozenset(range(f.graph.n))
+    pair = any(full - s in members for s in f.family.sets)
+    return BipartiteEquivalenceVerdict(
+        f.stable_by_definition, f.has_pm, pair, f.core.core_size == 0
+    )
 
 
 @dataclass(frozen=True)
@@ -542,10 +599,10 @@ class BipartiteZeroCoreVerdict:
     holds: bool
 
 
-def check_bipartite_zero_core(g: Graph, cap: int | None = None) -> BipartiteZeroCoreVerdict:
-    if bipartition(g) is None:
+def check_bipartite_zero_core(f: Facts) -> BipartiteZeroCoreVerdict:
+    if not f.bipartite:
         raise GraphError("graph is not bipartite")
-    rep = core_report(maximum_stable_sets(g, cap=cap))
+    rep = f.core
     if rep.core_size != rep.anticore_size:
         return BipartiteZeroCoreVerdict(False, True)
     return BipartiteZeroCoreVerdict(True, rep.core_size == 0)
@@ -572,25 +629,20 @@ class StructureConsistencyVerdict:
 
 
 def check_structure_consistency(
-    g: Graph,
-    cap: int | None = None,
-    *,
-    all_matchings_max_n: int = 0,
-    budget: int | None = None,
+    f: Facts, *, all_matchings_max_n: int = 0
 ) -> StructureConsistencyVerdict:
-    ke = is_koenig_egervary(g, cap=cap)
-    m = maximum_matching(g)
-    flower_found = find_flower(g, m, budget=budget) is not None
-    posy_found = find_posy(g, m, budget=budget) is not None
+    g = f.graph
+    flower_found = find_flower(g, f.matching) is not None
+    posy_found = find_posy(g, f.matching) is not None
     checked = 0
-    if ke and g.n <= all_matchings_max_n:
-        for mm in enumerate_maximum_matchings(g, cap=cap):
+    if f.is_ke and g.n <= all_matchings_max_n:
+        for mm in f.maximum_matchings:
             checked += 1
-            flower_found = flower_found or find_flower(g, mm, budget=budget) is not None
-            posy_found = posy_found or find_posy(g, mm, budget=budget) is not None
+            flower_found = flower_found or find_flower(g, mm) is not None
+            posy_found = posy_found or find_posy(g, mm) is not None
             if flower_found or posy_found:
                 break
-    return StructureConsistencyVerdict(ke, flower_found, posy_found, checked)
+    return StructureConsistencyVerdict(f.is_ke, flower_found, posy_found, checked)
 
 
 # -- the aggregated report -----------------------------------------------------
@@ -656,20 +708,22 @@ class AnalysisReport:
         }
 
 
-def _component_cross_checks(g: Graph, cap: int | None) -> None:
+def _component_cross_checks(f: Facts) -> None:
     """Per-component theorem checks; any failure is an implementation bug."""
+    g = f.graph
     for comp in connected_components(g):
-        sub, _ = induced_subgraph(g, comp)
-        if sub.n >= 2 and is_koenig_egervary(sub, cap=cap):
-            if not check_anticore_empty_criterion(sub, cap=cap).consistent:
+        part = f.facts_of(induced_subgraph(g, comp)[0])
+        n = part.graph.n
+        if n >= 2 and part.is_ke:
+            if not check_anticore_empty_criterion(part).consistent:
                 raise TheoremViolationError("anticore-empty criterion failed")
-            if not check_alpha_plus_pm_criterion(sub, cap=cap).consistent:
+            if not check_alpha_plus_pm_criterion(part).consistent:
                 raise TheoremViolationError("perfect-matching stability criterion failed")
-            if not check_alpha_plus_three_routes(sub, cap=cap).consistent:
+            if not check_alpha_plus_three_routes(part).consistent:
                 raise TheoremViolationError("three-route stability criterion failed")
-            if not check_core_lower_bounds(sub, cap=cap).consistent:
+            if not check_core_lower_bounds(part).consistent:
                 raise TheoremViolationError("core lower bound failed")
-        if sub.n >= 3 and not pendant_characterization(sub, cap=cap).consistent:
+        if n >= 3 and not pendant_characterization(part).consistent:
             raise TheoremViolationError("pendant characterization failed")
 
 
@@ -682,44 +736,33 @@ def full_report(
     per connected component and a TheoremViolationError is raised on any
     disagreement.
     """
-    fam = maximum_stable_sets(g, cap=cap)
-    rep = core_report(fam)
-    m = maximum_matching(g)
-    alpha, mu = fam.alpha, len(m)
-    ke = alpha + mu == g.n
-    connected = is_connected(g)
-    pm = has_perfect_matching(g)
-    stability = classify_alpha_plus(g, cap=cap)
-    decomposition = decompose(g, cap=cap) if (ke and connected and g.n) else None
-    blossom_free = not has_blossom(g, m)
-    pendants = pendant_vertices(g)
-    profile = PendantProfile(
-        pendants=pendants,
-        alpha_critical_pendants=tuple(
-            p for p in pendants if is_alpha_critical(g, p, cap=cap)
-        ),
-    )
+    f = Facts(g, cap)
+    rep = f.core  # the family first: its cap is the one a large input hits
+    ke = f.is_ke
+    stability = classify_alpha_plus(f)
+    decomposition = decompose(f) if (ke and f.connected and g.n) else None
+    profile = PendantProfile(f.pendants, f.alpha_critical_pendants)
     if ke:
-        if pm != pm_via_core(g, cap=cap):
+        if f.has_pm != pm_via_core(f):
             raise TheoremViolationError("core-size perfect-matching test failed")
-        if not check_core_anticore_duality(g, m, cap=cap).consistent:
+        if not check_core_anticore_duality(f).consistent:
             raise TheoremViolationError("core/anticore duality failed")
-        if not check_ke_arithmetic(g, cap=cap).consistent:
+        if not check_ke_arithmetic(f).consistent:
             raise TheoremViolationError("KE arithmetic failed")
     if deep_checks:
-        _component_cross_checks(g, cap)
+        _component_cross_checks(f)
     return AnalysisReport(
         n=g.n,
         m=g.m,
-        connected=connected,
-        alpha=alpha,
-        mu=mu,
+        connected=f.connected,
+        alpha=f.alpha,
+        mu=f.mu,
         is_ke=ke,
-        has_pm=pm,
+        has_pm=f.has_pm,
         core=rep,
         stability=stability,
         decomposition=decomposition,
-        blossom_free=blossom_free,
+        blossom_free=f.blossom_free,
         pendant_profile=profile,
-        omega_size=len(fam.sets),
+        omega_size=len(f.family.sets),
     )

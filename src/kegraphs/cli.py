@@ -250,7 +250,13 @@ def cmd_fixtures(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "verify":
+        if args.count < 1:
+            parser.error("--count must be at least 1")
+        if args.corpus == "bipartite" and args.n[1] < 2:
+            parser.error("the bipartite corpus needs --n with HI >= 2")
     if args.command == "analyze":
         return cmd_analyze(args)
     if args.command == "verify":

@@ -17,10 +17,9 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .analysis import AnalysisReport, classify_alpha_plus, is_koenig_egervary
+from .analysis import AnalysisReport, Facts, classify_alpha_plus
 from .graph import Edge, Graph, GraphError, bipartition, is_connected
-from .matching import matching_number, maximum_matching, partner_map
-from .stable import core_report, maximum_stable_sets
+from .matching import matching_number, partner_map
 
 
 # -- joins and pendant pairs ---------------------------------------------------
@@ -48,23 +47,23 @@ def join(h1: Graph, h2: Graph, cross: Iterable[Edge]) -> Graph:
     return Graph(h1.n + h2.n, edges)
 
 
-def attach_k2(g: Graph, y_edges: Iterable[int]) -> Graph:
-    """Attach a pendant pair: y = g.n adjacent to y_edges and to the new
-    pendant x = g.n + 1.
+def attach_k2(f: Facts, y_edges: Iterable[int]) -> Graph:
+    """Attach a pendant pair to the base f.graph: y = g.n adjacent to
+    y_edges and to the new pendant x = g.n + 1.
 
     Requires a Koenig-Egervary base with empty anticore and an attachment
     set meeting every maximum stable set; the result is then KE with a
     perfect matching, anticore exactly {y} and core exactly {x}.
     """
+    g = f.graph
     y_set = g.check_vertex_set(y_edges)
     if not y_set:
         raise GraphError("attachment set must be nonempty")
-    if not is_koenig_egervary(g):
+    if not f.is_ke:
         raise GraphError("attachment base must be a Koenig-Egervary graph")
-    fam = maximum_stable_sets(g)
-    if core_report(fam).anticore_size != 0:
+    if f.core.anticore_size != 0:
         raise GraphError("attachment base must have an empty anticore")
-    for s in fam.sets:
+    for s in f.family.sets:
         if not (y_set & s):
             raise GraphError(
                 f"attachment set misses the maximum stable set {sorted(s)}"
@@ -75,25 +74,23 @@ def attach_k2(g: Graph, y_edges: Iterable[int]) -> Graph:
     return Graph(g.n + 2, edges)
 
 
-def peel(g: Graph) -> tuple[Edge, Graph]:
-    """Remove the unique anticore vertex and its matching partner.
+def peel(f: Facts) -> tuple[Edge, Graph]:
+    """Remove the unique anticore vertex of f.graph and its matching partner.
 
     Requires a KE graph with anticore of size exactly one and equal
     stability and matching numbers (hence a perfect matching).  Returns the
     removed edge (anticore vertex, partner) and the peeled graph, which is
     KE with empty anticore; remaining vertices keep their relative order.
     """
-    if not is_koenig_egervary(g):
+    g = f.graph
+    if not f.is_ke:
         raise GraphError("peel requires a Koenig-Egervary graph")
-    fam = maximum_stable_sets(g)
-    rep = core_report(fam)
-    if rep.anticore_size != 1:
-        raise GraphError(f"peel requires anticore size 1, got {rep.anticore_size}")
-    if fam.alpha != matching_number(g):
+    if f.core.anticore_size != 1:
+        raise GraphError(f"peel requires anticore size 1, got {f.core.anticore_size}")
+    if f.alpha != f.mu:
         raise GraphError("peel requires equal stability and matching numbers")
-    (x,) = rep.anticore
-    partner = partner_map(maximum_matching(g))
-    y = partner[x]
+    (x,) = f.core.anticore
+    y = partner_map(f.matching)[x]
     keep = [v for v in g.vertices() if v not in (x, y)]
     relabel = {old: new for new, old in enumerate(keep)}
     edges = [
@@ -117,7 +114,7 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
         raise GraphError("clique order must be positive")
     if bipartition(g) is None:
         raise GraphError("bullet base must be bipartite")
-    if classify_alpha_plus(g).kind == "not_stable":
+    if classify_alpha_plus(Facts(g)).kind == "not_stable":
         raise GraphError("bullet base must be edge-addition stable")
     x = g.n
     clique = [(x + i, x + j) for i in range(p) for j in range(i + 1, p)]

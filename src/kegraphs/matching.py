@@ -397,11 +397,14 @@ def is_blossom_free(g: Graph, m: Iterable[Edge]) -> bool:
 
 
 def _require_maximum(g: Graph, m: Matching) -> None:
-    mu = matching_number(g)
-    if len(m) != mu:
-        raise GraphError(
-            f"matching of size {len(m)} is not maximum (matching number is {mu})"
-        )
+    """Berge: m is maximum exactly when no exposed vertex starts an
+    augmenting path, so one failed search per exposed vertex proves it."""
+    match = [-1] * g.n
+    for u, v in m:
+        match[u], match[v] = v, u
+    for root in range(g.n):
+        if match[root] == -1 and _augment_from(g, root, match):
+            raise GraphError(f"matching of size {len(m)} is not maximum")
 
 
 def find_flower(

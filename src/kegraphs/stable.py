@@ -164,11 +164,13 @@ def certify_max_stable(g: Graph, m: Iterable[Edge], s: Iterable[int]) -> Certifi
     back with the first offending witness.
     """
     m = validate_matching(g, m)
-    mu = matching_number(g)
-    if len(m) != mu:
-        raise GraphError(f"matching of size {len(m)} is not maximum ({mu})")
     alpha = stability_number(g)
-    if alpha + mu != g.n:
+    # alpha + |m| <= n for every matching, with equality exactly when m is
+    # maximum and the graph is KE; mu is only needed to say which failed
+    if alpha + len(m) != g.n:
+        mu = matching_number(g)
+        if len(m) != mu:
+            raise GraphError(f"matching of size {len(m)} is not maximum ({mu})")
         raise GraphError(
             f"certificate requires a Koenig-Egervary graph; got alpha={alpha}, "
             f"mu={mu}, n={g.n}"

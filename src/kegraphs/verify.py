@@ -4,86 +4,25 @@ Each check states an equivalence or bound, names the inputs it applies
 to, and is evaluated over seeded random corpora.  Both sides of every
 equivalence are computed by independent routes (brute force, definition
 chasing, or matching structure), so a reported violation always means an
-implementation bug.  The CLI's verify command and the acceptance suite
-are thin wrappers around run_checks.
+implementation bug.  run_checks builds one analysis.Facts per input graph
+and hands it to every check, which passes it straight to the analysis
+verdict it wraps; a check that derives a new graph (peel, attachment)
+takes that graph's Facts from Facts.facts_of.  The CLI's verify command
+and the acceptance suite are thin wrappers around run_checks.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from . import analysis, bruteforce, constructions
+from .analysis import Facts
 from .edgefile import format_graph
-from .graph import Graph, bipartition, is_connected
-from .matching import (
-    enumerate_maximum_matchings,
-    find_flower,
-    find_posy,
-    has_blossom,
-    maximum_matching,
-)
-from .stable import (
-    certify_max_stable,
-    core_report,
-    extend_stable_through_matching,
-    maximum_stable_sets,
-)
+from .graph import is_connected
+from .stable import certify_max_stable, extend_stable_through_matching
 
 ALL_MATCHINGS_MAX_N = 8
-
-
-class Facts:
-    """Per-graph quantities, computed once and shared across checks."""
-
-    def __init__(self, label: str, graph: Graph):
-        self.label = label
-        self.graph = graph
-
-    @cached_property
-    def matching(self):
-        return maximum_matching(self.graph)
-
-    @cached_property
-    def mu(self) -> int:
-        return len(self.matching)
-
-    @cached_property
-    def family(self):
-        return maximum_stable_sets(self.graph)
-
-    @cached_property
-    def alpha(self) -> int:
-        return self.family.alpha
-
-    @cached_property
-    def core(self):
-        return core_report(self.family)
-
-    @cached_property
-    def is_ke(self) -> bool:
-        return self.alpha + self.mu == self.graph.n
-
-    @cached_property
-    def has_pm(self) -> bool:
-        return self.graph.n % 2 == 0 and self.mu * 2 == self.graph.n
-
-    @cached_property
-    def connected(self) -> bool:
-        return is_connected(self.graph)
-
-    @cached_property
-    def bipartite(self) -> bool:
-        return bipartition(self.graph) is not None
-
-    @cached_property
-    def blossom_free(self) -> bool:
-        return not has_blossom(self.graph, self.matching)
-
-    @cached_property
-    def stable_by_definition(self) -> bool:
-        return analysis.is_edge_addition_stable(self.graph)
 
 
 @dataclass
@@ -147,35 +86,35 @@ def _check_edge_addition_definition(f: Facts) -> str | None:
 
 
 def _check_ke_arithmetic(f: Facts) -> str | None:
-    v = analysis.check_ke_arithmetic(f.graph)
+    v = analysis.check_ke_arithmetic(f)
     if not v.consistent:
         return f"arithmetic verdict {v}"
     return None
 
 
 def _check_matchings_in_cut(f: Facts) -> str | None:
-    v = analysis.check_matchings_in_cuts(f.graph)
+    v = analysis.check_matchings_in_cuts(f)
     if not v.holds:
         return "a maximum matching leaves a maximum-stable-set cut"
     return None
 
 
 def _check_certificate(f: Facts) -> str | None:
-    v = analysis.check_certificate_equivalence(f.graph)
+    v = analysis.check_certificate_equivalence(f)
     if not v.holds:
         return "certificate disagrees with family membership"
     return None
 
 
 def _check_near_perfect(f: Facts) -> str | None:
-    v = analysis.check_near_perfect_necessity(f.graph)
+    v = analysis.check_near_perfect_necessity(f)
     if not v.holds:
         return "edge-addition-stable KE graph lacks a (near-)perfect matching"
     return None
 
 
 def _check_anticore_empty(f: Facts) -> str | None:
-    v = analysis.check_anticore_empty_criterion(f.graph)
+    v = analysis.check_anticore_empty_criterion(f)
     if not v.consistent:
         return (
             f"anticore empty {v.anticore_empty} vs pm+blossom-free "
@@ -185,7 +124,7 @@ def _check_anticore_empty(f: Facts) -> str | None:
 
 
 def _check_pm_criterion(f: Facts) -> str | None:
-    v = analysis.check_alpha_plus_pm_criterion(f.graph)
+    v = analysis.check_alpha_plus_pm_criterion(f)
     if not v.consistent:
         return (
             f"definition {v.stable_by_definition} vs pm+anticore<=1 "
@@ -195,7 +134,7 @@ def _check_pm_criterion(f: Facts) -> str | None:
 
 
 def _check_three_routes(f: Facts) -> str | None:
-    v = analysis.check_alpha_plus_three_routes(f.graph)
+    v = analysis.check_alpha_plus_three_routes(f)
     if not v.consistent:
         return (
             f"definition {v.by_definition}, core {v.by_core_sets}, "
@@ -205,7 +144,7 @@ def _check_three_routes(f: Facts) -> str | None:
 
 
 def _check_core_duality(f: Facts) -> str | None:
-    v = analysis.check_core_anticore_duality(f.graph, f.matching)
+    v = analysis.check_core_anticore_duality(f)
     if not v.consistent:
         return (
             f"neighborhood==anticore {v.neighborhood_equals_anticore}, "
@@ -215,14 +154,14 @@ def _check_core_duality(f: Facts) -> str | None:
 
 
 def _check_pm_core_sizes(f: Facts) -> str | None:
-    via_core = analysis.pm_via_core(f.graph)
+    via_core = analysis.pm_via_core(f)
     if via_core != f.has_pm:
         return f"core sizes say {via_core}, matching says {f.has_pm}"
     return None
 
 
 def _check_pendant(f: Facts) -> str | None:
-    v = analysis.pendant_characterization(f.graph)
+    v = analysis.pendant_characterization(f)
     if not v.consistent:
         return (
             f"pendant pm {v.pendant_pm}, count/critical "
@@ -232,27 +171,21 @@ def _check_pendant(f: Facts) -> str | None:
 
 
 def _check_core_lower_bounds(f: Facts) -> str | None:
-    v = analysis.check_core_lower_bounds(f.graph)
+    v = analysis.check_core_lower_bounds(f)
     if not v.consistent:
         return "a core lower bound failed"
     return None
 
 
 def _check_sterboul(f: Facts) -> str | None:
-    flower = find_flower(f.graph, f.matching)
-    posy = find_posy(f.graph, f.matching)
-    structure_free = flower is None and posy is None
-    if structure_free != f.is_ke:
-        return f"KE {f.is_ke} but structure-free {structure_free}"
-    if f.is_ke and f.graph.n <= ALL_MATCHINGS_MAX_N:
-        for m in enumerate_maximum_matchings(f.graph):
-            if find_flower(f.graph, m) or find_posy(f.graph, m):
-                return f"KE graph has a structure for matching {sorted(m)}"
+    v = analysis.check_structure_consistency(f, all_matchings_max_n=ALL_MATCHINGS_MAX_N)
+    if not v.consistent:
+        return f"KE {v.ke_by_arithmetic} but structure-free {v.structure_free}"
     return None
 
 
 def _check_decomposition(f: Facts) -> str | None:
-    d = analysis.decompose(f.graph)
+    d = analysis.decompose(f)
     if d.stable_set not in set(f.family.sets):
         return "stable side is not a maximum stable set"
     if len(d.rest) != f.mu:
@@ -261,15 +194,15 @@ def _check_decomposition(f: Facts) -> str | None:
 
 
 def _check_peel(f: Facts) -> str | None:
-    (x, y), h = constructions.peel(f.graph)
+    (x, y), h = constructions.peel(f)
     if x not in f.core.anticore:
         return "peeled vertex is not the anticore vertex"
-    if not analysis.is_koenig_egervary(h):
+    hf = f.facts_of(h)
+    if not hf.is_ke:
         return "peeled graph is not KE"
-    hrep = core_report(maximum_stable_sets(h))
-    if hrep.anticore_size != 0:
+    if hf.core.anticore_size != 0:
         return "peeled graph has a nonempty anticore"
-    if maximum_stable_sets(h).alpha != len(maximum_matching(h)):
+    if hf.alpha != hf.mu:
         return "peeled graph has unequal stability and matching numbers"
     return None
 
@@ -277,17 +210,17 @@ def _check_peel(f: Facts) -> str | None:
 def _check_pendant_pair_roundtrip(f: Facts) -> str | None:
     g = f.graph
     transversal = sorted({min(s) for s in f.family.sets})
-    fg = constructions.attach_k2(g, transversal)
-    frep = core_report(maximum_stable_sets(fg))
-    if not analysis.is_koenig_egervary(fg):
+    ff = f.facts_of(constructions.attach_k2(f, transversal))
+    frep = ff.core
+    if not ff.is_ke:
         return "attachment output is not KE"
-    if not analysis.has_perfect_matching(fg):
+    if not ff.has_pm:
         return "attachment output lacks a perfect matching"
     if sorted(frep.anticore) != [g.n]:
         return f"attachment anticore is {sorted(frep.anticore)}, wanted [{g.n}]"
     if sorted(frep.core) != [g.n + 1]:
         return f"attachment core is {sorted(frep.core)}, wanted [{g.n + 1}]"
-    _, back = constructions.peel(fg)
+    _, back = constructions.peel(ff)
     if back != g:
         return "peeling the attachment did not restore the base"
     return None
@@ -309,7 +242,7 @@ def _check_extension(f: Facts) -> str | None:
 
 
 def _check_bipartite_equivalences(f: Facts) -> str | None:
-    v = analysis.check_bipartite_equivalences(f.graph)
+    v = analysis.check_bipartite_equivalences(f)
     if not v.consistent:
         return (
             f"definition {v.stable_by_definition}, pm {v.has_pm}, "
@@ -319,7 +252,7 @@ def _check_bipartite_equivalences(f: Facts) -> str | None:
 
 
 def _check_bipartite_zero_core(f: Facts) -> str | None:
-    v = analysis.check_bipartite_zero_core(f.graph)
+    v = analysis.check_bipartite_zero_core(f)
     if not v.holds:
         return "equal nonzero core and anticore sizes on a bipartite graph"
     return None
@@ -361,7 +294,8 @@ CHECKS: tuple[Check, ...] = (
           _check_anticore_empty),
     Check("alpha-plus-pm-criterion",
           "stability by definition iff perfect matching and anticore <= 1",
-          lambda f: f.is_ke and f.connected, _check_pm_criterion),
+          lambda f: f.is_ke and f.connected and f.graph.n >= 2,
+          _check_pm_criterion),
     Check("alpha-plus-three-routes",
           "definition, core sizes, and matching structure agree",
           lambda f: f.is_ke and f.connected and f.graph.n >= 2,
@@ -416,7 +350,8 @@ def run_checks(
     *,
     inject_failure: bool = False,
 ) -> VerifySummary:
-    """Run the selected checks over (label, graph) pairs."""
+    """Run the selected checks over (label, graph) pairs, sharing one
+    analysis.Facts per graph among them."""
     selected = [
         CHECKS_BY_NAME[n] for n in (check_names or [c.name for c in CHECKS])
     ]
@@ -426,7 +361,7 @@ def run_checks(
     count = 0
     for label, g in graphs:
         count += 1
-        f = Facts(label, g)
+        f = Facts(g)
         for check in selected:
             if not check.applies(f):
                 continue

@@ -13,6 +13,7 @@ import pytest
 
 from kegraphs import verify
 from kegraphs.analysis import (
+    Facts,
     classify_alpha_plus,
     full_report,
     is_koenig_egervary,
@@ -84,7 +85,7 @@ def test_criterion_1_fixture_exactness():
 
     p3 = fixture_by_name("p3").graph
     rep3 = core_report(maximum_stable_sets(p3))
-    if rep3.anticore_size != 1 or classify_alpha_plus(p3).kind != "not_stable":
+    if rep3.anticore_size != 1 or classify_alpha_plus(Facts(p3)).kind != "not_stable":
         problems.append("three-vertex path expectations failed")
 
     g3 = fixture_by_name("fig3_nonstable").graph
@@ -95,7 +96,7 @@ def test_criterion_1_fixture_exactness():
 
     for name, want in (("fig4_g1", "alpha1_plus"), ("fig4_g2", "alpha0_plus")):
         g = fixture_by_name(name).graph
-        if classify_alpha_plus(g).kind != want or not is_koenig_egervary(g):
+        if classify_alpha_plus(Facts(g)).kind != want or not is_koenig_egervary(g):
             problems.append(f"{name} classification drifted")
 
     g5 = fixture_by_name("fig5_non_ke").graph
@@ -225,7 +226,7 @@ def test_criterion_7_construction_round_trips():
     for g in _attach_bases(rng, 500):
         fam = maximum_stable_sets(g)
         y_edges = {rng.choice(sorted(s)) for s in fam.sets}
-        f = attach_k2(g, y_edges)
+        f = attach_k2(Facts(g), y_edges)
         rep = core_report(maximum_stable_sets(f))
         if not (
             is_koenig_egervary(f)
@@ -234,7 +235,7 @@ def test_criterion_7_construction_round_trips():
             and rep.core == {g.n + 1}
         ):
             problems.append(f"attachment conclusion failed on n={g.n}")
-        removed, back = peel(f)
+        removed, back = peel(Facts(f))
         if removed != (g.n, g.n + 1) or back != g:
             problems.append(f"peel did not undo the attachment on n={g.n}")
         attach_count += 1
@@ -251,7 +252,7 @@ def test_criterion_7_construction_round_trips():
         else:
             p = rng.choice([3, 4, 5])
             out = bullet_kp(base, p, rng.randrange(base.n))
-        if classify_alpha_plus(out).kind == "not_stable":
+        if classify_alpha_plus(Facts(out)).kind == "not_stable":
             problems.append(f"clique gluing lost stability (p={p}, base n={base.n})")
         bullet_count += 1
 

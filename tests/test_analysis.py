@@ -1,10 +1,14 @@
+import collections
 import json
 import random
+import sys
 
 import pytest
 
-from kegraphs import matching
+import kegraphs
+from kegraphs import matching, verify
 from kegraphs.analysis import (
+    Facts,
     check_alpha_plus_pm_criterion,
     check_alpha_plus_three_routes,
     check_anticore_empty_criterion,
@@ -20,7 +24,6 @@ from kegraphs.analysis import (
     classify_alpha_plus,
     decompose,
     full_report,
-    has_perfect_matching,
     is_alpha_critical,
     is_edge_addition_stable,
     is_koenig_egervary,
@@ -69,30 +72,30 @@ def test_ke_membership_is_closed_under_components():
 
 
 def test_decompose_examples():
-    d = decompose(K4_MINUS_E)
+    d = decompose(Facts(K4_MINUS_E))
     assert d.stable_set == {2, 3} and d.rest == {0, 1}
     assert len(d.cut_matching) == 2
-    d = decompose(path(4))
+    d = decompose(Facts(path(4)))
     assert d.stable_set == {0, 2} and len(d.cut_matching) == 2
     star = complete_bipartite(1, 3)
-    d = decompose(star)
+    d = decompose(Facts(star))
     assert d.stable_set == {1, 2, 3} and d.rest == {0} and len(d.cut_matching) == 1
 
 
 def test_decompose_rejects_bad_inputs():
     with pytest.raises(GraphError):
-        decompose(cycle(5))
+        decompose(Facts(cycle(5)))
     with pytest.raises(GraphError):
-        decompose(Graph(4, [(0, 1), (2, 3)]))
+        decompose(Facts(Graph(4, [(0, 1), (2, 3)])))
 
 
 def test_classification_examples():
-    assert classify_alpha_plus(fixture_by_name("fig4_g1").graph).kind == "alpha1_plus"
-    assert classify_alpha_plus(fixture_by_name("fig4_g2").graph).kind == "alpha0_plus"
-    verdict = classify_alpha_plus(K4_MINUS_E)
+    assert classify_alpha_plus(Facts(fixture_by_name("fig4_g1").graph)).kind == "alpha1_plus"
+    assert classify_alpha_plus(Facts(fixture_by_name("fig4_g2").graph)).kind == "alpha0_plus"
+    verdict = classify_alpha_plus(Facts(K4_MINUS_E))
     assert verdict.kind == "not_stable" and verdict.witness_edge == (2, 3)
-    assert classify_alpha_plus(complete(5)).kind == "alpha0_plus"
-    assert classify_alpha_plus(Graph(1)).kind == "alpha1_plus"
+    assert classify_alpha_plus(Facts(complete(5))).kind == "alpha0_plus"
+    assert classify_alpha_plus(Facts(Graph(1))).kind == "alpha1_plus"
 
 
 def test_classification_matches_definition():
@@ -108,91 +111,97 @@ def test_classification_matches_definition():
                 if rng.random() < 0.5
             ],
         )
-        kind = classify_alpha_plus(g).kind
+        kind = classify_alpha_plus(Facts(g)).kind
         assert is_edge_addition_stable(g) == (kind != "not_stable")
 
 
 def test_pm_criterion_examples():
-    v = check_alpha_plus_pm_criterion(K4_MINUS_E)
+    v = check_alpha_plus_pm_criterion(Facts(K4_MINUS_E))
     assert v.consistent and not v.pm_and_small_anticore
-    v = check_alpha_plus_pm_criterion(path(3))
+    v = check_alpha_plus_pm_criterion(Facts(path(3)))
     assert v.consistent and not v.pm_and_small_anticore
-    v = check_alpha_plus_pm_criterion(cycle(4))
+    v = check_alpha_plus_pm_criterion(Facts(cycle(4)))
     assert v.consistent and v.pm_and_small_anticore
 
 
 def test_three_route_examples():
-    v = check_alpha_plus_three_routes(fixture_by_name("fig3_nonstable").graph)
+    v = check_alpha_plus_three_routes(Facts(fixture_by_name("fig3_nonstable").graph))
     assert v.consistent
     assert (v.by_definition, v.by_core_sets, v.by_matching_structure) == (
         False,
         False,
         False,
     )
-    v = check_alpha_plus_three_routes(fixture_by_name("fig4_g1").graph)
+    v = check_alpha_plus_three_routes(Facts(fixture_by_name("fig4_g1").graph))
     assert v.consistent and v.by_definition
-    v = check_alpha_plus_three_routes(cycle(4))
+    v = check_alpha_plus_three_routes(Facts(cycle(4)))
     assert v.consistent and v.by_definition
+
+
+def test_pm_criterion_refuses_order_below_two():
+    # K1 is vacuously stable by definition but has no perfect matching
+    with pytest.raises(GraphError):
+        check_alpha_plus_pm_criterion(Facts(Graph(1)))
 
 
 def test_three_route_gates():
     with pytest.raises(GraphError):
-        check_alpha_plus_three_routes(cycle(5))  # not KE
+        check_alpha_plus_three_routes(Facts(cycle(5)))  # not KE
     with pytest.raises(GraphError):
-        check_alpha_plus_three_routes(Graph(4, [(0, 1), (2, 3)]))  # disconnected
+        check_alpha_plus_three_routes(Facts(Graph(4, [(0, 1), (2, 3)])))  # disconnected
     with pytest.raises(GraphError):
-        check_alpha_plus_three_routes(Graph(1))  # too small
+        check_alpha_plus_three_routes(Facts(Graph(1)))  # too small
 
 
 def test_anticore_empty_criterion_examples():
-    v = check_anticore_empty_criterion(K4_MINUS_E)
+    v = check_anticore_empty_criterion(Facts(K4_MINUS_E))
     assert v.consistent and not v.anticore_empty
-    v = check_anticore_empty_criterion(cycle(4))
+    v = check_anticore_empty_criterion(Facts(cycle(4)))
     assert v.consistent and v.anticore_empty
     rng = random.Random(6)
     for _ in range(25):
         tree = random_tree(rng.randint(2, 9), rng.randrange(1 << 30))
-        v = check_anticore_empty_criterion(tree)
+        v = check_anticore_empty_criterion(Facts(tree))
         assert v.consistent
-        if not has_perfect_matching(tree):
+        if not Facts(tree).has_pm:
             assert not v.anticore_empty
 
 
 def test_pm_via_core():
-    assert pm_via_core(K4_MINUS_E) is True
-    assert pm_via_core(path(3)) is False
+    assert pm_via_core(Facts(K4_MINUS_E)) is True
+    assert pm_via_core(Facts(path(3))) is False
     with pytest.raises(GraphError):
-        pm_via_core(fixture_by_name("fig5_non_ke").graph)
+        pm_via_core(Facts(fixture_by_name("fig5_non_ke").graph))
 
 
 def test_core_anticore_duality_examples():
-    v = check_core_anticore_duality(K4_MINUS_E, [(0, 2), (1, 3)])
+    v = check_core_anticore_duality(Facts(K4_MINUS_E), [(0, 2), (1, 3)])
     assert v.consistent
-    v = check_core_anticore_duality(cycle(4))
+    v = check_core_anticore_duality(Facts(cycle(4)))
     assert v.consistent
     # the duality genuinely fails outside its scope: on the non-KE fixture
     g5 = fixture_by_name("fig5_non_ke").graph
     rep = core_report(maximum_stable_sets(g5))
     assert neighborhood(g5, rep.core) == {1} != rep.anticore
     with pytest.raises(GraphError):
-        check_core_anticore_duality(g5)
+        check_core_anticore_duality(Facts(g5))
 
 
 def test_pendant_characterization_examples():
     # single edge: a pendant perfect matching exists, but both endpoints are
     # pendant while alpha is 1, so the counting statements fail (the
     # three-way equivalence genuinely needs order at least 3)
-    v = pendant_characterization(Graph(2, [(0, 1)]))
+    v = pendant_characterization(Facts(Graph(2, [(0, 1)])))
     assert (v.pendant_pm, v.pendant_count_non_critical, v.ke_stable_pendant_count) == (
         True,
         False,
         False,
     )
-    v = pendant_characterization(path(3))
+    v = pendant_characterization(Facts(path(3)))
     assert not v.pendant_pm and not v.pendant_count_non_critical
     assert not v.ke_stable_pendant_count
     corona = Graph(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
-    v = pendant_characterization(corona)
+    v = pendant_characterization(Facts(corona))
     assert v.consistent and v.pendant_pm
 
 
@@ -203,46 +212,46 @@ def test_alpha_critical_examples():
 
 
 def test_core_lower_bound_examples():
-    v = check_core_lower_bounds(path(3))
+    v = check_core_lower_bounds(Facts(path(3)))
     assert v.oversized_alpha_applicable and v.consistent
-    v = check_core_lower_bounds(complete_bipartite(1, 3))
+    v = check_core_lower_bounds(Facts(complete_bipartite(1, 3)))
     assert v.unequal_sides_applicable and v.consistent
-    v = check_core_lower_bounds(cycle(4))
+    v = check_core_lower_bounds(Facts(cycle(4)))
     assert not v.oversized_alpha_applicable and not v.unequal_sides_applicable
 
 
 def test_bipartite_equivalences():
-    v = check_bipartite_equivalences(cycle(4))
+    v = check_bipartite_equivalences(Facts(cycle(4)))
     assert v.consistent and v.has_pm
-    v = check_bipartite_equivalences(path(3))
+    v = check_bipartite_equivalences(Facts(path(3)))
     assert v.consistent and not v.has_pm
     with pytest.raises(GraphError):
-        check_bipartite_equivalences(cycle(5))
+        check_bipartite_equivalences(Facts(cycle(5)))
     with pytest.raises(GraphError):
-        check_bipartite_equivalences(Graph(1))
+        check_bipartite_equivalences(Facts(Graph(1)))
 
 
 def test_bipartite_zero_core():
-    assert check_bipartite_zero_core(cycle(4)).holds
-    v = check_bipartite_zero_core(path(3))
+    assert check_bipartite_zero_core(Facts(cycle(4))).holds
+    v = check_bipartite_zero_core(Facts(path(3)))
     assert not v.applicable and v.holds
 
 
 def test_ke_arithmetic_and_near_perfect():
-    assert check_ke_arithmetic(K4_MINUS_E).consistent
-    assert check_near_perfect_necessity(fixture_by_name("fig4_g1").graph).holds
-    assert check_matchings_in_cuts(K4_MINUS_E).holds
+    assert check_ke_arithmetic(Facts(K4_MINUS_E)).consistent
+    assert check_near_perfect_necessity(Facts(fixture_by_name("fig4_g1").graph)).holds
+    assert check_matchings_in_cuts(Facts(K4_MINUS_E)).holds
 
 
 def test_certificate_equivalence_check():
-    assert check_certificate_equivalence(K4_MINUS_E).holds
-    assert check_certificate_equivalence(path(4)).holds
+    assert check_certificate_equivalence(Facts(K4_MINUS_E)).holds
+    assert check_certificate_equivalence(Facts(path(4))).holds
 
 
 def test_structure_consistency():
-    v = check_structure_consistency(cycle(5))
+    v = check_structure_consistency(Facts(cycle(5)))
     assert v.consistent and not v.ke_by_arithmetic and not v.structure_free
-    v = check_structure_consistency(cycle(4), all_matchings_max_n=8)
+    v = check_structure_consistency(Facts(cycle(4)), all_matchings_max_n=8)
     assert v.consistent and v.ke_by_arithmetic and v.structure_free
 
 
@@ -289,3 +298,71 @@ def test_full_report_never_enters_the_exhaustive_walker(monkeypatch):
 
     monkeypatch.setattr(matching, "_collect_blossoms", refuse)
     assert [full_report(g).to_json_dict() for g in graphs] == expected
+
+
+def test_facts_share_derived_graphs():
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
+    f = Facts(g)
+    assert f.facts_of(Graph(4, g.edges)) is f
+    h = f.facts_of(Graph(2, [(0, 1)]))
+    assert h is not f and f.facts_of(Graph(2, [(0, 1)])) is h
+
+
+ORACLES = (
+    "maximum_stable_sets",
+    "enumerate_maximum_matchings",
+    "maximum_matching",
+    "is_edge_addition_stable",
+)
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    """Calls per (oracle, graph), counted through every package binding."""
+    counts = collections.Counter()
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "kegraphs" or name.startswith("kegraphs.")]
+    for name in ORACLES:
+        original = getattr(kegraphs.analysis, name)
+
+        def counted(g, *args, _name=name, _original=original, **kwargs):
+            counts[_name, g] += 1
+            return _original(g, *args, **kwargs)
+
+        for mod in modules:
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counts
+
+
+def _repeated(counts):
+    return sorted((name, g.n, sorted(g.edges)) for (name, g), c in counts.items() if c > 1)
+
+
+def test_run_checks_hands_each_graph_to_each_oracle_once(oracle_calls):
+    # the last graph's pendant pair and its anticore pair are the same
+    # edge, so the structural route and the peel check delete the same pair
+    corpus = (
+        verify.connected_corpus(2, 6, 2, 9)
+        + verify.bipartite_corpus(2, 40, 10)
+        + [("pendant-triangle", Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)]))]
+    )
+    for label, g in corpus:
+        oracle_calls.clear()
+        assert verify.run_checks([(label, g)]).violations == 0
+        assert _repeated(oracle_calls) == [], label
+
+
+def test_full_report_hands_each_graph_to_each_oracle_once(oracle_calls):
+    graphs = [
+        complete_bipartite(8, 8),
+        fixture_by_name("fig3_nonstable").graph,
+        Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+        Graph(4, [(0, 1), (2, 3)]),
+    ]
+    for g in graphs:
+        oracle_calls.clear()
+        full_report(g)
+        assert _repeated(oracle_calls) == [], sorted(g.edges)
+        assert oracle_calls["maximum_stable_sets", g] == 1

@@ -1,9 +1,15 @@
+import hashlib
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from kegraphs.cli import main
+from kegraphs.constructions import complete_bipartite
+from kegraphs.edgefile import format_graph
+from kegraphs.graph import Graph
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -89,6 +95,26 @@ def test_verify_cap_exceeded(capsys):
     assert len(err.splitlines()) == 1 and "cap" in err and "Traceback" not in err
 
 
+def test_verify_single_vertex_graphs_pass(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--count", "2",
+                           "--n", "1..1")
+    assert code == 0
+    assert "RESULT: PASS" in out and "FAILURE" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("--count", "0"),
+    ("--count", "-3"),
+    ("--n", "1..1", "--corpus", "bipartite"),
+])
+def test_verify_rejects_unusable_arguments(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--seed", "1", *argv])
+    _, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert "error" in err and "Traceback" not in err
+
+
 def test_verify_bipartite_corpus(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "5", "--count", "20",
                            "--n", "2..8", "--corpus", "bipartite")
@@ -118,7 +144,7 @@ def test_generate_is_deterministic(capsys):
 
 
 def test_generate_bullet_kp(capsys):
-    from kegraphs.analysis import classify_alpha_plus
+    from kegraphs.analysis import Facts, classify_alpha_plus
     from kegraphs.edgefile import parse_graph
 
     code, out, _ = run_cli(capsys, "generate", "bullet-kp", "--base", "c4",
@@ -126,7 +152,7 @@ def test_generate_bullet_kp(capsys):
     assert code == 0
     g = parse_graph(out)
     assert g.n == 7
-    assert classify_alpha_plus(g).kind == "alpha0_plus"
+    assert classify_alpha_plus(Facts(g)).kind == "alpha0_plus"
 
 
 def test_generate_requires_seed_for_random_kinds(capsys):
@@ -158,3 +184,66 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout == "p 3 2\ne 0 1\ne 1 2\n"
+
+
+# sha256 of the stdout of analyze and verify, recorded before the per-graph
+# Facts cache replaced per-verdict recomputation.  Refactors must keep every
+# byte; a deliberate change of the output formats has to update these.
+ANALYZE_INPUTS = {
+    "k8_8": complete_bipartite(8, 8),
+    "edgeless5": Graph(5),
+    "p3_plus_c4": Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)]),
+}
+ANALYZE_SHA256 = {
+    "fig1_k4_minus_e": "ede1a1e2ea0b399cb29f4735634dae4700ce08b0fec8c921ff24e1a240c67112",
+    "fig1_seven": "c6523a6842c8d39f621614dbe019b2da77ee55402e35afc7bbb1a2d3a411cbfd",
+    "fig2_blossom": "75ceb3bf07e1e321a3476396d6bffea6804cff682ed48e13406126d3c6fe5060",
+    "fig3_nonstable": "217c32d415777b1c0333e0a8807812f3cf3aca91bcd879846ac25d4cdc531ae6",
+    "fig4_g1": "07ac6960db927dbd1a4edd5a3a191802d62d5280c7aab35d8472d736ede4d1f0",
+    "fig4_g2": "e78dab2ef16ecfef2301c1d15c508310ff145345b7ef304692c391ff16a68188",
+    "fig5_non_ke": "369cb6b6679975d16bf66fa43842be41d57f6382536aae84c00d1894bbeb4f40",
+    "p3": "6caa1dbe3b230c0c6385473f8e0b2e7162b565e75cb26eaac5889f8df7112d33",
+    "k8_8": "3984d2b44fba18c10ed71a30b4661ab16296e8fbb26853deda75a66a56d0c9b5",
+    "edgeless5": "4889efbc3e2a467799d535a8a934d1142c49031ca6d2f879d8a3c24070d630ad",
+    "p3_plus_c4": "5d85754fcf78b54758930432d123500877e272fd908ea86343ca6ffa7534e08c",
+}
+VERIFY_SHA256 = {
+    "general": (
+        ("--seed", "7", "--count", "20", "--n", "2..8"),
+        "77280543922cb2a1d0203803486ed71df6b491ac1490f41285e0931800b9a76e",
+    ),
+    "bipartite": (
+        ("--seed", "5", "--count", "50", "--n", "2..10", "--corpus", "bipartite"),
+        "939d133d3f98aae68ae6e717555c969f6ef23228f17e858834fa642da20641f9",
+    ),
+}
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_every_fixture_has_a_pinned_report():
+    assert {p.stem for p in FIXTURE_DIR.glob("*.gr")} <= set(ANALYZE_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(ANALYZE_SHA256))
+def test_analyze_output_bytes_are_pinned(capsys, tmp_path, monkeypatch, name):
+    fixture = FIXTURE_DIR / f"{name}.gr"
+    if fixture.exists():
+        text = fixture.read_text(encoding="utf-8")
+    else:
+        text = format_graph(ANALYZE_INPUTS[name])
+    (tmp_path / f"{name}.gr").write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)  # the report records the path as given
+    code, out, _ = run_cli(capsys, "analyze", f"{name}.gr")
+    assert code == 0
+    assert _sha256(out) == ANALYZE_SHA256[name]
+
+
+@pytest.mark.parametrize("corpus", sorted(VERIFY_SHA256))
+def test_verify_output_bytes_are_pinned(capsys, corpus):
+    argv, digest = VERIFY_SHA256[corpus]
+    code, out, _ = run_cli(capsys, "verify", *argv)
+    assert code == 0
+    assert _sha256(out) == digest

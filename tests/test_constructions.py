@@ -3,7 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from kegraphs.analysis import classify_alpha_plus, full_report, is_koenig_egervary
+from kegraphs.analysis import (
+    Facts,
+    classify_alpha_plus,
+    full_report,
+    is_koenig_egervary,
+)
 from kegraphs.bruteforce import brute_max_matching_size, brute_stability_number
 from kegraphs.constructions import (
     Fixture,
@@ -78,7 +83,7 @@ def test_join_property_stable_side_with_cut_matching():
 
 
 def test_attach_pendant_pair_to_square():
-    f = attach_k2(cycle(4), {0, 1})
+    f = attach_k2(Facts(cycle(4)), {0, 1})
     assert f.n == 6
     rep = core_report(maximum_stable_sets(f))
     assert is_koenig_egervary(f)
@@ -87,7 +92,7 @@ def test_attach_pendant_pair_to_square():
 
 
 def test_attach_pendant_pair_to_single_edge():
-    f = attach_k2(Graph(2, [(0, 1)]), {0, 1})
+    f = attach_k2(Facts(Graph(2, [(0, 1)])), {0, 1})
     assert f.edges == {(0, 1), (0, 2), (1, 2), (2, 3)}
     rep = core_report(maximum_stable_sets(f))
     assert rep.anticore == {2} and rep.core == {3}
@@ -95,16 +100,16 @@ def test_attach_pendant_pair_to_single_edge():
 
 def test_attach_validation():
     with pytest.raises(GraphError):
-        attach_k2(cycle(4), {0})  # misses the stable set {1, 3}
+        attach_k2(Facts(cycle(4)), {0})  # misses the stable set {1, 3}
     with pytest.raises(GraphError):
-        attach_k2(cycle(5), {0, 1, 2, 3, 4})  # not KE
+        attach_k2(Facts(cycle(5)), {0, 1, 2, 3, 4})  # not KE
     with pytest.raises(GraphError):
-        attach_k2(path(3), {1})  # nonempty anticore
+        attach_k2(Facts(path(3)), {1})  # nonempty anticore
 
 
 def test_peel_the_tail_fixture():
     g1 = fixture_by_name("fig4_g1").graph
-    (x, y), h = peel(g1)
+    (x, y), h = peel(Facts(g1))
     assert (x, y) == (6, 7)
     assert h.n == 6
     rep = core_report(maximum_stable_sets(h))
@@ -117,17 +122,17 @@ def test_peel_undoes_attach():
     for base in (cycle(4), complete_bipartite(3, 3), fixture_by_name("fig4_g2").graph):
         fam = maximum_stable_sets(base)
         transversal = {min(s) for s in fam.sets}
-        f = attach_k2(base, transversal)
-        (x, y), back = peel(f)
+        f = attach_k2(Facts(base), transversal)
+        (x, y), back = peel(Facts(f))
         assert back == base
         assert {x, y} == {base.n, base.n + 1}
 
 
 def test_peel_validation():
     with pytest.raises(GraphError):
-        peel(cycle(4))  # anticore size 0
+        peel(Facts(cycle(4)))  # anticore size 0
     with pytest.raises(GraphError):
-        peel(path(3))  # alpha != mu
+        peel(Facts(path(3)))  # alpha != mu
 
 
 def test_bullet_single_vertex_preserves_alpha():
@@ -144,20 +149,20 @@ def test_bullet_single_vertex_preserves_alpha():
         frozenset({2, 4}),
         frozenset({3, 4}),
     }
-    assert classify_alpha_plus(g).kind == "alpha0_plus"
+    assert classify_alpha_plus(Facts(g)).kind == "alpha0_plus"
 
 
 def test_bullet_triangle_gives_stable_non_ke():
     g = bullet_kp(cycle(4), 3, 0)
     assert g.n == 7
-    assert classify_alpha_plus(g).kind == "alpha0_plus"
+    assert classify_alpha_plus(Facts(g)).kind == "alpha0_plus"
     assert not is_koenig_egervary(g)
 
 
 def test_bullet_pair_on_single_edge():
     g = bullet_kp(Graph(2, [(0, 1)]), 2, (0, 1))
     assert g.n == 4
-    assert classify_alpha_plus(g).kind == "alpha1_plus"
+    assert classify_alpha_plus(Facts(g)).kind == "alpha1_plus"
 
 
 def test_bullet_validation():
@@ -185,7 +190,7 @@ def test_family_both_variants_at_every_order():
             g = non_ke_alpha_plus_family(n, variant)
             assert g.n == n
             assert not is_koenig_egervary(g)
-            kind = classify_alpha_plus(g).kind
+            kind = classify_alpha_plus(Facts(g)).kind
             assert kind == ("alpha0_plus" if variant == 0 else "alpha1_plus")
 
 
