@@ -12,6 +12,12 @@ computed once however many verdicts read it: check_x(Facts(g)).  Only
 entry points that start from a bare graph take a Graph: full_report,
 is_koenig_egervary, is_edge_addition_stable and is_alpha_critical.
 
+Each per-theorem verdict (the check_* functions and
+pendant_characterization) returns a frozen dataclass whose consistent
+field or property says whether the statement held; the other fields
+record the sides that were compared.  The verification suite runs these
+verdicts as they are and reports an inconsistent one by its repr.
+
 Statements that hold only under connectivity assumptions are gated: the
 checks raise on inputs outside their scope, and full_report applies them
 per connected component.
@@ -23,6 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
+from .bruteforce import brute_stable_sets
 from .graph import (
     Edge,
     Graph,
@@ -36,7 +43,6 @@ from .graph import (
     neighborhood,
     pendant_vertices,
 )
-from .limits import check_cap, DEFAULT_OMEGA_CAP
 from .matching import (
     Matching,
     enumerate_maximum_matchings,
@@ -280,7 +286,7 @@ class CutContainmentVerdict:
 
     matchings_checked: int
     stable_sets_checked: int
-    holds: bool
+    consistent: bool
 
 
 def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
@@ -303,38 +309,21 @@ class CertificateVerdict:
     every maximum matching."""
 
     sets_checked: int
-    holds: bool
-
-
-def _all_stable_sets(g: Graph) -> list[frozenset[int]]:
-    out: list[frozenset[int]] = []
-    n = g.n
-    masks = g._masks  # noqa: SLF001
-
-    def rec(v: int, chosen: int, banned: int) -> None:
-        if v == n:
-            out.append(frozenset(u for u in range(n) if chosen >> u & 1))
-            return
-        rec(v + 1, chosen, banned)
-        if not banned >> v & 1:
-            rec(v + 1, chosen | 1 << v, banned | masks[v])
-
-    rec(0, 0, 0)
-    return out
+    consistent: bool
 
 
 def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     if not f.is_ke:
         raise GraphError("the stable-set certificate is a KE-only property")
     g = f.graph
-    check_cap(g.n, f.cap, DEFAULT_OMEGA_CAP, "certificate equivalence scan")
+    stable_sets = brute_stable_sets(g, f.cap)
     members = set(f.family.sets)
     matchings = f.maximum_matchings
     exposed_by_matching = [
         (m, frozenset(range(g.n)) - {v for e in m for v in e}) for m in matchings
     ]
     checked = 0
-    for s in _all_stable_sets(g):
+    for s in stable_sets:
         expected = s in members
         for m, exposed in exposed_by_matching:
             checked += 1
@@ -487,7 +476,7 @@ class NearPerfectVerdict:
     matching."""
 
     applicable: bool
-    holds: bool
+    consistent: bool
 
 
 def check_near_perfect_necessity(f: Facts) -> NearPerfectVerdict:
@@ -596,7 +585,7 @@ class BipartiteZeroCoreVerdict:
     empty."""
 
     applicable: bool
-    holds: bool
+    consistent: bool
 
 
 def check_bipartite_zero_core(f: Facts) -> BipartiteZeroCoreVerdict:
@@ -608,11 +597,16 @@ def check_bipartite_zero_core(f: Facts) -> BipartiteZeroCoreVerdict:
     return BipartiteZeroCoreVerdict(True, rep.core_size == 0)
 
 
+# Order up to which check_structure_consistency also searches for flowers
+# and posies relative to every maximum matching, not only the canonical one.
+ALL_MATCHINGS_MAX_N = 8
+
+
 @dataclass(frozen=True)
 class StructureConsistencyVerdict:
     """KE membership by arithmetic agrees with the absence of flowers and
-    posies relative to the canonical maximum matching (and, when requested,
-    relative to every maximum matching)."""
+    posies relative to the canonical maximum matching (and, on KE graphs of
+    order at most ALL_MATCHINGS_MAX_N, relative to every maximum matching)."""
 
     ke_by_arithmetic: bool
     flower_found: bool
@@ -628,14 +622,12 @@ class StructureConsistencyVerdict:
         return self.ke_by_arithmetic == self.structure_free
 
 
-def check_structure_consistency(
-    f: Facts, *, all_matchings_max_n: int = 0
-) -> StructureConsistencyVerdict:
+def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g = f.graph
     flower_found = find_flower(g, f.matching) is not None
     posy_found = find_posy(g, f.matching) is not None
     checked = 0
-    if f.is_ke and g.n <= all_matchings_max_n:
+    if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
             flower_found = flower_found or find_flower(g, mm) is not None
@@ -727,14 +719,11 @@ def _component_cross_checks(f: Facts) -> None:
             raise TheoremViolationError("pendant characterization failed")
 
 
-def full_report(
-    g: Graph, cap: int | None = None, *, deep_checks: bool = True
-) -> AnalysisReport:
+def full_report(g: Graph, cap: int | None = None) -> AnalysisReport:
     """Aggregate verdict for one graph.
 
-    With deep_checks the applicable structural equivalences are re-verified
-    per connected component and a TheoremViolationError is raised on any
-    disagreement.
+    The applicable structural equivalences are re-verified per connected
+    component, and a TheoremViolationError is raised on any disagreement.
     """
     f = Facts(g, cap)
     rep = f.core  # the family first: its cap is the one a large input hits
@@ -749,8 +738,7 @@ def full_report(
             raise TheoremViolationError("core/anticore duality failed")
         if not check_ke_arithmetic(f).consistent:
             raise TheoremViolationError("KE arithmetic failed")
-    if deep_checks:
-        _component_cross_checks(f)
+    _component_cross_checks(f)
     return AnalysisReport(
         n=g.n,
         m=g.m,

@@ -3,7 +3,8 @@
 These are the independent second routes used by the test suite and the
 verification harness.  They share no algorithmic ideas with the
 production implementations they check: stable sets come from a full
-subset scan, the matching number from a bitmask recursion over covered
+subset scan (or, for the list of every stable set, a full include/exclude
+recursion), the matching number from a bitmask recursion over covered
 vertices rather than an augmenting-path search.
 """
 
@@ -73,6 +74,27 @@ def brute_max_stable_sets(g: Graph, cap: int | None = None) -> list[frozenset[in
         frozenset(v for v in range(g.n) if subset >> v & 1) for subset in found
     ]
     return sorted(sets, key=sorted)
+
+
+def brute_stable_sets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
+    """Every stable set, the empty one included, by a full include/exclude
+    recursion: each vertex is first left out, then taken when no chosen
+    neighbor bans it."""
+    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "brute stable-set scan")
+    n = g.n
+    masks = [g.adjacency_mask(v) for v in g.vertices()]
+    out: list[frozenset[int]] = []
+
+    def rec(v: int, chosen: int, banned: int) -> None:
+        if v == n:
+            out.append(frozenset(u for u in range(n) if chosen >> u & 1))
+            return
+        rec(v + 1, chosen, banned)
+        if not banned >> v & 1:
+            rec(v + 1, chosen | 1 << v, banned | masks[v])
+
+    rec(0, 0, 0)
+    return out
 
 
 def brute_max_matching_size(g: Graph, cap: int | None = None) -> int:

@@ -421,15 +421,3 @@ def random_bipartite_with_pm(n_side: int, extra_prob: float, seed: int) -> Graph
                 edges.append((i, n_side + j))
     return Graph(2 * n_side, edges)
 
-
-GENERATOR_NAMES: tuple[str, ...] = (
-    "path",
-    "cycle",
-    "complete",
-    "complete-bipartite",
-    "random-graph",
-    "random-connected",
-    "random-tree",
-    "random-bipartite",
-    "random-bipartite-pm",
-)

@@ -249,8 +249,8 @@ class Posy:
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, budget: int | None):
-        self.left = DEFAULT_SEARCH_BUDGET if budget is None else budget
+    def __init__(self):
+        self.left = DEFAULT_SEARCH_BUDGET
 
     def spend(self) -> None:
         self.left -= 1
@@ -324,12 +324,10 @@ def _collect_blossoms(
     return blossoms
 
 
-def find_blossoms(
-    g: Graph, m: Iterable[Edge], *, budget: int | None = None
-) -> tuple[Blossom, ...]:
+def find_blossoms(g: Graph, m: Iterable[Edge]) -> tuple[Blossom, ...]:
     """Every blossom relative to m, in deterministic order."""
     m = validate_matching(g, m)
-    return tuple(_collect_blossoms(g, partner_map(m), _Budget(budget)))
+    return tuple(_collect_blossoms(g, partner_map(m), _Budget()))
 
 
 def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
@@ -407,9 +405,7 @@ def _require_maximum(g: Graph, m: Matching) -> None:
             raise GraphError(f"matching of size {len(m)} is not maximum")
 
 
-def find_flower(
-    g: Graph, m: Iterable[Edge], *, budget: int | None = None
-) -> Flower | None:
+def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
     """A flower relative to the maximum matching m, or None.
 
     The search is exhaustive: a None answer means no blossom has an even
@@ -422,7 +418,7 @@ def find_flower(
     if not exposed:
         return None
     partner = partner_map(m)
-    budget_box = _Budget(budget)
+    budget_box = _Budget()
     for blossom in _collect_blossoms(g, partner, budget_box):
         if blossom.base in exposed:
             return Flower(blossom, (blossom.base,))
@@ -474,9 +470,7 @@ def _find_stem(
     return None
 
 
-def find_posy(
-    g: Graph, m: Iterable[Edge], *, budget: int | None = None
-) -> Posy | None:
+def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
     """A posy relative to the maximum matching m, or None.
 
     The joining path is any simple odd alternating path between two blossom
@@ -486,7 +480,7 @@ def find_posy(
     m = validate_matching(g, m)
     _require_maximum(g, m)
     partner = partner_map(m)
-    budget_box = _Budget(budget)
+    budget_box = _Budget()
     blossoms = _collect_blossoms(g, partner, budget_box)
     if not blossoms:
         return None

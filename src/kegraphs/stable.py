@@ -162,8 +162,17 @@ def certify_max_stable(g: Graph, m: Iterable[Edge], s: Iterable[int]) -> Certifi
     maximum stable set exactly when it contains every exposed vertex and
     exactly one endpoint of every heavy edge.  A failed certificate comes
     back with the first offending witness.
+
+    A passing certificate proves its own precondition: s is then stable of
+    size n - |m|, and alpha <= n - |M| for every matching M, so alpha =
+    n - |m|, m is maximum and the graph is KE.  The precondition is
+    therefore only checked, at the cost of alpha, when a scan fails.
     """
     m = validate_matching(g, m)
+    s = g.check_vertex_set(s)
+    reason = _certificate_failure(g, m, s)
+    if reason is None:
+        return Certification(True, None)
     alpha = stability_number(g)
     # alpha + |m| <= n for every matching, with equality exactly when m is
     # maximum and the graph is KE; mu is only needed to say which failed
@@ -175,21 +184,25 @@ def certify_max_stable(g: Graph, m: Iterable[Edge], s: Iterable[int]) -> Certifi
             f"certificate requires a Koenig-Egervary graph; got alpha={alpha}, "
             f"mu={mu}, n={g.n}"
         )
-    s = g.check_vertex_set(s)
+    return Certification(False, reason)
+
+
+def _certificate_failure(
+    g: Graph, m: frozenset[Edge], s: frozenset[int]
+) -> str | None:
+    """The first witness against the certificate, or None when s passes."""
     for u, v in g.edges:
         if u in s and v in s:
-            return Certification(False, f"not stable: edge ({u}, {v}) inside the set")
+            return f"not stable: edge ({u}, {v}) inside the set"
     for v in sorted(exposed_vertices(g, m)):
         if v not in s:
-            return Certification(False, f"exposed vertex {v} missing from the set")
+            return f"exposed vertex {v} missing from the set"
     for u, v in sorted(m):
         hits = (u in s) + (v in s)
         if hits != 1:
             word = "neither endpoint" if hits == 0 else "both endpoints"
-            return Certification(
-                False, f"heavy edge ({u}, {v}) has {word} in the set"
-            )
-    return Certification(True, None)
+            return f"heavy edge ({u}, {v}) has {word} in the set"
+    return None
 
 
 class ExtensionBlockedError(GraphError):

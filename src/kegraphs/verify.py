@@ -5,8 +5,10 @@ to, and is evaluated over seeded random corpora.  Both sides of every
 equivalence are computed by independent routes (brute force, definition
 chasing, or matching structure), so a reported violation always means an
 implementation bug.  run_checks builds one analysis.Facts per input graph
-and hands it to every check, which passes it straight to the analysis
-verdict it wraps; a check that derives a new graph (peel, attachment)
+and hands it to every check.  Most checks are an analysis verdict run
+through _verdict: the check passes when the verdict is consistent, and a
+failure line carries the verdict's repr.  The checks with logic of their
+own are functions here; one that derives a new graph (peel, attachment)
 takes that graph's Facts from Facts.facts_of.  The CLI's verify command
 and the acceptance suite are thin wrappers around run_checks.
 """
@@ -15,14 +17,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from . import analysis, bruteforce, constructions
 from .analysis import Facts
 from .edgefile import format_graph
 from .graph import is_connected
 from .stable import certify_max_stable, extend_stable_through_matching
-
-ALL_MATCHINGS_MAX_N = 8
 
 
 @dataclass
@@ -61,6 +62,19 @@ class VerifySummary:
         return "\n".join(lines)
 
 
+def _verdict(verdict: Callable[[Facts], Any]) -> Callable[[Facts], str | None]:
+    """The check of one analysis verdict: None when it is consistent, its
+    repr otherwise.  The verdict is looked up in analysis by name on every
+    call, so a rebinding there (a tracing wrapper) is the one that runs."""
+    name = verdict.__name__
+
+    def run(f: Facts) -> str | None:
+        v = getattr(analysis, name)(f)
+        return None if v.consistent else repr(v)
+
+    return run
+
+
 def _check_matching_oracle(f: Facts) -> str | None:
     brute = bruteforce.brute_max_matching_size(f.graph)
     if f.mu != brute:
@@ -85,102 +99,10 @@ def _check_edge_addition_definition(f: Facts) -> str | None:
     return None
 
 
-def _check_ke_arithmetic(f: Facts) -> str | None:
-    v = analysis.check_ke_arithmetic(f)
-    if not v.consistent:
-        return f"arithmetic verdict {v}"
-    return None
-
-
-def _check_matchings_in_cut(f: Facts) -> str | None:
-    v = analysis.check_matchings_in_cuts(f)
-    if not v.holds:
-        return "a maximum matching leaves a maximum-stable-set cut"
-    return None
-
-
-def _check_certificate(f: Facts) -> str | None:
-    v = analysis.check_certificate_equivalence(f)
-    if not v.holds:
-        return "certificate disagrees with family membership"
-    return None
-
-
-def _check_near_perfect(f: Facts) -> str | None:
-    v = analysis.check_near_perfect_necessity(f)
-    if not v.holds:
-        return "edge-addition-stable KE graph lacks a (near-)perfect matching"
-    return None
-
-
-def _check_anticore_empty(f: Facts) -> str | None:
-    v = analysis.check_anticore_empty_criterion(f)
-    if not v.consistent:
-        return (
-            f"anticore empty {v.anticore_empty} vs pm+blossom-free "
-            f"{v.pm_and_blossom_free}"
-        )
-    return None
-
-
-def _check_pm_criterion(f: Facts) -> str | None:
-    v = analysis.check_alpha_plus_pm_criterion(f)
-    if not v.consistent:
-        return (
-            f"definition {v.stable_by_definition} vs pm+anticore<=1 "
-            f"{v.pm_and_small_anticore}"
-        )
-    return None
-
-
-def _check_three_routes(f: Facts) -> str | None:
-    v = analysis.check_alpha_plus_three_routes(f)
-    if not v.consistent:
-        return (
-            f"definition {v.by_definition}, core {v.by_core_sets}, "
-            f"structure {v.by_matching_structure}"
-        )
-    return None
-
-
-def _check_core_duality(f: Facts) -> str | None:
-    v = analysis.check_core_anticore_duality(f)
-    if not v.consistent:
-        return (
-            f"neighborhood==anticore {v.neighborhood_equals_anticore}, "
-            f"matched-into-core {v.anticore_matched_into_core}"
-        )
-    return None
-
-
 def _check_pm_core_sizes(f: Facts) -> str | None:
     via_core = analysis.pm_via_core(f)
     if via_core != f.has_pm:
         return f"core sizes say {via_core}, matching says {f.has_pm}"
-    return None
-
-
-def _check_pendant(f: Facts) -> str | None:
-    v = analysis.pendant_characterization(f)
-    if not v.consistent:
-        return (
-            f"pendant pm {v.pendant_pm}, count/critical "
-            f"{v.pendant_count_non_critical}, ke+stable {v.ke_stable_pendant_count}"
-        )
-    return None
-
-
-def _check_core_lower_bounds(f: Facts) -> str | None:
-    v = analysis.check_core_lower_bounds(f)
-    if not v.consistent:
-        return "a core lower bound failed"
-    return None
-
-
-def _check_sterboul(f: Facts) -> str | None:
-    v = analysis.check_structure_consistency(f, all_matchings_max_n=ALL_MATCHINGS_MAX_N)
-    if not v.consistent:
-        return f"KE {v.ke_by_arithmetic} but structure-free {v.structure_free}"
     return None
 
 
@@ -241,23 +163,6 @@ def _check_extension(f: Facts) -> str | None:
     return None
 
 
-def _check_bipartite_equivalences(f: Facts) -> str | None:
-    v = analysis.check_bipartite_equivalences(f)
-    if not v.consistent:
-        return (
-            f"definition {v.stable_by_definition}, pm {v.has_pm}, "
-            f"partition {v.partition_pair}, empty core {v.empty_core}"
-        )
-    return None
-
-
-def _check_bipartite_zero_core(f: Facts) -> str | None:
-    v = analysis.check_bipartite_zero_core(f)
-    if not v.holds:
-        return "equal nonzero core and anticore sizes on a bipartite graph"
-    return None
-
-
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -276,43 +181,44 @@ CHECKS: tuple[Check, ...] = (
           lambda f: True, _check_edge_addition_definition),
     Check("sterboul-structures",
           "KE by arithmetic iff no flower and no posy",
-          lambda f: True, _check_sterboul),
+          lambda f: True, _verdict(analysis.check_structure_consistency)),
     Check("ke-arithmetic", "KE bounds and perfect-matching arithmetic",
-          lambda f: True, _check_ke_arithmetic),
+          lambda f: True, _verdict(analysis.check_ke_arithmetic)),
     Check("matchings-in-cut",
           "every maximum matching lies in every maximum-stable-set cut",
-          lambda f: f.is_ke, _check_matchings_in_cut),
+          lambda f: f.is_ke, _verdict(analysis.check_matchings_in_cuts)),
     Check("stable-set-certificate",
           "exposed+endpoint certificate equals family membership",
-          lambda f: f.is_ke, _check_certificate),
+          lambda f: f.is_ke, _verdict(analysis.check_certificate_equivalence)),
     Check("near-perfect-necessity",
           "edge-addition-stable KE graphs have (near-)perfect matchings",
-          lambda f: f.is_ke, _check_near_perfect),
+          lambda f: f.is_ke, _verdict(analysis.check_near_perfect_necessity)),
     Check("anticore-empty-criterion",
           "empty anticore iff perfect matching and blossom-free",
           lambda f: f.is_ke and f.connected and f.graph.n >= 2,
-          _check_anticore_empty),
+          _verdict(analysis.check_anticore_empty_criterion)),
     Check("alpha-plus-pm-criterion",
           "stability by definition iff perfect matching and anticore <= 1",
           lambda f: f.is_ke and f.connected and f.graph.n >= 2,
-          _check_pm_criterion),
+          _verdict(analysis.check_alpha_plus_pm_criterion)),
     Check("alpha-plus-three-routes",
           "definition, core sizes, and matching structure agree",
           lambda f: f.is_ke and f.connected and f.graph.n >= 2,
-          _check_three_routes),
+          _verdict(analysis.check_alpha_plus_three_routes)),
     Check("core-anticore-duality",
           "N(core) equals anticore and is matched into the core",
-          lambda f: f.is_ke, _check_core_duality),
+          lambda f: f.is_ke, _verdict(analysis.check_core_anticore_duality)),
     Check("pm-iff-core-equals-anticore",
           "perfect matching iff core and anticore sizes agree",
           lambda f: f.is_ke, _check_pm_core_sizes),
     Check("pendant-characterization",
           "pendant perfect matching three-way equivalence",
-          lambda f: f.connected and f.graph.n >= 3, _check_pendant),
+          lambda f: f.connected and f.graph.n >= 3,
+          _verdict(analysis.pendant_characterization)),
     Check("core-lower-bounds",
           "oversized alpha or unequal sides force core size >= 2",
           lambda f: f.is_ke and f.connected and f.graph.n >= 2,
-          _check_core_lower_bounds),
+          _verdict(analysis.check_core_lower_bounds)),
     Check("ke-decomposition",
           "stable side * matched rest decomposition is valid",
           lambda f: f.is_ke and f.connected, _check_decomposition),
@@ -333,10 +239,10 @@ CHECKS: tuple[Check, ...] = (
     Check("bipartite-equivalences",
           "stability, perfect matching, partition pair, empty core agree",
           lambda f: f.bipartite and f.connected and f.graph.n >= 2,
-          _check_bipartite_equivalences),
+          _verdict(analysis.check_bipartite_equivalences)),
     Check("bipartite-zero-core",
           "equal core and anticore sizes force both empty",
-          lambda f: f.bipartite, _check_bipartite_zero_core),
+          lambda f: f.bipartite, _verdict(analysis.check_bipartite_zero_core)),
 )
 
 CHECKS_BY_NAME = {c.name: c for c in CHECKS}

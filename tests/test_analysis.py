@@ -8,6 +8,9 @@ import pytest
 import kegraphs
 from kegraphs import matching, verify
 from kegraphs.analysis import (
+    ArithmeticVerdict,
+    BipartiteZeroCoreVerdict,
+    CertificateVerdict,
     Facts,
     check_alpha_plus_pm_criterion,
     check_alpha_plus_three_routes,
@@ -232,26 +235,26 @@ def test_bipartite_equivalences():
 
 
 def test_bipartite_zero_core():
-    assert check_bipartite_zero_core(Facts(cycle(4))).holds
+    assert check_bipartite_zero_core(Facts(cycle(4))).consistent
     v = check_bipartite_zero_core(Facts(path(3)))
-    assert not v.applicable and v.holds
+    assert not v.applicable and v.consistent
 
 
 def test_ke_arithmetic_and_near_perfect():
     assert check_ke_arithmetic(Facts(K4_MINUS_E)).consistent
-    assert check_near_perfect_necessity(Facts(fixture_by_name("fig4_g1").graph)).holds
-    assert check_matchings_in_cuts(Facts(K4_MINUS_E)).holds
+    assert check_near_perfect_necessity(Facts(fixture_by_name("fig4_g1").graph)).consistent
+    assert check_matchings_in_cuts(Facts(K4_MINUS_E)).consistent
 
 
 def test_certificate_equivalence_check():
-    assert check_certificate_equivalence(Facts(K4_MINUS_E)).holds
-    assert check_certificate_equivalence(Facts(path(4))).holds
+    assert check_certificate_equivalence(Facts(K4_MINUS_E)).consistent
+    assert check_certificate_equivalence(Facts(path(4))).consistent
 
 
 def test_structure_consistency():
     v = check_structure_consistency(Facts(cycle(5)))
     assert v.consistent and not v.ke_by_arithmetic and not v.structure_free
-    v = check_structure_consistency(Facts(cycle(4)), all_matchings_max_n=8)
+    v = check_structure_consistency(Facts(cycle(4)))
     assert v.consistent and v.ke_by_arithmetic and v.structure_free
 
 
@@ -306,6 +309,23 @@ def test_facts_share_derived_graphs():
     assert f.facts_of(Graph(4, g.edges)) is f
     h = f.facts_of(Graph(2, [(0, 1)]))
     assert h is not f and f.facts_of(Graph(2, [(0, 1)])) is h
+
+
+@pytest.mark.parametrize("row, verdict, bad", [
+    ("ke-arithmetic", "check_ke_arithmetic", ArithmeticVerdict(True, False, True)),
+    ("stable-set-certificate", "check_certificate_equivalence",
+     CertificateVerdict(7, False)),
+    ("bipartite-zero-core", "check_bipartite_zero_core",
+     BipartiteZeroCoreVerdict(True, False)),
+])
+def test_verdict_rows_report_an_inconsistent_verdict_by_its_repr(
+    monkeypatch, row, verdict, bad
+):
+    # the row calls the verdict through its analysis binding
+    monkeypatch.setattr(kegraphs.analysis, verdict, lambda f: bad)
+    summary = verify.run_checks([("p3", path(3))], [row])
+    assert summary.violations == 1
+    assert summary.checks[row].failures == [f"p3: {bad!r}\np 3 2\ne 0 1\ne 1 2"]
 
 
 ORACLES = (

@@ -306,7 +306,8 @@ def test_enumeration_respects_the_cap():
         enumerate_maximum_matchings(Graph(17))
 
 
-def test_search_budget_is_enforced():
+def test_search_budget_is_enforced(monkeypatch):
+    monkeypatch.setattr("kegraphs.matching.DEFAULT_SEARCH_BUDGET", 50)
     g = complete(12)
     with pytest.raises(SearchBudgetExceededError):
-        find_blossoms(g, maximum_matching(g), budget=50)
+        find_blossoms(g, maximum_matching(g))

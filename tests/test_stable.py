@@ -1,10 +1,13 @@
 import random
+import sys
 
 import pytest
 
+import kegraphs
 from kegraphs.bruteforce import (
     brute_max_stable_sets,
     brute_stability_number,
+    brute_stable_sets,
     is_stable_set,
 )
 from kegraphs.constructions import cycle, fixture_by_name, path, random_graph
@@ -42,6 +45,11 @@ def test_two_enumerators_agree():
         assert fam.alpha == brute_stability_number(g)
         assert list(fam.sets) == brute_max_stable_sets(g)
         assert all(is_stable_set(g, s) for s in fam.sets)
+        every = brute_stable_sets(g)
+        subsets = [frozenset(v for v in range(n) if bits >> v & 1)
+                   for bits in range(1 << n)]
+        assert len(set(every)) == len(every)
+        assert set(every) == {s for s in subsets if is_stable_set(g, s)}
 
 
 def test_empty_graph_conventions():
@@ -84,6 +92,23 @@ def test_certificate_accepts_and_rejects():
     assert certify_max_stable(path(3), [(0, 1)], {0, 2}).ok
     missing = certify_max_stable(path(3), [(0, 1)], {0})
     assert not missing.ok and "exposed" in missing.reason
+
+
+def test_passing_certificate_needs_no_stability_number(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stability_number was computed")
+
+    for name, mod in list(sys.modules.items()):
+        if name == "kegraphs" or name.startswith("kegraphs."):
+            for attr, value in list(vars(mod).items()):
+                if value is stability_number:
+                    monkeypatch.setattr(mod, attr, refuse)
+    assert kegraphs.stable.stability_number is refuse
+    assert certify_max_stable(K4_MINUS_E, [(0, 2), (1, 3)], {2, 3}).ok
+    assert certify_max_stable(path(3), [(0, 1)], {0, 2}).ok
+    c6 = cycle(6)
+    m = [(0, 1), (2, 3), (4, 5)]
+    assert extend_stable_through_matching(c6, m, {0, 2, 4}, 1) == {1, 3, 5}
 
 
 def test_certificate_preconditions():
@@ -156,4 +181,6 @@ def test_caps_are_enforced():
         stability_number(Graph(21))
     with pytest.raises(CapExceededError):
         maximum_stable_sets(Graph(17))
+    with pytest.raises(CapExceededError):
+        brute_stable_sets(Graph(17))
     assert stability_number(Graph(21), cap=21) == 21
