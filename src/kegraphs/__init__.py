@@ -37,6 +37,8 @@ from .matching import (
     find_blossoms,
     find_flower,
     find_posy,
+    has_flower,
+    has_posy,
     is_blossom_free,
     is_near_perfect_matching,
     is_perfect_matching,
@@ -105,6 +107,8 @@ __all__ = [
     "find_posy",
     "format_graph",
     "full_report",
+    "has_flower",
+    "has_posy",
     "induced_subgraph",
     "is_alpha_critical",
     "is_bipartite",

@@ -46,9 +46,9 @@ from .graph import (
 from .matching import (
     Matching,
     enumerate_maximum_matchings,
-    find_flower,
-    find_posy,
     has_blossom,
+    has_flower,
+    has_posy,
     maximum_matching,
     partner_map,
     validate_matching,
@@ -183,7 +183,7 @@ class Facts:
         g = self.graph
         return tuple(
             p for p in self.pendants
-            if stability_number(delete_vertices(g, {p}), cap=self.cap) < self.alpha
+            if self.facts_of(delete_vertices(g, {p})).alpha < self.alpha
         )
 
 
@@ -597,8 +597,8 @@ def check_bipartite_zero_core(f: Facts) -> BipartiteZeroCoreVerdict:
     return BipartiteZeroCoreVerdict(True, rep.core_size == 0)
 
 
-# Order up to which check_structure_consistency also searches for flowers
-# and posies relative to every maximum matching, not only the canonical one.
+# Order up to which check_structure_consistency also tests for flowers and
+# posies relative to every maximum matching, not only the canonical one.
 ALL_MATCHINGS_MAX_N = 8
 
 
@@ -606,7 +606,13 @@ ALL_MATCHINGS_MAX_N = 8
 class StructureConsistencyVerdict:
     """KE membership by arithmetic agrees with the absence of flowers and
     posies relative to the canonical maximum matching (and, on KE graphs of
-    order at most ALL_MATCHINGS_MAX_N, relative to every maximum matching)."""
+    order at most ALL_MATCHINGS_MAX_N, relative to every maximum matching;
+    all_matchings_checked counts those, stopping at the first structure).
+
+    This is Sterboul's theorem.  Both structure sides come from the exact
+    polynomial tests has_flower and has_posy, which read only the graph and
+    the matching: no stability number, core, anticore or stable set, so
+    the row stays independent of the anticore-empty criterion."""
 
     ke_by_arithmetic: bool
     flower_found: bool
@@ -624,14 +630,14 @@ class StructureConsistencyVerdict:
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g = f.graph
-    flower_found = find_flower(g, f.matching) is not None
-    posy_found = find_posy(g, f.matching) is not None
+    flower_found = has_flower(g, f.matching)
+    posy_found = has_posy(g, f.matching)
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower_found = flower_found or find_flower(g, mm) is not None
-            posy_found = posy_found or find_posy(g, mm) is not None
+            flower_found = flower_found or has_flower(g, mm)
+            posy_found = posy_found or has_posy(g, mm)
             if flower_found or posy_found:
                 break
     return StructureConsistencyVerdict(f.is_ke, flower_found, posy_found, checked)

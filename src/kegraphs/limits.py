@@ -11,7 +11,8 @@ DEFAULT_ALPHA_CAP = 20
 
 # Primitive-step allowance for the exhaustive alternating-structure
 # searches: blossom, flower and posy enumeration only.  Deciding whether a
-# blossom exists (has_blossom) is polynomial and needs no budget.
+# blossom, flower or posy exists (has_blossom, has_flower, has_posy) is
+# polynomial and needs no budget.
 DEFAULT_SEARCH_BUDGET = 20_000_000
 
 

@@ -13,11 +13,12 @@ exposed vertex (sharing only the base with the cycle); a posy joins the
 bases of two blossoms by an odd-length alternating path whose first and
 last edges are heavy.
 
-Whether any blossom exists is decided in polynomial time by one Edmonds
-alternating-tree search per candidate base (see has_blossom).  Listing
-blossoms and searching for flowers and posies, which return concrete
-structures, is exhaustive search over alternating walks, guarded by a step
-budget.
+Whether a blossom, a flower or a posy exists is decided in polynomial time
+by alternating-tree searches (has_blossom, has_flower, has_posy).  Listing
+blossoms and finding a concrete flower or posy (find_blossoms, find_flower,
+find_posy) is exhaustive search over alternating walks, guarded by a step
+budget; those walkers are the oracle the polynomial tests are checked
+against.
 """
 
 from __future__ import annotations
@@ -346,12 +347,17 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     cycle neighbors of a real base r are even, so the edge back to r closes
     a cycle at r.
     """
-    m = validate_matching(g, m)
+    match = _match_list(g, validate_matching(g, m))
+    return any(_closes_blossom_at(g, match, r) for r in range(g.n))
+
+
+def _match_list(g: Graph, m: Matching) -> list[int]:
+    """Each vertex's partner under m, -1 where exposed."""
     match = [-1] * g.n
     for u, v in m:
         match[u] = v
         match[v] = u
-    return any(_closes_blossom_at(g, match, r) for r in range(g.n))
+    return match
 
 
 def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
@@ -397,12 +403,73 @@ def is_blossom_free(g: Graph, m: Iterable[Edge]) -> bool:
 def _require_maximum(g: Graph, m: Matching) -> None:
     """Berge: m is maximum exactly when no exposed vertex starts an
     augmenting path, so one failed search per exposed vertex proves it."""
-    match = [-1] * g.n
-    for u, v in m:
-        match[u], match[v] = v, u
+    match = _match_list(g, m)
     for root in range(g.n):
         if match[root] == -1 and _augment_from(g, root, match):
             raise GraphError(f"matching of size {len(m)} is not maximum")
+
+
+def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
+    """Whether some flower exists relative to the maximum matching m.
+
+    Exact and polynomial: one alternating BFS per exposed root r, without
+    shrinking, answers yes at the first light edge joining two outer
+    vertices (r itself is outer).  That edge closes a real blossom whose
+    base is where the two tree paths meet, and the tree path from r to
+    that base is an even stem.  Conversely, every vertex of a flower's
+    cycle is reachable from its stem's exposed end by an even alternating
+    path, so Edmonds' search from there marks them all outer and some
+    light cycle edge joins two outer vertices.
+    """
+    m = validate_matching(g, m)
+    _require_maximum(g, m)
+    match = _match_list(g, m)
+    return any(match[r] == -1 and _closes_odd_cycle(g, match, r) for r in range(g.n))
+
+
+def _closes_odd_cycle(g: Graph, match: list[int], root: int) -> bool:
+    """Alternating BFS from root with no shrinking: whether a light edge
+    joins two outer vertices.  The matching is maximum, so every inner
+    vertex reached is matched."""
+    outer = [False] * g.n
+    inner = [False] * g.n
+    outer[root] = True
+    queue = deque([root])
+    while queue:
+        v = queue.popleft()
+        for to in g.neighbors(v):
+            if inner[to]:
+                continue  # also v's own partner, the vertex v was reached by
+            if outer[to]:
+                return True
+            inner[to] = True
+            outer[match[to]] = True
+            queue.append(match[to])
+    return False
+
+
+def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
+    """Whether some posy exists relative to the maximum matching m.
+
+    Exact and polynomial.  Take the matched blossom bases (one Edmonds
+    search per vertex, as in has_blossom), drop every edge at an exposed
+    vertex, and add two new vertices s and t, each joined to every base.
+    A posy path b1 -heavy- ... -heavy- b2 with b1 != b2 is then exactly an
+    augmenting path s b1 ... b2 t, and with s and t the only reachable
+    exposed vertices one Edmonds search from s decides whether one exists.
+    """
+    m = validate_matching(g, m)
+    _require_maximum(g, m)
+    match = _match_list(g, m)
+    bases = [
+        r for r in range(g.n) if match[r] != -1 and _closes_blossom_at(g, match, r)
+    ]
+    if len(bases) < 2:
+        return False
+    s, t = g.n, g.n + 1
+    edges = [(u, v) for u, v in g.edges if match[u] != -1 and match[v] != -1]
+    edges += [(b, x) for b in bases for x in (s, t)]
+    return _augment_from(Graph(g.n + 2, edges), s, match + [-1, -1])
 
 
 def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:

@@ -23,6 +23,7 @@ from . import analysis, bruteforce, constructions
 from .analysis import Facts
 from .edgefile import format_graph
 from .graph import is_connected
+from .limits import DEFAULT_OMEGA_CAP
 from .stable import certify_max_stable, extend_stable_through_matching
 
 
@@ -227,9 +228,10 @@ CHECKS: tuple[Check, ...] = (
           lambda f: (f.is_ke and f.core.anticore_size == 1
                      and f.alpha == f.mu),
           _check_peel),
+    # the attachment output has n + 2 vertices, and its family is enumerated
     Check("pendant-pair-roundtrip",
           "pendant-pair attachment conclusion and peel round-trip",
-          lambda f: (f.is_ke and f.graph.n >= 2
+          lambda f: (f.is_ke and 2 <= f.graph.n <= DEFAULT_OMEGA_CAP - 2
                      and f.core.anticore_size == 0),
           _check_pendant_pair_roundtrip),
     Check("extension-construction",

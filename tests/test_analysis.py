@@ -43,6 +43,7 @@ from kegraphs.constructions import (
     random_tree,
 )
 from kegraphs.graph import Graph, GraphError, neighborhood
+from kegraphs.limits import DEFAULT_OMEGA_CAP
 from kegraphs.stable import core_report, maximum_stable_sets
 
 K4_MINUS_E = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
@@ -303,6 +304,38 @@ def test_full_report_never_enters_the_exhaustive_walker(monkeypatch):
     assert [full_report(g).to_json_dict() for g in graphs] == expected
 
 
+def test_structure_consistency_never_enters_the_walker(monkeypatch):
+    corpus = verify.connected_corpus(3, 5, 2, 9) + verify.bipartite_corpus(3, 20, 10)
+    expected = verify.run_checks(corpus)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the exhaustive blossom walker was entered")
+
+    monkeypatch.setattr(matching, "_collect_blossoms", refuse)
+    got = verify.run_checks(corpus)
+    assert got.table() == expected.table()
+    assert got.checks["sterboul-structures"].applicable == len(corpus)
+
+
+def test_sterboul_row_decides_a_dense_16_vertex_graph():
+    # the exhaustive flower/posy walker ran out of its step budget here
+    label, g = verify.connected_corpus(1, 3, 15, 16)[-1]
+    assert (label, g.n, g.m) == ("n16-2", 16, 103)
+    summary = verify.run_checks([(label, g)], ["sterboul-structures"])
+    assert summary.violations == 0
+    assert summary.checks["sterboul-structures"].passed == 1
+
+
+def test_pendant_pair_roundtrip_stays_within_the_enumeration_cap():
+    # the attachment output has two more vertices than its input
+    summary = verify.run_checks([("c16", cycle(16))])
+    assert summary.violations == 0
+    assert summary.checks["pendant-pair-roundtrip"].applicable == 0
+    g = cycle(DEFAULT_OMEGA_CAP - 2)
+    summary = verify.run_checks([("c14", g)], ["pendant-pair-roundtrip"])
+    assert summary.checks["pendant-pair-roundtrip"].passed == 1
+
+
 def test_facts_share_derived_graphs():
     g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
     f = Facts(g)
@@ -336,13 +369,12 @@ ORACLES = (
 )
 
 
-@pytest.fixture
-def oracle_calls(monkeypatch):
-    """Calls per (oracle, graph), counted through every package binding."""
+def _count_calls(monkeypatch, names):
+    """Calls per (function, graph), counted through every package binding."""
     counts = collections.Counter()
     modules = [m for name, m in list(sys.modules.items())
                if name == "kegraphs" or name.startswith("kegraphs.")]
-    for name in ORACLES:
+    for name in names:
         original = getattr(kegraphs.analysis, name)
 
         def counted(g, *args, _name=name, _original=original, **kwargs):
@@ -354,6 +386,11 @@ def oracle_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return counts
+
+
+@pytest.fixture
+def oracle_calls(monkeypatch):
+    return _count_calls(monkeypatch, ORACLES)
 
 
 def _repeated(counts):
@@ -386,3 +423,11 @@ def test_full_report_hands_each_graph_to_each_oracle_once(oracle_calls):
         full_report(g)
         assert _repeated(oracle_calls) == [], sorted(g.edges)
         assert oracle_calls["maximum_stable_sets", g] == 1
+
+
+def test_alpha_critical_pendants_share_equal_deletions(monkeypatch):
+    star = complete_bipartite(1, 8)
+    counts = _count_calls(monkeypatch, ["stability_number"])
+    # deleting any leaf leaves the same K1,7
+    assert Facts(star).alpha_critical_pendants == tuple(range(1, 9))
+    assert sorted(counts.values()) == [1, 1]

@@ -95,6 +95,13 @@ def test_verify_cap_exceeded(capsys):
     assert len(err.splitlines()) == 1 and "cap" in err and "Traceback" not in err
 
 
+def test_verify_runs_up_to_the_enumeration_cap(capsys):
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--count", "3",
+                             "--n", "15..16")
+    assert code == 0 and err == ""
+    assert "RESULT: PASS (0 violations over 6 graphs)" in out
+
+
 def test_verify_single_vertex_graphs_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "1", "--count", "2",
                            "--n", "1..1")

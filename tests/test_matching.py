@@ -25,6 +25,8 @@ from kegraphs.matching import (
     find_flower,
     find_posy,
     has_blossom,
+    has_flower,
+    has_posy,
     is_blossom_free,
     is_near_perfect_matching,
     is_perfect_matching,
@@ -245,6 +247,24 @@ def test_flower_requires_a_maximum_matching():
         find_flower(cycle(5), [(0, 1)])
     with pytest.raises(GraphError):
         find_posy(cycle(5), [(0, 1)])
+
+
+def test_flower_and_posy_tests_refuse_a_non_maximum_matching():
+    with pytest.raises(GraphError):
+        has_flower(cycle(5), [(0, 1)])
+    with pytest.raises(GraphError):
+        has_posy(cycle(5), [(0, 1)])
+
+
+def test_flower_and_posy_tests_agree_with_the_exhaustive_walker():
+    rng = random.Random(23)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+        ms = enumerate_maximum_matchings(g) if n <= 8 else (maximum_matching(g),)
+        for m in ms:
+            assert has_flower(g, m) == (find_flower(g, m) is not None)
+            assert has_posy(g, m) == (find_posy(g, m) is not None)
 
 
 def test_posy_in_two_bridged_triangles():

@@ -1,0 +1,57 @@
+"""Metamorphic property tests: answers that must not change when the
+vertices of a graph are renamed.  They compare the package with itself
+on two labellings and share no code path with any brute-force oracle."""
+
+import itertools
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kegraphs.analysis import Facts, check_structure_consistency
+from kegraphs.graph import Graph, normalize_edge
+from kegraphs.matching import enumerate_maximum_matchings, has_flower, has_posy
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                             database=None)
+
+
+@st.composite
+def relabelled_graphs(draw, max_n=9):
+    """A graph on at most max_n vertices and a permutation of its vertices."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    return g, draw(st.permutations(range(n)))
+
+
+def _relabel(edges, perm):
+    return frozenset(normalize_edge(perm[u], perm[v]) for u, v in edges)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_flower_and_posy_answers_survive_relabelling(data):
+    g, perm = data.draw(relabelled_graphs())
+    m = data.draw(st.sampled_from(enumerate_maximum_matchings(g)))
+    h, hm = Graph(g.n, _relabel(g.edges, perm)), _relabel(m, perm)
+    assert has_flower(h, hm) == has_flower(g, m)
+    assert has_posy(h, hm) == has_posy(g, m)
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_structure_verdict_survives_relabelling(data):
+    g, perm = data.draw(relabelled_graphs())
+    v = check_structure_consistency(Facts(g))
+    w = check_structure_consistency(Facts(Graph(g.n, _relabel(g.edges, perm))))
+    assert (w.ke_by_arithmetic, w.flower_found, w.all_matchings_checked) == (
+        v.ke_by_arithmetic, v.flower_found, v.all_matchings_checked
+    )
+    assert w.structure_free == v.structure_free and w.consistent and v.consistent
+    # Each verdict reads its own canonical matching.  Whether a flower
+    # exists does not depend on the maximum matching, but whether a posy
+    # does can, once a flower is there; without one, a posy exists exactly
+    # when the graph is not KE.
+    if not v.flower_found:
+        assert w.posy_found == v.posy_found
