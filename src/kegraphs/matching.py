@@ -400,13 +400,15 @@ def is_blossom_free(g: Graph, m: Iterable[Edge]) -> bool:
     return not has_blossom(g, m)
 
 
-def _require_maximum(g: Graph, m: Matching) -> None:
+def _require_maximum(g: Graph, m: Matching) -> list[int]:
     """Berge: m is maximum exactly when no exposed vertex starts an
-    augmenting path, so one failed search per exposed vertex proves it."""
+    augmenting path, so one failed search per exposed vertex proves it.
+    Returns m as _match_list does (a failed search leaves it unchanged)."""
     match = _match_list(g, m)
     for root in range(g.n):
         if match[root] == -1 and _augment_from(g, root, match):
             raise GraphError(f"matching of size {len(m)} is not maximum")
+    return match
 
 
 def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
@@ -421,9 +423,7 @@ def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
     path, so Edmonds' search from there marks them all outer and some
     light cycle edge joins two outer vertices.
     """
-    m = validate_matching(g, m)
-    _require_maximum(g, m)
-    match = _match_list(g, m)
+    match = _require_maximum(g, validate_matching(g, m))
     return any(match[r] == -1 and _closes_odd_cycle(g, match, r) for r in range(g.n))
 
 
@@ -458,9 +458,7 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     augmenting path s b1 ... b2 t, and with s and t the only reachable
     exposed vertices one Edmonds search from s decides whether one exists.
     """
-    m = validate_matching(g, m)
-    _require_maximum(g, m)
-    match = _match_list(g, m)
+    match = _require_maximum(g, validate_matching(g, m))
     bases = [
         r for r in range(g.n) if match[r] != -1 and _closes_blossom_at(g, match, r)
     ]
