@@ -21,27 +21,13 @@ from .graph import (
     neighborhood,
     pendant_vertices,
 )
-from .limits import (
-    CapExceededError,
-    DEFAULT_ALPHA_CAP,
-    DEFAULT_OMEGA_CAP,
-    SearchBudgetExceededError,
-)
+from .limits import CapExceededError, DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP
 from .edgefile import GraphFormatError, format_graph, parse_graph
 from .matching import (
-    Blossom,
-    Flower,
-    Posy,
     enumerate_maximum_matchings,
     exposed_vertices,
-    find_blossoms,
-    find_flower,
-    find_posy,
     has_flower,
     has_posy,
-    is_blossom_free,
-    is_near_perfect_matching,
-    is_perfect_matching,
     maximum_matching,
 )
 from .stable import (
@@ -73,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisReport",
-    "Blossom",
     "CapExceededError",
     "Certification",
     "CoreReport",
@@ -81,13 +66,10 @@ __all__ = [
     "DEFAULT_OMEGA_CAP",
     "ExtensionBlockedError",
     "Facts",
-    "Flower",
     "Graph",
     "GraphError",
     "GraphFormatError",
     "KeDecomposition",
-    "Posy",
-    "SearchBudgetExceededError",
     "StabilityClassification",
     "StableSetFamily",
     "TheoremViolationError",
@@ -102,9 +84,6 @@ __all__ = [
     "enumerate_maximum_matchings",
     "exposed_vertices",
     "extend_stable_through_matching",
-    "find_blossoms",
-    "find_flower",
-    "find_posy",
     "format_graph",
     "full_report",
     "has_flower",
@@ -112,11 +91,8 @@ __all__ = [
     "induced_subgraph",
     "is_alpha_critical",
     "is_bipartite",
-    "is_blossom_free",
     "is_connected",
     "is_koenig_egervary",
-    "is_near_perfect_matching",
-    "is_perfect_matching",
     "maximum_matching",
     "maximum_stable_sets",
     "neighborhood",

@@ -46,9 +46,8 @@ from .graph import (
 from .matching import (
     Matching,
     enumerate_maximum_matchings,
+    flower_and_posy,
     has_blossom,
-    has_flower,
-    has_posy,
     maximum_matching,
     partner_map,
     validate_matching,
@@ -68,30 +67,28 @@ class TheoremViolationError(AssertionError):
     bug, never a defect in the underlying mathematics."""
 
 
-def is_koenig_egervary(g: Graph, cap: int | None = None) -> bool:
+def is_koenig_egervary(g: Graph) -> bool:
     """Whether the stability number plus the matching number equals n."""
-    return Facts(g, cap).is_ke
+    return Facts(g).is_ke
 
 
-def is_edge_addition_stable(g: Graph, cap: int | None = None) -> bool:
+def is_edge_addition_stable(g: Graph) -> bool:
     """Definition route: no single added edge lowers the stability number."""
-    alpha = stability_number(g, cap=cap)
+    alpha = stability_number(g)
     for u in range(g.n):
         mask = g.adjacency_mask(u)
         for v in range(u + 1, g.n):
             if mask >> v & 1:
                 continue
-            if stability_after_adding_edge(g, (u, v), cap=cap) != alpha:
+            if stability_after_adding_edge(g, (u, v)) != alpha:
                 return False
     return True
 
 
-def is_alpha_critical(g: Graph, v: int, cap: int | None = None) -> bool:
+def is_alpha_critical(g: Graph, v: int) -> bool:
     """Whether deleting v lowers the stability number."""
     g.check_vertex(v)
-    return stability_number(delete_vertices(g, {v}), cap=cap) < stability_number(
-        g, cap=cap
-    )
+    return stability_number(delete_vertices(g, {v})) < stability_number(g)
 
 
 class Facts:
@@ -102,13 +99,12 @@ class Facts:
     definition on its own (its own alpha, one more per added edge), the
     core-size route reads core and anticore (and whether a perfect
     matching exists), and the matching-structure route reads only
-    matchings and blossoms.  cap bounds the exact oracles as in the
-    functions it is passed to.
+    matchings and blossoms.  Each exact oracle refuses a graph above its
+    fixed cap (see limits) the first time a value that needs it is read.
     """
 
-    def __init__(self, graph: Graph, cap: int | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.cap = cap
         self._derived: dict[Graph, Facts] = {}
 
     def facts_of(self, h: Graph) -> Facts:
@@ -118,7 +114,7 @@ class Facts:
         if h == self.graph:
             return self  # storing self in _derived would make a reference cycle
         if h not in self._derived:
-            self._derived[h] = Facts(h, self.cap)
+            self._derived[h] = Facts(h)
         return self._derived[h]
 
     @cached_property
@@ -132,15 +128,15 @@ class Facts:
 
     @cached_property
     def maximum_matchings(self) -> tuple[Matching, ...]:
-        return enumerate_maximum_matchings(self.graph, cap=self.cap)
+        return enumerate_maximum_matchings(self.graph)
 
     @cached_property
     def family(self) -> StableSetFamily:
-        return maximum_stable_sets(self.graph, cap=self.cap)
+        return maximum_stable_sets(self.graph)
 
     @cached_property
     def alpha(self) -> int:
-        return stability_number(self.graph, cap=self.cap)
+        return stability_number(self.graph)
 
     @cached_property
     def core(self) -> CoreReport:
@@ -172,7 +168,7 @@ class Facts:
 
     @cached_property
     def stable_by_definition(self) -> bool:
-        return is_edge_addition_stable(self.graph, cap=self.cap)
+        return is_edge_addition_stable(self.graph)
 
     @cached_property
     def pendants(self) -> tuple[int, ...]:
@@ -245,7 +241,7 @@ def classify_alpha_plus(f: Facts) -> StabilityClassification:
     # two core vertices are never adjacent, and joining them kills every
     # maximum stable set at once
     witness = (u, v)
-    if stability_after_adding_edge(f.graph, witness, cap=f.cap) >= f.alpha:
+    if stability_after_adding_edge(f.graph, witness) >= f.alpha:
         raise TheoremViolationError("core pair addition failed to lower alpha")
     return StabilityClassification("not_stable", rep.core, witness)
 
@@ -316,7 +312,7 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     if not f.is_ke:
         raise GraphError("the stable-set certificate is a KE-only property")
     g = f.graph
-    stable_sets = brute_stable_sets(g, f.cap)
+    stable_sets = brute_stable_sets(g)
     members = set(f.family.sets)
     matchings = f.maximum_matchings
     exposed_by_matching = [
@@ -610,9 +606,10 @@ class StructureConsistencyVerdict:
     all_matchings_checked counts those, stopping at the first structure).
 
     This is Sterboul's theorem.  Both structure sides come from the exact
-    polynomial tests has_flower and has_posy, which read only the graph and
-    the matching: no stability number, core, anticore or stable set, so
-    the row stays independent of the anticore-empty criterion."""
+    polynomial flower and posy tests (flower_and_posy), which read only
+    the graph and the matching: no stability number, core, anticore or
+    stable set, so the row stays independent of the anticore-empty
+    criterion."""
 
     ke_by_arithmetic: bool
     flower_found: bool
@@ -630,14 +627,14 @@ class StructureConsistencyVerdict:
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g = f.graph
-    flower_found = has_flower(g, f.matching)
-    posy_found = has_posy(g, f.matching)
+    flower_found, posy_found = flower_and_posy(g, f.matching)
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower_found = flower_found or has_flower(g, mm)
-            posy_found = posy_found or has_posy(g, mm)
+            flower, posy = flower_and_posy(g, mm)
+            flower_found = flower_found or flower
+            posy_found = posy_found or posy
             if flower_found or posy_found:
                 break
     return StructureConsistencyVerdict(f.is_ke, flower_found, posy_found, checked)
@@ -725,13 +722,13 @@ def _component_cross_checks(f: Facts) -> None:
             raise TheoremViolationError("pendant characterization failed")
 
 
-def full_report(g: Graph, cap: int | None = None) -> AnalysisReport:
+def full_report(g: Graph) -> AnalysisReport:
     """Aggregate verdict for one graph.
 
     The applicable structural equivalences are re-verified per connected
     component, and a TheoremViolationError is raised on any disagreement.
     """
-    f = Facts(g, cap)
+    f = Facts(g)
     rep = f.core  # the family first: its cap is the one a large input hits
     ke = f.is_ke
     stability = classify_alpha_plus(f)

@@ -6,12 +6,31 @@ production implementations they check: stable sets come from a full
 subset scan (or, for the list of every stable set, a full include/exclude
 recursion), the matching number from a bitmask recursion over covered
 vertices rather than an augmenting-path search.
+
+The exhaustive alternating-walk search (find_blossoms, find_flower,
+find_posy) is the oracle for matching's polynomial has_blossom, has_flower
+and has_posy.  Its running time grows with the number of alternating
+walks, which a vertex cap does not bound usefully, so it runs under a
+fixed step budget instead and raises SearchBudgetExceededError when that
+runs out.
 """
 
 from __future__ import annotations
 
-from .graph import Graph
+from dataclasses import dataclass
+from typing import ClassVar, Iterable, Mapping
+
+from .graph import Edge, Graph, normalize_edge
 from .limits import DEFAULT_OMEGA_CAP, check_cap
+from .matching import _require_maximum, exposed_vertices, partner_map, validate_matching
+
+# Primitive-step allowance for the exhaustive alternating-structure
+# searches: blossom, flower and posy enumeration only.
+DEFAULT_SEARCH_BUDGET = 20_000_000
+
+
+class SearchBudgetExceededError(RuntimeError):
+    """An alternating-structure search ran past its step budget."""
 
 
 def is_stable_set(g: Graph, xs) -> bool:
@@ -22,8 +41,8 @@ def is_stable_set(g: Graph, xs) -> bool:
     return all(g.adjacency_mask(v) & mask == 0 for v in xs)
 
 
-def brute_stability_number(g: Graph, cap: int | None = None) -> int:
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "brute stability number")
+def brute_stability_number(g: Graph) -> int:
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stability number")
     masks = [g.adjacency_mask(v) for v in g.vertices()]
     best = 0
     for subset in range(1 << g.n):
@@ -44,9 +63,9 @@ def brute_stability_number(g: Graph, cap: int | None = None) -> int:
     return best
 
 
-def brute_max_stable_sets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
+def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
     """All maximum stable sets via full subset scan, lexicographic order."""
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "brute stable-set enumeration")
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set enumeration")
     masks = [g.adjacency_mask(v) for v in g.vertices()]
     best = 0
     found: list[int] = []
@@ -76,11 +95,11 @@ def brute_max_stable_sets(g: Graph, cap: int | None = None) -> list[frozenset[in
     return sorted(sets, key=sorted)
 
 
-def brute_stable_sets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
+def brute_stable_sets(g: Graph) -> list[frozenset[int]]:
     """Every stable set, the empty one included, by a full include/exclude
     recursion: each vertex is first left out, then taken when no chosen
     neighbor bans it."""
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "brute stable-set scan")
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set scan")
     n = g.n
     masks = [g.adjacency_mask(v) for v in g.vertices()]
     out: list[frozenset[int]] = []
@@ -97,9 +116,9 @@ def brute_stable_sets(g: Graph, cap: int | None = None) -> list[frozenset[int]]:
     return out
 
 
-def brute_max_matching_size(g: Graph, cap: int | None = None) -> int:
+def brute_max_matching_size(g: Graph) -> int:
     """Matching number by recursion on the lowest uncovered vertex."""
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "brute matching number")
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute matching number")
     masks = [g.adjacency_mask(v) for v in g.vertices()]
     memo: dict[int, int] = {}
 
@@ -122,3 +141,257 @@ def brute_max_matching_size(g: Graph, cap: int | None = None) -> int:
         return best
 
     return rec(g.full_mask)
+
+
+# -- exhaustive alternating-walk search ---------------------------------------
+
+
+@dataclass(frozen=True)
+class Blossom:
+    """Odd cycle whose heavy edges near-perfectly match it; base first."""
+
+    cycle: tuple[int, ...]
+    kind: ClassVar[str] = "blossom"
+
+    @property
+    def base(self) -> int:
+        return self.cycle[0]
+
+    @property
+    def vertex_set(self) -> frozenset[int]:
+        return frozenset(self.cycle)
+
+    def cycle_edges(self) -> tuple[Edge, ...]:
+        cyc = self.cycle
+        out = [normalize_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1)]
+        out.append(normalize_edge(cyc[-1], cyc[0]))
+        return tuple(out)
+
+
+@dataclass(frozen=True)
+class Flower:
+    """A blossom plus an even alternating stem from its base to an exposed
+    vertex.  A stem of length zero (the base itself exposed) is recorded as
+    the one-vertex tuple and flagged by trivial_stem."""
+
+    blossom: Blossom
+    stem: tuple[int, ...]
+    kind: ClassVar[str] = "flower"
+
+    @property
+    def trivial_stem(self) -> bool:
+        return len(self.stem) == 1
+
+
+@dataclass(frozen=True)
+class Posy:
+    """Two blossoms whose bases are joined by an odd alternating path whose
+    first and last edges are heavy."""
+
+    blossom1: Blossom
+    blossom2: Blossom
+    path: tuple[int, ...]
+    kind: ClassVar[str] = "posy"
+
+
+class _Budget:
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = DEFAULT_SEARCH_BUDGET
+
+    def spend(self) -> None:
+        self.left -= 1
+        if self.left < 0:
+            raise SearchBudgetExceededError(
+                "alternating-structure search budget exhausted"
+            )
+
+
+def _collect_blossoms(
+    g: Graph, partner: Mapping[int, int], budget: _Budget
+) -> list[Blossom]:
+    """All blossoms relative to the matching, canonical and deduplicated.
+
+    Walks b -light- x1 -heavy- x2 -light- x3 -heavy- ... and closes with a
+    light edge back to b.  Every cycle vertex other than the base is covered
+    by a heavy cycle edge, so walk extension always jumps to the partner of
+    the vertex just entered.
+    """
+    found: dict[tuple[int, ...], Blossom] = {}
+
+    def canonical(path: tuple[int, ...]) -> tuple[int, ...]:
+        rev = (path[0],) + tuple(reversed(path[1:]))
+        return min(path, rev)
+
+    for base_v in range(g.n):
+        heavy_of_base = partner.get(base_v)
+        path = [base_v]
+        visited = {base_v}
+
+        def walk() -> None:
+            cur = path[-1]
+            for w in g.neighbors(cur):
+                budget.spend()
+                if w == base_v and len(path) >= 3:
+                    # closing edge is light: cur's heavy partner is path[-2]
+                    key = canonical(tuple(path))
+                    found.setdefault(key, Blossom(key))
+                    continue
+                if w in visited:
+                    continue
+                pw = partner.get(w)
+                if pw is None or pw in visited or pw == base_v:
+                    continue
+                visited.add(w)
+                visited.add(pw)
+                path.append(w)
+                path.append(pw)
+                walk()
+                path.pop()
+                path.pop()
+                visited.discard(w)
+                visited.discard(pw)
+
+        for x1 in g.neighbors(base_v):
+            budget.spend()
+            if x1 == heavy_of_base:
+                continue
+            x2 = partner.get(x1)
+            if x2 is None or x2 == base_v:
+                continue
+            visited.update((x1, x2))
+            path.extend((x1, x2))
+            walk()
+            path[:] = [base_v]
+            visited.clear()
+            visited.add(base_v)
+
+    blossoms = [found[key] for key in found]
+    blossoms.sort(key=lambda b: (len(b.cycle), b.cycle))
+    return blossoms
+
+
+def find_blossoms(g: Graph, m: Iterable[Edge]) -> tuple[Blossom, ...]:
+    """Every blossom relative to m, in deterministic order."""
+    m = validate_matching(g, m)
+    return tuple(_collect_blossoms(g, partner_map(m), _Budget()))
+
+
+def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
+    """A flower relative to the maximum matching m, or None.
+
+    The search is exhaustive: a None answer means no blossom has an even
+    alternating stem to an exposed vertex (a base that is itself exposed
+    counts, with the trivial stem).
+    """
+    m = validate_matching(g, m)
+    _require_maximum(g, m)
+    exposed = exposed_vertices(g, m)
+    if not exposed:
+        return None
+    partner = partner_map(m)
+    budget_box = _Budget()
+    for blossom in _collect_blossoms(g, partner, budget_box):
+        if blossom.base in exposed:
+            return Flower(blossom, (blossom.base,))
+        stem = _find_stem(g, partner, blossom, budget_box)
+        if stem is not None:
+            return Flower(blossom, stem)
+    return None
+
+
+def _find_stem(
+    g: Graph, partner: Mapping[int, int], blossom: Blossom, budget: _Budget
+) -> tuple[int, ...] | None:
+    """Even alternating path base -heavy- ... -light- exposed, meeting the
+    blossom only at the base."""
+    base = blossom.base
+    block = blossom.vertex_set
+    start = partner.get(base)
+    if start is None or start in block:
+        return None
+    path = [base, start]
+    visited = {base, start}
+
+    def dfs() -> bool:
+        cur = path[-1]  # entered on a heavy edge; an odd prefix so far
+        for w in g.neighbors(cur):
+            budget.spend()
+            if w in visited or w in block:
+                continue
+            pw = partner.get(w)
+            if pw is None:
+                path.append(w)  # light edge to an exposed vertex: even stem
+                return True
+            if pw in visited or pw in block:
+                continue
+            visited.add(w)
+            visited.add(pw)
+            path.append(w)
+            path.append(pw)
+            if dfs():
+                return True
+            path.pop()
+            path.pop()
+            visited.discard(w)
+            visited.discard(pw)
+        return False
+
+    if dfs():
+        return tuple(path)
+    return None
+
+
+def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
+    """A posy relative to the maximum matching m, or None.
+
+    The joining path is any simple odd alternating path between two blossom
+    bases whose first and last edges are heavy; the two blossoms need not be
+    disjoint from each other.
+    """
+    m = validate_matching(g, m)
+    _require_maximum(g, m)
+    partner = partner_map(m)
+    budget_box = _Budget()
+    blossoms = _collect_blossoms(g, partner, budget_box)
+    if not blossoms:
+        return None
+    first_at_base: dict[int, Blossom] = {}
+    for b in blossoms:
+        first_at_base.setdefault(b.base, b)
+
+    for b1 in sorted(first_at_base):
+        start = partner.get(b1)
+        if start is None:
+            continue  # an exposed base cannot anchor a heavy first edge
+        path = [b1, start]
+        visited = {b1, start}
+
+        def dfs() -> bool:
+            cur = path[-1]  # entered on a heavy edge; odd path length
+            if cur in first_at_base and cur != b1:
+                return True
+            for w in g.neighbors(cur):
+                budget_box.spend()
+                if w in visited:
+                    continue
+                pw = partner.get(w)
+                if pw is None or pw in visited:
+                    continue
+                visited.add(w)
+                visited.add(pw)
+                path.append(w)
+                path.append(pw)
+                if dfs():
+                    return True
+                path.pop()
+                path.pop()
+                visited.discard(w)
+                visited.discard(pw)
+            return False
+
+        if dfs():
+            end = path[-1]
+            return Posy(first_at_base[b1], first_at_base[end], tuple(path))
+    return None

@@ -21,7 +21,7 @@ from . import constructions, verify
 from .analysis import full_report
 from .edgefile import GraphFormatError, format_graph, parse_graph
 from .graph import Graph, GraphError
-from .limits import CapExceededError, DEFAULT_OMEGA_CAP
+from .limits import CapExceededError
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -42,15 +42,6 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _cap_value(text: str) -> int:
-    value = int(text)
-    if not 0 <= value <= DEFAULT_OMEGA_CAP:
-        raise argparse.ArgumentTypeError(
-            f"cap must lie in 0..{DEFAULT_OMEGA_CAP} (the library maximum)"
-        )
-    return value
-
-
 # Built on first use and then reused: a build takes about 1 ms (a terminal
 # size probe per argument), a tenth of analyzing one 16-vertex graph.
 @functools.cache
@@ -63,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="analyze edge-list files")
     p_analyze.add_argument("paths", nargs="+", help="graph files (p/e format)")
-    p_analyze.add_argument("--cap", type=_cap_value, default=None,
-                           help="max n for the exact oracles")
     p_analyze.add_argument("--out", default=None, help="write reports here")
     p_analyze.add_argument("--format", choices=["json"], default="json")
 
@@ -127,7 +116,7 @@ def cmd_analyze(args) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         try:
-            report = full_report(g, cap=args.cap)
+            report = full_report(g)
         except CapExceededError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_CAP

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import AnalysisReport, Facts, classify_alpha_plus
-from .graph import Edge, Graph, GraphError, bipartition, is_connected
+from .graph import Edge, Graph, GraphError, bipartition, delete_vertices, is_connected
 from .matching import matching_number, partner_map
 
 
@@ -91,14 +91,7 @@ def peel(f: Facts) -> tuple[Edge, Graph]:
         raise GraphError("peel requires equal stability and matching numbers")
     (x,) = f.core.anticore
     y = partner_map(f.matching)[x]
-    keep = [v for v in g.vertices() if v not in (x, y)]
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (relabel[u], relabel[v])
-        for u, v in g.edges
-        if u not in (x, y) and v not in (x, y)
-    ]
-    return (x, y), Graph(g.n - 2, edges)
+    return (x, y), delete_vertices(g, {x, y})
 
 
 def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
@@ -126,10 +119,7 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
         a, b = int(a), int(b)
         if not g.has_edge(a, b):
             raise GraphError(f"attach pair ({a}, {b}) is not an edge of the base")
-        keep = [v for v in g.vertices() if v not in (a, b)]
-        sub_edges = [e for e in g.edges if a not in e and b not in e]
-        relabel = {old: new for new, old in enumerate(keep)}
-        reduced = Graph(len(keep), [(relabel[u], relabel[v]) for u, v in sub_edges])
+        reduced = delete_vertices(g, {a, b})
         if matching_number(reduced) * 2 != reduced.n:
             raise GraphError(
                 f"attach edge ({a}, {b}) lies in no perfect matching of the base"

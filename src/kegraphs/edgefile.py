@@ -31,6 +31,7 @@ def parse_graph(text: str) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
+    seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -61,8 +62,9 @@ def parse_graph(text: str) -> Graph:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(line_no, f"edge ({u}, {v}) out of range for n={n}")
             e = (u, v) if u < v else (v, u)
-            if e in set(edges):
+            if e in seen:
                 raise GraphFormatError(line_no, f"duplicate edge ({e[0]}, {e[1]})")
+            seen.add(e)
             edges.append(e)
         else:
             raise GraphFormatError(line_no, f"unknown line type {fields[0]!r}")

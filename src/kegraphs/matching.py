@@ -14,27 +14,19 @@ bases of two blossoms by an odd-length alternating path whose first and
 last edges are heavy.
 
 Whether a blossom, a flower or a posy exists is decided in polynomial time
-by alternating-tree searches (has_blossom, has_flower, has_posy).  Listing
-blossoms and finding a concrete flower or posy (find_blossoms, find_flower,
-find_posy) is exhaustive search over alternating walks, guarded by a step
-budget; those walkers are the oracle the polynomial tests are checked
-against.
+by alternating-tree searches (has_blossom, has_flower, has_posy).  The
+exhaustive walkers that list blossoms and find a concrete flower or posy,
+the oracle those tests are checked against, live in bruteforce.  The one
+exponential routine left here is enumerate_maximum_matchings.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping
+from typing import Iterable
 
-from .bruteforce import brute_max_matching_size
 from .graph import Edge, Graph, GraphError, normalize_edge
-from .limits import (
-    DEFAULT_OMEGA_CAP,
-    DEFAULT_SEARCH_BUDGET,
-    SearchBudgetExceededError,
-    check_cap,
-)
+from .limits import DEFAULT_OMEGA_CAP, check_cap
 
 Matching = frozenset[Edge]
 
@@ -67,14 +59,6 @@ def exposed_vertices(g: Graph, m: Iterable[Edge]) -> frozenset[int]:
     m = validate_matching(g, m)
     covered = {v for e in m for v in e}
     return frozenset(v for v in g.vertices() if v not in covered)
-
-
-def is_perfect_matching(g: Graph, m: Iterable[Edge]) -> bool:
-    return len(exposed_vertices(g, m)) == 0
-
-
-def is_near_perfect_matching(g: Graph, m: Iterable[Edge]) -> bool:
-    return len(exposed_vertices(g, m)) == 1
 
 
 # -- maximum matching (blossom shrinking) -----------------------------------
@@ -199,138 +183,6 @@ def _mark_cycle_path(
 # -- alternating structures --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Blossom:
-    """Odd cycle whose heavy edges near-perfectly match it; base first."""
-
-    cycle: tuple[int, ...]
-    kind: ClassVar[str] = "blossom"
-
-    @property
-    def base(self) -> int:
-        return self.cycle[0]
-
-    @property
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.cycle)
-
-    def cycle_edges(self) -> tuple[Edge, ...]:
-        cyc = self.cycle
-        out = [normalize_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1)]
-        out.append(normalize_edge(cyc[-1], cyc[0]))
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class Flower:
-    """A blossom plus an even alternating stem from its base to an exposed
-    vertex.  A stem of length zero (the base itself exposed) is recorded as
-    the one-vertex tuple and flagged by trivial_stem."""
-
-    blossom: Blossom
-    stem: tuple[int, ...]
-    kind: ClassVar[str] = "flower"
-
-    @property
-    def trivial_stem(self) -> bool:
-        return len(self.stem) == 1
-
-
-@dataclass(frozen=True)
-class Posy:
-    """Two blossoms whose bases are joined by an odd alternating path whose
-    first and last edges are heavy."""
-
-    blossom1: Blossom
-    blossom2: Blossom
-    path: tuple[int, ...]
-    kind: ClassVar[str] = "posy"
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self):
-        self.left = DEFAULT_SEARCH_BUDGET
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SearchBudgetExceededError(
-                "alternating-structure search budget exhausted"
-            )
-
-
-def _collect_blossoms(
-    g: Graph, partner: Mapping[int, int], budget: _Budget
-) -> list[Blossom]:
-    """All blossoms relative to the matching, canonical and deduplicated.
-
-    Walks b -light- x1 -heavy- x2 -light- x3 -heavy- ... and closes with a
-    light edge back to b.  Every cycle vertex other than the base is covered
-    by a heavy cycle edge, so walk extension always jumps to the partner of
-    the vertex just entered.
-    """
-    found: dict[tuple[int, ...], Blossom] = {}
-
-    def canonical(path: tuple[int, ...]) -> tuple[int, ...]:
-        rev = (path[0],) + tuple(reversed(path[1:]))
-        return min(path, rev)
-
-    for base_v in range(g.n):
-        heavy_of_base = partner.get(base_v)
-        path = [base_v]
-        visited = {base_v}
-
-        def walk() -> None:
-            cur = path[-1]
-            for w in g.neighbors(cur):
-                budget.spend()
-                if w == base_v and len(path) >= 3:
-                    # closing edge is light: cur's heavy partner is path[-2]
-                    key = canonical(tuple(path))
-                    found.setdefault(key, Blossom(key))
-                    continue
-                if w in visited:
-                    continue
-                pw = partner.get(w)
-                if pw is None or pw in visited or pw == base_v:
-                    continue
-                visited.add(w)
-                visited.add(pw)
-                path.append(w)
-                path.append(pw)
-                walk()
-                path.pop()
-                path.pop()
-                visited.discard(w)
-                visited.discard(pw)
-
-        for x1 in g.neighbors(base_v):
-            budget.spend()
-            if x1 == heavy_of_base:
-                continue
-            x2 = partner.get(x1)
-            if x2 is None or x2 == base_v:
-                continue
-            visited.update((x1, x2))
-            path.extend((x1, x2))
-            walk()
-            path[:] = [base_v]
-            visited.clear()
-            visited.add(base_v)
-
-    blossoms = [found[key] for key in found]
-    blossoms.sort(key=lambda b: (len(b.cycle), b.cycle))
-    return blossoms
-
-
-def find_blossoms(g: Graph, m: Iterable[Edge]) -> tuple[Blossom, ...]:
-    """Every blossom relative to m, in deterministic order."""
-    m = validate_matching(g, m)
-    return tuple(_collect_blossoms(g, partner_map(m), _Budget()))
-
-
 def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     """Whether some blossom exists relative to the matching m.
 
@@ -396,10 +248,6 @@ def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
     return False
 
 
-def is_blossom_free(g: Graph, m: Iterable[Edge]) -> bool:
-    return not has_blossom(g, m)
-
-
 def _require_maximum(g: Graph, m: Matching) -> list[int]:
     """Berge: m is maximum exactly when no exposed vertex starts an
     augmenting path, so one failed search per exposed vertex proves it.
@@ -423,7 +271,10 @@ def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
     path, so Edmonds' search from there marks them all outer and some
     light cycle edge joins two outer vertices.
     """
-    match = _require_maximum(g, validate_matching(g, m))
+    return _has_flower(g, _require_maximum(g, validate_matching(g, m)))
+
+
+def _has_flower(g: Graph, match: list[int]) -> bool:
     return any(match[r] == -1 and _closes_odd_cycle(g, match, r) for r in range(g.n))
 
 
@@ -458,7 +309,10 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     augmenting path s b1 ... b2 t, and with s and t the only reachable
     exposed vertices one Edmonds search from s decides whether one exists.
     """
-    match = _require_maximum(g, validate_matching(g, m))
+    return _has_posy(g, _require_maximum(g, validate_matching(g, m)))
+
+
+def _has_posy(g: Graph, match: list[int]) -> bool:
     bases = [
         r for r in range(g.n) if match[r] != -1 and _closes_blossom_at(g, match, r)
     ]
@@ -470,134 +324,22 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     return _augment_from(Graph(g.n + 2, edges), s, match + [-1, -1])
 
 
-def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
-    """A flower relative to the maximum matching m, or None.
-
-    The search is exhaustive: a None answer means no blossom has an even
-    alternating stem to an exposed vertex (a base that is itself exposed
-    counts, with the trivial stem).
-    """
-    m = validate_matching(g, m)
-    _require_maximum(g, m)
-    exposed = exposed_vertices(g, m)
-    if not exposed:
-        return None
-    partner = partner_map(m)
-    budget_box = _Budget()
-    for blossom in _collect_blossoms(g, partner, budget_box):
-        if blossom.base in exposed:
-            return Flower(blossom, (blossom.base,))
-        stem = _find_stem(g, partner, blossom, budget_box)
-        if stem is not None:
-            return Flower(blossom, stem)
-    return None
-
-
-def _find_stem(
-    g: Graph, partner: Mapping[int, int], blossom: Blossom, budget: _Budget
-) -> tuple[int, ...] | None:
-    """Even alternating path base -heavy- ... -light- exposed, meeting the
-    blossom only at the base."""
-    base = blossom.base
-    block = blossom.vertex_set
-    start = partner.get(base)
-    if start is None or start in block:
-        return None
-    path = [base, start]
-    visited = {base, start}
-
-    def dfs() -> bool:
-        cur = path[-1]  # entered on a heavy edge; an odd prefix so far
-        for w in g.neighbors(cur):
-            budget.spend()
-            if w in visited or w in block:
-                continue
-            pw = partner.get(w)
-            if pw is None:
-                path.append(w)  # light edge to an exposed vertex: even stem
-                return True
-            if pw in visited or pw in block:
-                continue
-            visited.add(w)
-            visited.add(pw)
-            path.append(w)
-            path.append(pw)
-            if dfs():
-                return True
-            path.pop()
-            path.pop()
-            visited.discard(w)
-            visited.discard(pw)
-        return False
-
-    if dfs():
-        return tuple(path)
-    return None
-
-
-def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
-    """A posy relative to the maximum matching m, or None.
-
-    The joining path is any simple odd alternating path between two blossom
-    bases whose first and last edges are heavy; the two blossoms need not be
-    disjoint from each other.
-    """
-    m = validate_matching(g, m)
-    _require_maximum(g, m)
-    partner = partner_map(m)
-    budget_box = _Budget()
-    blossoms = _collect_blossoms(g, partner, budget_box)
-    if not blossoms:
-        return None
-    first_at_base: dict[int, Blossom] = {}
-    for b in blossoms:
-        first_at_base.setdefault(b.base, b)
-
-    for b1 in sorted(first_at_base):
-        start = partner.get(b1)
-        if start is None:
-            continue  # an exposed base cannot anchor a heavy first edge
-        path = [b1, start]
-        visited = {b1, start}
-
-        def dfs() -> bool:
-            cur = path[-1]  # entered on a heavy edge; odd path length
-            if cur in first_at_base and cur != b1:
-                return True
-            for w in g.neighbors(cur):
-                budget_box.spend()
-                if w in visited:
-                    continue
-                pw = partner.get(w)
-                if pw is None or pw in visited:
-                    continue
-                visited.add(w)
-                visited.add(pw)
-                path.append(w)
-                path.append(pw)
-                if dfs():
-                    return True
-                path.pop()
-                path.pop()
-                visited.discard(w)
-                visited.discard(pw)
-            return False
-
-        if dfs():
-            end = path[-1]
-            return Posy(first_at_base[b1], first_at_base[end], tuple(path))
-    return None
+def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
+    """has_flower and has_posy of the maximum matching m, with m validated
+    and proved maximum once for both."""
+    match = _require_maximum(g, validate_matching(g, m))
+    return _has_flower(g, match), _has_posy(g, match)
 
 
 # -- brute-force enumeration oracle ------------------------------------------
 
 
-def enumerate_maximum_matchings(
-    g: Graph, cap: int | None = None
-) -> tuple[Matching, ...]:
+def enumerate_maximum_matchings(g: Graph) -> tuple[Matching, ...]:
     """All maximum matchings by exhaustive recursion; a desk-scale oracle."""
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "maximum-matching enumeration")
-    target = brute_max_matching_size(g, cap=cap)
+    from .bruteforce import brute_max_matching_size  # bruteforce imports this module
+
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching enumeration")
+    target = brute_max_matching_size(g)
     edges = sorted(g.edges)
     results: list[Matching] = []
     acc: list[Edge] = []

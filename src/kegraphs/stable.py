@@ -2,8 +2,8 @@
 
 The stability number comes from a bitmask branch-and-bound; the full
 family of maximum stable sets from a pruned depth-first enumeration over
-vertices in ascending order.  Both refuse inputs above the configured
-caps.  The certificate check and the matching-driven extension replace
+vertices in ascending order.  Both refuse inputs above the fixed caps in
+limits.  The certificate check and the matching-driven extension replace
 enumeration for Koenig-Egervary inputs: a stable set is maximum exactly
 when it contains every exposed vertex and one endpoint of each heavy
 edge, and in the blossom-free perfect-matching case any excluded vertex
@@ -25,9 +25,9 @@ from .matching import (
 )
 
 
-def stability_number(g: Graph, cap: int | None = None) -> int:
+def stability_number(g: Graph) -> int:
     """Size of a largest stable set."""
-    check_cap(g.n, cap, DEFAULT_ALPHA_CAP, "stability number")
+    check_cap(g.n, DEFAULT_ALPHA_CAP, "stability number")
     return _alpha_mask(g, g.full_mask)
 
 
@@ -91,9 +91,9 @@ class StableSetFamily:
         return iter(self.sets)
 
 
-def maximum_stable_sets(g: Graph, cap: int | None = None) -> StableSetFamily:
+def maximum_stable_sets(g: Graph) -> StableSetFamily:
     """Enumerate every maximum stable set, in lexicographic order."""
-    check_cap(g.n, cap, DEFAULT_OMEGA_CAP, "maximum-stable-set enumeration")
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-stable-set enumeration")
     n = g.n
     alpha = _alpha_mask(g, g.full_mask)
     masks = g._masks  # noqa: SLF001
@@ -278,9 +278,7 @@ def _as_mask(vs: Iterable[int]) -> int:
     return mask
 
 
-def stability_after_adding_edge(
-    g: Graph, e: Edge, cap: int | None = None
-) -> int:
+def stability_after_adding_edge(g: Graph, e: Edge) -> int:
     """Stability number of the graph with one extra edge."""
     u, v = normalize_edge(int(e[0]), int(e[1]))
-    return stability_number(g.with_edge(u, v), cap=cap)
+    return stability_number(g.with_edge(u, v))

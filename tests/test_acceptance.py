@@ -31,7 +31,7 @@ from kegraphs.constructions import (
     random_graph,
 )
 from kegraphs.graph import neighborhood
-from kegraphs.matching import is_blossom_free, matching_number, maximum_matching
+from kegraphs.matching import has_blossom, matching_number, maximum_matching
 from kegraphs.stable import (
     core_report,
     maximum_stable_sets,
@@ -89,7 +89,7 @@ def test_criterion_1_fixture_exactness():
         problems.append("three-vertex path expectations failed")
 
     g3 = fixture_by_name("fig3_nonstable").graph
-    if is_blossom_free(g3, maximum_matching(g3)):
+    if not has_blossom(g3, maximum_matching(g3)):
         problems.append("the eight-vertex pm fixture became blossom-free")
     if not (stability_number(g3) == 4 and stability_after_adding_edge(g3, (0, 4)) == 3):
         problems.append("edge addition on the pm fixture did not drop alpha to 3")

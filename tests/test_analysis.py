@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import kegraphs
-from kegraphs import matching, verify
+from kegraphs import bruteforce, matching, verify
 from kegraphs.analysis import (
     ArithmeticVerdict,
     BipartiteZeroCoreVerdict,
@@ -300,7 +300,7 @@ def test_full_report_never_enters_the_exhaustive_walker(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the exhaustive blossom walker was entered")
 
-    monkeypatch.setattr(matching, "_collect_blossoms", refuse)
+    monkeypatch.setattr(bruteforce, "_collect_blossoms", refuse)
     assert [full_report(g).to_json_dict() for g in graphs] == expected
 
 
@@ -311,10 +311,29 @@ def test_structure_consistency_never_enters_the_walker(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the exhaustive blossom walker was entered")
 
-    monkeypatch.setattr(matching, "_collect_blossoms", refuse)
+    monkeypatch.setattr(bruteforce, "_collect_blossoms", refuse)
     got = verify.run_checks(corpus)
     assert got.table() == expected.table()
     assert got.checks["sterboul-structures"].applicable == len(corpus)
+
+
+def test_structure_consistency_proves_each_matching_maximum_once(monkeypatch):
+    calls = 0
+    original = matching._require_maximum
+
+    def counted(g, m):
+        nonlocal calls
+        calls += 1
+        return original(g, m)
+
+    monkeypatch.setattr(matching, "_require_maximum", counted)
+    all_checked = 0
+    for label, g in verify.connected_corpus(4, 10, 2, 9):
+        calls = 0
+        verdict = check_structure_consistency(Facts(g))
+        assert calls == 1 + verdict.all_matchings_checked, label
+        all_checked += verdict.all_matchings_checked
+    assert all_checked > 0
 
 
 def test_sterboul_row_decides_a_dense_16_vertex_graph():

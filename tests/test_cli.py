@@ -73,6 +73,14 @@ def test_analyze_cap_exceeded(capsys, tmp_path):
     assert code == 3 and "cap" in err
 
 
+def test_analyze_has_no_cap_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--cap", "16", str(FIXTURE_DIR / "p3.gr")])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "--cap" in err and "Traceback" not in err
+
+
 def test_verify_clean_run(capsys):
     code, out, _ = run_cli(capsys, "verify", "--seed", "7", "--count", "3",
                            "--n", "2..6")

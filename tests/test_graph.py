@@ -87,14 +87,14 @@ def test_delete_nothing_is_identity():
 
 def test_delete_on_the_eight_vertex_pm_fixture():
     from kegraphs.bruteforce import brute_max_matching_size, brute_stability_number
-    from kegraphs.matching import is_blossom_free, maximum_matching
+    from kegraphs.matching import has_blossom, maximum_matching
 
     g = fixture_by_name("fig3_nonstable").graph
     # deleting the second top/bottom pair leaves a 6-vertex caterpillar tree,
     # blossom-free but with unequal stability and matching numbers
     h = delete_vertices(g, {1, 2})
     assert h.n == 6 and h.m == 5 and is_connected(h)
-    assert is_blossom_free(h, maximum_matching(h))
+    assert not has_blossom(h, maximum_matching(h))
     assert brute_stability_number(h) != brute_max_matching_size(h)
     # other same-column deletions merely shrink the graph
     assert delete_vertices(g, {1, 5}).n == 6

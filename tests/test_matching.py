@@ -3,7 +3,13 @@ import random
 
 import pytest
 
-from kegraphs.bruteforce import brute_max_matching_size
+from kegraphs.bruteforce import (
+    SearchBudgetExceededError,
+    brute_max_matching_size,
+    find_blossoms,
+    find_flower,
+    find_posy,
+)
 from kegraphs.constructions import (
     FIG2_M1,
     FIG2_M2,
@@ -17,19 +23,13 @@ from kegraphs.constructions import (
     random_tree,
 )
 from kegraphs.graph import Graph, GraphError
-from kegraphs.limits import CapExceededError, SearchBudgetExceededError
+from kegraphs.limits import CapExceededError
 from kegraphs.matching import (
     enumerate_maximum_matchings,
     exposed_vertices,
-    find_blossoms,
-    find_flower,
-    find_posy,
     has_blossom,
     has_flower,
     has_posy,
-    is_blossom_free,
-    is_near_perfect_matching,
-    is_perfect_matching,
     matching_number,
     maximum_matching,
     partner_map,
@@ -121,11 +121,11 @@ def test_exposed_vertices():
 
 
 def test_perfect_and_near_perfect():
-    assert is_perfect_matching(cycle(4), [(0, 1), (2, 3)])
-    assert is_near_perfect_matching(path(3), [(0, 1)])
+    assert len(exposed_vertices(cycle(4), [(0, 1), (2, 3)])) == 0
+    assert len(exposed_vertices(path(3), [(0, 1)])) == 1
     one_edge = [(0, 2)]
-    assert not is_perfect_matching(K4_MINUS_E, one_edge)
-    assert not is_near_perfect_matching(K4_MINUS_E, one_edge)
+    assert len(exposed_vertices(K4_MINUS_E, one_edge)) != 0
+    assert len(exposed_vertices(K4_MINUS_E, one_edge)) != 1
 
 
 def test_unique_five_cycle_blossom_and_its_base():
@@ -138,8 +138,8 @@ def test_unique_five_cycle_blossom_and_its_base():
     assert blossom_is_valid(g2, FIG2_M1, b)
     # same cycle, other maximum matching: not a blossom
     assert find_blossoms(g2, FIG2_M2) == ()
-    assert is_blossom_free(g2, FIG2_M2)
-    assert not is_blossom_free(g2, FIG2_M1)
+    assert not has_blossom(g2, FIG2_M2)
+    assert has_blossom(g2, FIG2_M1)
 
 
 def test_bipartite_graphs_have_no_blossoms():
@@ -198,14 +198,14 @@ def test_blossoms_relative_to_non_maximum_matchings():
 
 def test_pm_fixture_is_not_blossom_free():
     g3 = fixture_by_name("fig3_nonstable").graph
-    assert not is_blossom_free(g3, FIG3_PM)
+    assert has_blossom(g3, FIG3_PM)
 
 
 def test_forests_are_blossom_free():
     rng = random.Random(31)
     for _ in range(20):
         g = random_tree(rng.randint(1, 10), rng.randrange(1 << 30))
-        assert is_blossom_free(g, maximum_matching(g))
+        assert not has_blossom(g, maximum_matching(g))
 
 
 def test_flower_absent_under_perfect_matchings():
@@ -327,7 +327,7 @@ def test_enumeration_respects_the_cap():
 
 
 def test_search_budget_is_enforced(monkeypatch):
-    monkeypatch.setattr("kegraphs.matching.DEFAULT_SEARCH_BUDGET", 50)
+    monkeypatch.setattr("kegraphs.bruteforce.DEFAULT_SEARCH_BUDGET", 50)
     g = complete(12)
     with pytest.raises(SearchBudgetExceededError):
         find_blossoms(g, maximum_matching(g))

@@ -12,7 +12,7 @@ from kegraphs.bruteforce import (
 )
 from kegraphs.constructions import cycle, fixture_by_name, path, random_graph
 from kegraphs.graph import Graph, GraphError
-from kegraphs.limits import CapExceededError
+from kegraphs.limits import CapExceededError, DEFAULT_ALPHA_CAP
 from kegraphs.matching import maximum_matching
 from kegraphs.stable import (
     ExtensionBlockedError,
@@ -183,4 +183,4 @@ def test_caps_are_enforced():
         maximum_stable_sets(Graph(17))
     with pytest.raises(CapExceededError):
         brute_stable_sets(Graph(17))
-    assert stability_number(Graph(21), cap=21) == 21
+    assert stability_number(Graph(DEFAULT_ALPHA_CAP)) == DEFAULT_ALPHA_CAP
