@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: analyze graph files into JSON reports, verify the structural
-claims over seeded random corpora, generate graphs and fixtures, and dump
-the named fixtures.  Exit codes: 0 success, 1 verification violation,
-2 parse/usage error, 3 cap exceeded.
+claims over seeded random corpora, generate graphs (`generate --help` lists
+the kinds) and dump the named fixtures.  Exit codes: 0 success, 1
+verification violation, 2 usage, parse or I/O error (reading a graph file or
+writing --out), 3 cap exceeded, 4 internal cross-check failed (a bug).
 
 All randomness flows from --seed; no invocation reads the clock or OS
 entropy, so identical invocations produce identical bytes.
@@ -19,14 +20,16 @@ from pathlib import Path
 
 from . import constructions, verify
 from .analysis import full_report
-from .edgefile import GraphFormatError, format_graph, parse_graph
+from .edgefile import GraphFormatError, format_graph, read_graph, write_graph
 from .graph import Graph, GraphError
-from .limits import CapExceededError
+from .limits import DEFAULT_OMEGA_CAP, CapExceededError, check_cap
+from .matching import maximum_matching
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 def _parse_range(text: str) -> tuple[int, int]:
@@ -42,6 +45,41 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _bullet_kp(args) -> Graph:
+    named = {"c4": constructions.cycle(4), "k2": constructions.complete(2),
+             "p4": constructions.path(4)}
+    base = named.get(args.base.lower()) or read_graph(args.base)
+    p = int(args.p)
+    if args.attach is not None:
+        attach = tuple(args.attach) if p <= 2 else args.attach[0]
+    else:
+        attach = min(maximum_matching(base), default=None) if p <= 2 else 0
+    return constructions.bullet_kp(base, p, attach)
+
+
+# kind -> (the options it needs, builder)
+GENERATORS = {
+    "fixture": (("name",), lambda a: constructions.fixture_by_name(a.name).graph),
+    "path": (("--n",), lambda a: constructions.path(a.n)),
+    "cycle": (("--n",), lambda a: constructions.cycle(a.n)),
+    "complete": (("--n",), lambda a: constructions.complete(a.n)),
+    "complete-bipartite": (("--a", "--b"), lambda a: (
+        constructions.complete_bipartite(a.a, a.b))),
+    "random-graph": (("--n", "--seed"), lambda a: (
+        constructions.random_graph(a.n, a.p, a.seed))),
+    "random-connected": (("--n", "--seed"), lambda a: (
+        constructions.random_connected_graph(a.n, a.p, a.seed))),
+    "random-tree": (("--n", "--seed"), lambda a: constructions.random_tree(a.n, a.seed)),
+    "random-bipartite": (("--n1", "--n2", "--seed"), lambda a: (
+        constructions.random_bipartite(a.n1, a.n2, a.p, a.seed))),
+    "random-bipartite-pm": (("--side", "--seed"), lambda a: (
+        constructions.random_bipartite_with_pm(a.side, a.extra, a.seed))),
+    "non-ke-family": (("--n",), lambda a: (
+        constructions.non_ke_alpha_plus_family(a.n, a.variant))),
+    "bullet-kp": ((), _bullet_kp),
+}
+
+
 # Built on first use and then reused: a build takes about 1 ms (a terminal
 # size probe per argument), a tenth of analyzing one 16-vertex graph.
 @functools.cache
@@ -55,7 +93,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="analyze edge-list files")
     p_analyze.add_argument("paths", nargs="+", help="graph files (p/e format)")
     p_analyze.add_argument("--out", default=None, help="write reports here")
-    p_analyze.add_argument("--format", choices=["json"], default="json")
 
     p_verify = sub.add_parser("verify", help="cross-validate the structural claims")
     p_verify.add_argument("--seed", type=int, required=True)
@@ -70,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="inject a failing check to exercise the harness")
 
     p_generate = sub.add_parser("generate", help="emit graphs in the edge-list format")
-    p_generate.add_argument("kind", help="generator or 'fixture'")
+    p_generate.add_argument("kind", choices=GENERATORS, help="generator")
     p_generate.add_argument("name", nargs="?", default=None,
                             help="fixture name when kind is 'fixture'")
     p_generate.add_argument("--seed", type=int, default=None)
@@ -106,12 +143,7 @@ def cmd_analyze(args) -> int:
     docs = []
     for path in args.paths:
         try:
-            text = Path(path).read_text(encoding="utf-8")
-        except OSError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        try:
-            g = parse_graph(text)
+            g = read_graph(path)
         except GraphFormatError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
@@ -120,8 +152,7 @@ def cmd_analyze(args) -> int:
         except CapExceededError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_CAP
-        doc = {"source": path}
-        doc.update(report.to_json_dict())
+        doc = {"source": path, **report.to_json_dict()}
         docs.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     _emit("".join(d + "\n" for d in docs), args.out)
     return EXIT_OK
@@ -129,11 +160,12 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     lo, hi = args.n
-    if args.corpus == "general":
-        graphs = verify.connected_corpus(args.seed, args.count, lo, hi)
-    else:
-        graphs = verify.bipartite_corpus(args.seed, args.count, hi)
     try:
+        check_cap(hi, DEFAULT_OMEGA_CAP, "--n")
+        if args.corpus == "general":
+            graphs = verify.connected_corpus(args.seed, args.count, lo, hi)
+        else:
+            graphs = verify.bipartite_corpus(args.seed, args.count, hi)
         summary = verify.run_checks(graphs, inject_failure=args.self_test)
     except CapExceededError as exc:
         print(f"verify: {exc}", file=sys.stderr)
@@ -143,87 +175,19 @@ def cmd_verify(args) -> int:
         for failure in summary.checks[name].failures:
             lines.append(f"FAILURE [{name}] {failure}")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _emit(text, args.out)
+    sys.stdout.write(text)
     return EXIT_OK if summary.violations == 0 else EXIT_VIOLATION
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise GraphError(message)
-
-
-_BULLET_BASES = {
-    "c4": lambda: constructions.cycle(4),
-    "k2": lambda: constructions.complete(2),
-    "p4": lambda: constructions.path(4),
-}
-
-
-def _generate_graph(args) -> Graph:
-    kind = args.kind
-    need_seed = kind.startswith("random-")
-    _require(not (need_seed and args.seed is None), f"{kind} requires --seed")
-    if kind == "fixture":
-        _require(args.name is not None, "fixture kind needs a fixture name")
-        return constructions.fixture_by_name(args.name).graph
-    if kind == "path":
-        _require(args.n is not None, "path needs --n")
-        return constructions.path(args.n)
-    if kind == "cycle":
-        _require(args.n is not None, "cycle needs --n")
-        return constructions.cycle(args.n)
-    if kind == "complete":
-        _require(args.n is not None, "complete needs --n")
-        return constructions.complete(args.n)
-    if kind == "complete-bipartite":
-        _require(args.a is not None and args.b is not None,
-                 "complete-bipartite needs --a and --b")
-        return constructions.complete_bipartite(args.a, args.b)
-    if kind == "random-graph":
-        _require(args.n is not None, "random-graph needs --n")
-        return constructions.random_graph(args.n, args.p, args.seed)
-    if kind == "random-connected":
-        _require(args.n is not None, "random-connected needs --n")
-        return constructions.random_connected_graph(args.n, args.p, args.seed)
-    if kind == "random-tree":
-        _require(args.n is not None, "random-tree needs --n")
-        return constructions.random_tree(args.n, args.seed)
-    if kind == "random-bipartite":
-        _require(args.n1 is not None and args.n2 is not None,
-                 "random-bipartite needs --n1 and --n2")
-        return constructions.random_bipartite(args.n1, args.n2, args.p, args.seed)
-    if kind == "random-bipartite-pm":
-        _require(args.side is not None, "random-bipartite-pm needs --side")
-        return constructions.random_bipartite_with_pm(args.side, args.extra, args.seed)
-    if kind == "non-ke-family":
-        _require(args.n is not None, "non-ke-family needs --n")
-        return constructions.non_ke_alpha_plus_family(args.n, args.variant)
-    if kind == "bullet-kp":
-        base_key = args.base.lower()
-        if base_key in _BULLET_BASES:
-            base = _BULLET_BASES[base_key]()
-        else:
-            base = parse_graph(Path(args.base).read_text(encoding="utf-8"))
-        p = int(args.p)
-        _require(p >= 1, "bullet-kp needs --p >= 1")
-        if args.attach is not None:
-            attach = tuple(args.attach) if p <= 2 else args.attach[0]
-        elif p <= 2:
-            from .matching import maximum_matching
-
-            attach = min(maximum_matching(base))
-        else:
-            attach = 0
-        return constructions.bullet_kp(base, p, attach)
-    raise GraphError(f"unknown generator kind {kind!r}")
-
-
 def cmd_generate(args) -> int:
+    needs, build = GENERATORS[args.kind]
     try:
-        g = _generate_graph(args)
-    except (GraphError, GraphFormatError, KeyError, OSError) as exc:
+        if any(getattr(args, opt.lstrip("-")) is None for opt in needs):
+            raise GraphError(f"{args.kind} needs {' and '.join(needs)}")
+        g = build(args)
+    except (GraphError, GraphFormatError, KeyError) as exc:
         print(f"generate: {exc}", file=sys.stderr)
         return EXIT_PARSE
     _emit(format_graph(g), args.out)
@@ -236,7 +200,7 @@ def cmd_fixtures(args) -> int:
     rows = []
     for f in constructions.fixtures():
         path = target / f"{f.name}.gr"
-        path.write_text(format_graph(f.graph), encoding="utf-8")
+        write_graph(path, f.graph)
         rows.append(f"{f.name:<18} n={f.graph.n:<3} m={f.graph.m:<3} -> {path}")
     sys.stdout.write("\n".join(rows) + "\n")
     return EXIT_OK
@@ -250,13 +214,21 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--count must be at least 1")
         if args.corpus == "bipartite" and args.n[1] < 2:
             parser.error("the bipartite corpus needs --n with HI >= 2")
-    if args.command == "analyze":
-        return cmd_analyze(args)
-    if args.command == "verify":
-        return cmd_verify(args)
-    if args.command == "generate":
-        return cmd_generate(args)
-    return cmd_fixtures(args)
+    # Dispatch through the module names, so that rebinding cmd_* reaches it.
+    try:
+        if args.command == "analyze":
+            return cmd_analyze(args)
+        if args.command == "verify":
+            return cmd_verify(args)
+        if args.command == "generate":
+            return cmd_generate(args)
+        return cmd_fixtures(args)
+    except OSError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except AssertionError as exc:  # TheoremViolationError among them
+        print(f"{args.command}: internal cross-check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -356,12 +356,13 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     return Graph(n, edges)
 
 
-def random_connected_graph(
-    n: int, edge_prob: float, seed: int, max_tries: int = 10_000
-) -> Graph:
+CONNECTED_SAMPLE_TRIES = 10_000
+
+
+def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Rejection-sample random graphs until one is connected."""
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(CONNECTED_SAMPLE_TRIES):
         edges = [
             (i, j)
             for i in range(n)
@@ -372,7 +373,7 @@ def random_connected_graph(
         if is_connected(g):
             return g
     raise GraphError(
-        f"no connected sample after {max_tries} tries (n={n}, p={edge_prob})"
+        f"no connected sample after {CONNECTED_SAMPLE_TRIES} tries (n={n}, p={edge_prob})"
     )
 
 

@@ -83,8 +83,16 @@ def format_graph(g: Graph) -> str:
 
 
 def read_graph(path: str | os.PathLike) -> Graph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+    """Parse the file at `path`; a byte that is not UTF-8 is a
+    GraphFormatError on its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise GraphFormatError(line_no, "not UTF-8 text") from None
+    return parse_graph(text)
 
 
 def write_graph(path: str | os.PathLike, g: Graph) -> None:

@@ -164,6 +164,11 @@ def _check_extension(f: Facts) -> str | None:
     return None
 
 
+def _connected_ke(f: Facts) -> bool:
+    """The scope of the anticore, alpha-plus and core-lower-bound verdicts."""
+    return f.is_ke and f.connected and f.graph.n >= 2
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -196,15 +201,15 @@ CHECKS: tuple[Check, ...] = (
           lambda f: f.is_ke, _verdict(analysis.check_near_perfect_necessity)),
     Check("anticore-empty-criterion",
           "empty anticore iff perfect matching and blossom-free",
-          lambda f: f.is_ke and f.connected and f.graph.n >= 2,
+          _connected_ke,
           _verdict(analysis.check_anticore_empty_criterion)),
     Check("alpha-plus-pm-criterion",
           "stability by definition iff perfect matching and anticore <= 1",
-          lambda f: f.is_ke and f.connected and f.graph.n >= 2,
+          _connected_ke,
           _verdict(analysis.check_alpha_plus_pm_criterion)),
     Check("alpha-plus-three-routes",
           "definition, core sizes, and matching structure agree",
-          lambda f: f.is_ke and f.connected and f.graph.n >= 2,
+          _connected_ke,
           _verdict(analysis.check_alpha_plus_three_routes)),
     Check("core-anticore-duality",
           "N(core) equals anticore and is matched into the core",
@@ -218,7 +223,7 @@ CHECKS: tuple[Check, ...] = (
           _verdict(analysis.pendant_characterization)),
     Check("core-lower-bounds",
           "oversized alpha or unequal sides force core size >= 2",
-          lambda f: f.is_ke and f.connected and f.graph.n >= 2,
+          _connected_ke,
           _verdict(analysis.check_core_lower_bounds)),
     Check("ke-decomposition",
           "stable side * matched rest decomposition is valid",

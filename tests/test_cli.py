@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from kegraphs.cli import main
+from kegraphs import analysis, verify
+from kegraphs.cli import EXIT_INTERNAL, GENERATORS, main
 from kegraphs.constructions import complete_bipartite
 from kegraphs.edgefile import format_graph
 from kegraphs.graph import Graph
@@ -64,6 +65,60 @@ def test_analyze_missing_file(capsys):
     assert code == 2 and err
 
 
+def test_non_utf8_input_is_a_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.gr"
+    bad.write_bytes(b"p 2 1\ne 0 1\nc caf\xe9\n")
+    for argv in (("analyze", str(bad)),
+                 ("generate", "bullet-kp", "--base", str(bad), "--p", "3")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "line 3" in err and "UTF-8" in err and "Traceback" not in err
+
+
+def test_bullet_kp_on_an_edgeless_base_is_refused(capsys, tmp_path):
+    base = tmp_path / "k1.gr"
+    base.write_text("p 1 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "generate", "bullet-kp", "--base", str(base),
+                             "--p", "2")
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", str(FIXTURE_DIR / "p3.gr")),
+    ("verify", "--seed", "1", "--count", "1", "--n", "2..3"),
+    ("generate", "path", "--n", "3"),
+])
+def test_out_under_a_missing_directory(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith(f"{argv[0]}: ")
+
+
+def test_fixtures_out_naming_a_file(capsys, tmp_path):
+    existing = tmp_path / "taken"
+    existing.write_text("", encoding="utf-8")
+    code, out, err = run_cli(capsys, "fixtures", "--out", str(existing))
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("fixtures: ")
+
+
+def test_analyze_has_no_format_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--format", "json", str(FIXTURE_DIR / "p3.gr")])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2 and out == "" and "--format" in err
+
+
+def test_internal_cross_check_failure_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "check_ke_arithmetic",
+                        lambda f: analysis.ArithmeticVerdict(True, False, True))
+    code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "p3.gr"))
+    assert code == EXIT_INTERNAL == 4 and out == ""
+    assert err == "analyze: internal cross-check failed: KE arithmetic failed\n"
+
+
 def test_analyze_cap_exceeded(capsys, tmp_path):
     big = tmp_path / "k25.gr"
     code, _, _ = run_cli(capsys, "generate", "complete", "--n", "25",
@@ -101,6 +156,19 @@ def test_verify_cap_exceeded(capsys):
     assert code == 3
     assert out == ""
     assert len(err.splitlines()) == 1 and "cap" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("corpus", ["general", "bipartite"])
+def test_verify_refuses_an_order_above_the_cap_up_front(capsys, monkeypatch, corpus):
+    def refuse(*args):
+        raise RuntimeError("a corpus was built")
+
+    monkeypatch.setattr(verify, "connected_corpus", refuse)
+    monkeypatch.setattr(verify, "bipartite_corpus", refuse)
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--count", "1",
+                             "--n", "16..17", "--corpus", corpus)
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "cap 16" in err
 
 
 def test_verify_runs_up_to_the_enumeration_cap(capsys):
@@ -178,6 +246,20 @@ def test_generate_requires_seed_for_random_kinds(capsys):
 def test_generate_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "generate", "fixture", "nope")
     assert code == 2 and err
+
+
+def test_generate_help_lists_every_kind(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["generate", "--help"])
+    out, _ = capsys.readouterr()
+    assert exc.value.code == 0
+    assert "{" + ",".join(GENERATORS) + "}" in out
+
+
+def test_generate_names_the_options_a_kind_needs(capsys):
+    code, out, err = run_cli(capsys, "generate", "random-bipartite", "--n1", "3")
+    assert code == 2 and out == ""
+    assert err == "generate: random-bipartite needs --n1 and --n2 and --seed\n"
 
 
 def test_fixtures_command_writes_all_files(capsys, tmp_path):

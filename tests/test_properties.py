@@ -1,13 +1,20 @@
 """Metamorphic property tests: answers that must not change when the
-vertices of a graph are renamed.  They compare the package with itself
-on two labellings and share no code path with any brute-force oracle."""
+vertices of a graph are renamed or its edge file is reordered.  They
+compare the package with itself on two presentations of one graph and
+share no code path with any brute-force oracle."""
 
+import contextlib
+import io
 import itertools
+import os
+import tempfile
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kegraphs.analysis import Facts, check_structure_consistency
+from kegraphs.cli import main
+from kegraphs.edgefile import format_graph, parse_graph
 from kegraphs.graph import Graph, normalize_edge
 from kegraphs.matching import enumerate_maximum_matchings, has_flower, has_posy
 
@@ -55,3 +62,51 @@ def test_structure_verdict_survives_relabelling(data):
     # when the graph is not KE.
     if not v.flower_found:
         assert w.posy_found == v.posy_found
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_edge_file_round_trip(data):
+    g, _ = data.draw(relabelled_graphs())
+    text = format_graph(g)
+    assert parse_graph(text) == g
+    assert format_graph(parse_graph(text)) == text
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_graph_invariants_survive_relabelling(data):
+    g, perm = data.draw(relabelled_graphs())
+    f, h = Facts(g), Facts(Graph(g.n, _relabel(g.edges, perm)))
+    assert (h.alpha, h.mu, h.is_ke) == (f.alpha, f.mu, f.is_ke)
+    assert (h.core.core_size, h.core.anticore_size) == (
+        f.core.core_size, f.core.anticore_size
+    )
+
+
+def _analyze_stdout(path: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", path]) == 0
+    return out.getvalue()
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_analyze_bytes_survive_shuffled_edge_lines_and_comments(data):
+    g, _ = data.draw(relabelled_graphs(max_n=8))
+    header, *edge_lines = format_graph(g).splitlines()
+    lines = data.draw(st.permutations(edge_lines))
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.integers(0, len(lines)))
+        lines.insert(at, data.draw(st.sampled_from(["c", "c note", "", "  c x"])))
+    # The p line comes first among the non-comment lines; comments may precede it.
+    lines = data.draw(st.sampled_from([[], ["c head"]])) + [header] + lines
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "g.gr")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(format_graph(g))
+        expected = _analyze_stdout(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        assert _analyze_stdout(path) == expected
