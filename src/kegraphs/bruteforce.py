@@ -95,18 +95,18 @@ def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
     return sorted(sets, key=sorted)
 
 
-def brute_stable_sets(g: Graph) -> list[frozenset[int]]:
-    """Every stable set, the empty one included, by a full include/exclude
-    recursion: each vertex is first left out, then taken when no chosen
-    neighbor bans it."""
+def brute_stable_sets(g: Graph) -> list[int]:
+    """Every stable set as a vertex bitmask (bit v set iff v is in the set),
+    the empty one included, by a full include/exclude recursion: each
+    vertex is first left out, then taken when no chosen neighbor bans it."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set scan")
     n = g.n
     masks = [g.adjacency_mask(v) for v in g.vertices()]
-    out: list[frozenset[int]] = []
+    out: list[int] = []
 
     def rec(v: int, chosen: int, banned: int) -> None:
         if v == n:
-            out.append(frozenset(u for u in range(n) if chosen >> u & 1))
+            out.append(chosen)
             return
         rec(v + 1, chosen, banned)
         if not banned >> v & 1:

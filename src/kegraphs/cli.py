@@ -46,10 +46,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _bullet_kp(args) -> Graph:
+    # --p is a float option (an edge probability for the random kinds)
+    if not args.p.is_integer():
+        raise GraphError(f"bullet-kp needs a whole clique order --p, got {args.p:g}")
+    p = int(args.p)
     named = {"c4": constructions.cycle(4), "k2": constructions.complete(2),
              "p4": constructions.path(4)}
     base = named.get(args.base.lower()) or read_graph(args.base)
-    p = int(args.p)
     if args.attach is not None:
         attach = tuple(args.attach) if p <= 2 else args.attach[0]
     else:

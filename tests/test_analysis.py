@@ -44,7 +44,7 @@ from kegraphs.constructions import (
 )
 from kegraphs.graph import Graph, GraphError, neighborhood
 from kegraphs.limits import DEFAULT_OMEGA_CAP
-from kegraphs.stable import core_report, maximum_stable_sets
+from kegraphs.stable import StableSetFamily, core_report, maximum_stable_sets
 
 K4_MINUS_E = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -250,6 +250,64 @@ def test_ke_arithmetic_and_near_perfect():
 def test_certificate_equivalence_check():
     assert check_certificate_equivalence(Facts(K4_MINUS_E)).consistent
     assert check_certificate_equivalence(Facts(path(4))).consistent
+
+
+def _certificate_scan_per_pair(f):
+    """The literal certificate scan: one frozenset test per (stable set,
+    maximum matching) pair, in the order check_certificate_equivalence
+    counts them."""
+    g = f.graph
+    stable_sets = [frozenset(v for v in range(g.n) if s >> v & 1)
+                   for s in bruteforce.brute_stable_sets(g)]
+    members = set(f.family.sets)
+    exposed_by_matching = [
+        (m, frozenset(range(g.n)) - {v for e in m for v in e})
+        for m in f.maximum_matchings
+    ]
+    checked = 0
+    for s in stable_sets:
+        expected = s in members
+        for m, exposed in exposed_by_matching:
+            checked += 1
+            certified = exposed <= s and all((u in s) + (v in s) == 1 for u, v in m)
+            if certified != expected:
+                return CertificateVerdict(checked, False)
+    return CertificateVerdict(checked, True)
+
+
+def test_certificate_scan_agrees_with_the_per_pair_scan():
+    corpus = verify.bipartite_corpus(1, 200, 12) + verify.connected_corpus(1, 60, 2, 10)
+    ke = 0
+    for label, g in corpus:
+        f = Facts(g)
+        if f.is_ke:
+            ke += 1
+            assert check_certificate_equivalence(f) == _certificate_scan_per_pair(f), label
+    assert ke > 400
+
+
+@pytest.mark.parametrize("g", [cycle(4), cycle(6), path(4), complete_bipartite(3, 3)])
+def test_certificate_scans_agree_on_a_family_with_one_set_dropped(g):
+    family = maximum_stable_sets(g)
+    for drop in range(len(family)):
+        f = Facts(g)
+        f.family = StableSetFamily(
+            g.n, family.alpha, family.sets[:drop] + family.sets[drop + 1:]
+        )
+        verdict = check_certificate_equivalence(f)
+        assert not verdict.consistent
+        assert verdict == _certificate_scan_per_pair(f)
+
+
+def test_certificate_scans_agree_on_a_planted_non_matching_pair():
+    # (1, 2) is no edge of the star, so only the exposed-set test ({0, 3}
+    # lies in no stable set) rejects the member {1, 2, 3}: stable set 7 of
+    # the scan, against the fourth of four matchings
+    f = Facts(complete_bipartite(1, 3))
+    f.maximum_matchings += (frozenset({(1, 2)}),)
+    verdict = check_certificate_equivalence(f)
+    assert verdict == _certificate_scan_per_pair(f)
+    assert verdict == CertificateVerdict(7 * 4 + 3 + 1, False)
 
 
 def test_structure_consistency():

@@ -83,6 +83,18 @@ def test_bullet_kp_on_an_edgeless_base_is_refused(capsys, tmp_path):
     assert code == 2 and out == "" and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("p, message", [
+    ("2.7", "--p, got 2.7"),
+    ("0", "clique order must be positive"),
+], ids=["fraction", "zero"])
+def test_bullet_kp_refuses_a_clique_order_that_is_not_a_positive_integer(
+    capsys, p, message
+):
+    code, out, err = run_cli(capsys, "generate", "bullet-kp", "--p", p)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert message in err
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", str(FIXTURE_DIR / "p3.gr")),
     ("verify", "--seed", "1", "--count", "1", "--n", "2..3"),

@@ -1,7 +1,8 @@
 """Metamorphic property tests: answers that must not change when the
-vertices of a graph are renamed or its edge file is reordered.  They
-compare the package with itself on two presentations of one graph and
-share no code path with any brute-force oracle."""
+vertices of a graph are renamed or its edge file is reordered, and that
+must add up over a disjoint union.  They compare the package with itself
+on two presentations of one graph, or on a union and its parts, and share
+no code path with any brute-force oracle."""
 
 import contextlib
 import io
@@ -82,6 +83,20 @@ def test_graph_invariants_survive_relabelling(data):
     assert (h.core.core_size, h.core.anticore_size) == (
         f.core.core_size, f.core.anticore_size
     )
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_alpha_mu_core_and_anticore_add_over_a_disjoint_union(data):
+    g, _ = data.draw(relabelled_graphs(max_n=7))
+    h, _ = data.draw(relabelled_graphs(max_n=7))
+    shift = g.n
+    union = Graph(g.n + h.n, list(g.edges) + [(u + shift, v + shift) for u, v in h.edges])
+    f, fg, fh = Facts(union), Facts(g), Facts(h)
+    assert f.alpha == fg.alpha + fh.alpha
+    assert f.mu == fg.mu + fh.mu
+    assert f.core.core == fg.core.core | {v + shift for v in fh.core.core}
+    assert f.core.anticore == fg.core.anticore | {v + shift for v in fh.core.anticore}
 
 
 def _analyze_stdout(path: str) -> str:

@@ -45,7 +45,8 @@ def test_two_enumerators_agree():
         assert fam.alpha == brute_stability_number(g)
         assert list(fam.sets) == brute_max_stable_sets(g)
         assert all(is_stable_set(g, s) for s in fam.sets)
-        every = brute_stable_sets(g)
+        every = [frozenset(v for v in range(n) if bits >> v & 1)
+                 for bits in brute_stable_sets(g)]
         subsets = [frozenset(v for v in range(n) if bits >> v & 1)
                    for bits in range(1 << n)]
         assert len(set(every)) == len(every)
