@@ -2,10 +2,11 @@
 
 These are the independent second routes used by the test suite and the
 verification harness.  They share no algorithmic ideas with the
-production implementations they check: stable sets come from a full
-subset scan (or, for the list of every stable set, a full include/exclude
-recursion), the matching number from a bitmask recursion over covered
-vertices rather than an augmenting-path search.
+production implementations they check.  Every stable-set answer (every
+stable set, the maximum ones, the stability number) comes from one scan
+of the vertex subsets in increasing order, brute_stable_sets; the
+matching number comes from a bitmask recursion over covered vertices
+rather than an augmenting-path search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
@@ -41,79 +42,34 @@ def is_stable_set(g: Graph, xs) -> bool:
     return all(g.adjacency_mask(v) & mask == 0 for v in xs)
 
 
-def brute_stability_number(g: Graph) -> int:
-    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stability number")
-    masks = [g.adjacency_mask(v) for v in g.vertices()]
-    best = 0
-    for subset in range(1 << g.n):
-        size = subset.bit_count()
-        if size <= best:
-            continue
-        rest = subset
-        ok = True
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if masks[v] & subset:
-                ok = False
-                break
-            rest ^= low
-        if ok:
-            best = size
-    return best
+def brute_stable_sets(g: Graph) -> list[int]:
+    """Every stable set as a vertex bitmask (bit v set iff v is in the set),
+    the empty one included, in increasing order.  A set with highest vertex
+    v is stable iff it is a stable set below v plus v, and v has no neighbor
+    in it; each pass extends the sets found so far by the next vertex."""
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set scan")
+    out = [0]
+    for v in g.vertices():
+        nbrs = g.adjacency_mask(v)
+        out += [s | 1 << v for s in out if not nbrs & s]
+    return out
 
 
 def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
-    """All maximum stable sets via full subset scan, lexicographic order."""
-    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set enumeration")
-    masks = [g.adjacency_mask(v) for v in g.vertices()]
-    best = 0
-    found: list[int] = []
-    for subset in range(1 << g.n):
-        size = subset.bit_count()
-        if size < best:
-            continue
-        rest = subset
-        ok = True
-        while rest:
-            low = rest & -rest
-            v = low.bit_length() - 1
-            if masks[v] & subset:
-                ok = False
-                break
-            rest ^= low
-        if not ok:
-            continue
-        if size > best:
-            best = size
-            found = [subset]
-        else:
-            found.append(subset)
+    """The largest sets of brute_stable_sets, in lexicographic order."""
+    stable_sets = brute_stable_sets(g)
+    best = max(s.bit_count() for s in stable_sets)
     sets = [
-        frozenset(v for v in range(g.n) if subset >> v & 1) for subset in found
+        frozenset(v for v in range(g.n) if s >> v & 1)
+        for s in stable_sets
+        if s.bit_count() == best
     ]
     return sorted(sets, key=sorted)
 
 
-def brute_stable_sets(g: Graph) -> list[int]:
-    """Every stable set as a vertex bitmask (bit v set iff v is in the set),
-    the empty one included, by a full include/exclude recursion: each
-    vertex is first left out, then taken when no chosen neighbor bans it."""
-    check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set scan")
-    n = g.n
-    masks = [g.adjacency_mask(v) for v in g.vertices()]
-    out: list[int] = []
-
-    def rec(v: int, chosen: int, banned: int) -> None:
-        if v == n:
-            out.append(chosen)
-            return
-        rec(v + 1, chosen, banned)
-        if not banned >> v & 1:
-            rec(v + 1, chosen | 1 << v, banned | masks[v])
-
-    rec(0, 0, 0)
-    return out
+def brute_stability_number(g: Graph) -> int:
+    """The largest size among brute_stable_sets."""
+    return max(s.bit_count() for s in brute_stable_sets(g))
 
 
 def brute_max_matching_size(g: Graph) -> int:

@@ -4,7 +4,8 @@ Subcommands: analyze graph files into JSON reports, verify the structural
 claims over seeded random corpora, generate graphs (`generate --help` lists
 the kinds) and dump the named fixtures.  Exit codes: 0 success, 1
 verification violation, 2 usage, parse or I/O error (reading a graph file or
-writing --out), 3 cap exceeded, 4 internal cross-check failed (a bug).
+writing --out) or out of memory (a generated graph too large to build), 3
+cap exceeded, 4 internal cross-check failed (a bug).
 
 All randomness flows from --seed; no invocation reads the clock or OS
 entropy, so identical invocations produce identical bytes.
@@ -53,10 +54,13 @@ def _bullet_kp(args) -> Graph:
     named = {"c4": constructions.cycle(4), "k2": constructions.complete(2),
              "p4": constructions.path(4)}
     base = named.get(args.base.lower()) or read_graph(args.base)
-    if args.attach is not None:
-        attach = tuple(args.attach) if p <= 2 else args.attach[0]
-    else:
+    if args.attach is None:
         attach = min(maximum_matching(base), default=None) if p <= 2 else 0
+    elif len(args.attach) != (2 if p <= 2 else 1):
+        want = "an edge a b" if p <= 2 else "one vertex"
+        raise GraphError(f"bullet-kp --p {p} attaches to {want}, got --attach {args.attach}")
+    else:
+        attach = tuple(args.attach) if p <= 2 else args.attach[0]
     return constructions.bullet_kp(base, p, attach)
 
 
@@ -228,6 +232,9 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_fixtures(args)
     except OSError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    except MemoryError:
+        print(f"{args.command}: out of memory", file=sys.stderr)
         return EXIT_PARSE
     except AssertionError as exc:  # TheoremViolationError among them
         print(f"{args.command}: internal cross-check failed: {exc}", file=sys.stderr)

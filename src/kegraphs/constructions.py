@@ -114,7 +114,7 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
     if p <= 2:
         try:
             a, b = attach  # type: ignore[misc]
-        except TypeError:
+        except (TypeError, ValueError):
             raise GraphError("for p <= 2, attach must be an edge (a, b)") from None
         a, b = int(a), int(b)
         if not g.has_edge(a, b):

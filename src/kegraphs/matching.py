@@ -17,7 +17,8 @@ Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
 the oracle those tests are checked against, live in bruteforce.  The one
-exponential routine left here is enumerate_maximum_matchings.
+exponential routine left here is enumerate_maximum_matchings, which finds
+the maximum size itself, so this module needs no oracle.
 """
 
 from __future__ import annotations
@@ -335,21 +336,26 @@ def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
 
 
 def enumerate_maximum_matchings(g: Graph) -> tuple[Matching, ...]:
-    """All maximum matchings by exhaustive recursion; a desk-scale oracle."""
-    from .bruteforce import brute_max_matching_size  # bruteforce imports this module
+    """All maximum matchings by exhaustive recursion; a desk-scale oracle.
 
+    The recursion finds its own maximum: it keeps every matching of the
+    largest size seen so far, starts over when it meets a larger one, and
+    prunes a branch that cannot reach that size."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching enumeration")
-    target = brute_max_matching_size(g)
     edges = sorted(g.edges)
     results: list[Matching] = []
+    best = 0
     acc: list[Edge] = []
 
     def rec(start: int, covered: int) -> None:
-        if len(acc) == target:
+        nonlocal best
+        if len(acc) > best:
+            best = len(acc)
+            results.clear()
+        if len(acc) == best:
             results.append(frozenset(acc))
-            return
         free = g.n - covered.bit_count()
-        if len(acc) + min(free // 2, len(edges) - start) < target:
+        if len(acc) + min(free // 2, len(edges) - start) < best:
             return
         for i in range(start, len(edges)):
             u, v = edges[i]

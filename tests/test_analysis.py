@@ -42,6 +42,7 @@ from kegraphs.constructions import (
     random_bipartite,
     random_tree,
 )
+from kegraphs.edgefile import format_graph
 from kegraphs.graph import Graph, GraphError, neighborhood
 from kegraphs.limits import DEFAULT_OMEGA_CAP
 from kegraphs.stable import StableSetFamily, core_report, maximum_stable_sets
@@ -301,13 +302,13 @@ def test_certificate_scans_agree_on_a_family_with_one_set_dropped(g):
 
 def test_certificate_scans_agree_on_a_planted_non_matching_pair():
     # (1, 2) is no edge of the star, so only the exposed-set test ({0, 3}
-    # lies in no stable set) rejects the member {1, 2, 3}: stable set 7 of
+    # lies in no stable set) rejects the member {1, 2, 3}: stable set 8 of
     # the scan, against the fourth of four matchings
     f = Facts(complete_bipartite(1, 3))
     f.maximum_matchings += (frozenset({(1, 2)}),)
     verdict = check_certificate_equivalence(f)
     assert verdict == _certificate_scan_per_pair(f)
-    assert verdict == CertificateVerdict(7 * 4 + 3 + 1, False)
+    assert verdict == CertificateVerdict(8 * 4 + 3 + 1, False)
 
 
 def test_structure_consistency():
@@ -500,6 +501,35 @@ def test_full_report_hands_each_graph_to_each_oracle_once(oracle_calls):
         full_report(g)
         assert _repeated(oracle_calls) == [], sorted(g.edges)
         assert oracle_calls["maximum_stable_sets", g] == 1
+
+
+def test_run_checks_runs_each_brute_oracle_once_per_graph(monkeypatch):
+    counts = collections.Counter()
+    for name in ("brute_max_matching_size", "brute_max_stable_sets",
+                 "brute_stability_number"):
+        original = getattr(bruteforce, name)
+
+        def counted(g, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(g)
+
+        monkeypatch.setattr(bruteforce, name, counted)
+    corpus = verify.connected_corpus(1, 4, 2, 9)
+    assert verify.run_checks(corpus).violations == 0
+    assert counts == {"brute_max_matching_size": len(corpus),
+                      "brute_max_stable_sets": len(corpus)}
+
+
+def test_omega_oracle_catches_a_wrong_stability_number(monkeypatch):
+    true_alpha = kegraphs.analysis.stability_number
+    monkeypatch.setattr(kegraphs.analysis, "stability_number",
+                        lambda g: true_alpha(g) + 1)
+    summary = verify.run_checks([("c5", cycle(5))], ["omega-oracle"])
+    assert summary.violations == 1
+    assert summary.checks["omega-oracle"].failures == [
+        "c5: stability numbers differ between enumerators\n"
+        + format_graph(cycle(5)).rstrip()
+    ]
 
 
 def test_alpha_critical_pendants_share_equal_deletions(monkeypatch):

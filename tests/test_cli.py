@@ -95,6 +95,29 @@ def test_bullet_kp_refuses_a_clique_order_that_is_not_a_positive_integer(
     assert message in err
 
 
+@pytest.mark.parametrize("p, attach", [
+    ("1", ["0"]),
+    ("2", ["0", "1", "2"]),
+    ("3", ["0", "1"]),
+], ids=["edge-short", "edge-long", "vertex-long"])
+def test_bullet_kp_refuses_an_attach_of_the_wrong_length(capsys, p, attach):
+    # an edge (two values) for p <= 2, one vertex for p >= 3
+    code, out, err = run_cli(capsys, "generate", "bullet-kp", "--p", p,
+                             "--attach", *attach)
+    assert code == 2 and out == "" and len(err.splitlines()) == 1
+    assert err.startswith("generate: ") and "--attach" in err
+
+
+def test_out_of_memory_is_one_line_and_exit_2(capsys, monkeypatch):
+    def exhausted(n):
+        raise MemoryError
+
+    monkeypatch.setattr("kegraphs.constructions.path", exhausted)
+    code, out, err = run_cli(capsys, "generate", "path", "--n", "5")
+    assert code == 2 and out == ""
+    assert err == "generate: out of memory\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("analyze", str(FIXTURE_DIR / "p3.gr")),
     ("verify", "--seed", "1", "--count", "1", "--n", "2..3"),

@@ -176,6 +176,12 @@ def test_bullet_validation():
         bullet_kp(cycle(4), 2, 0)  # p <= 2 needs an edge
 
 
+@pytest.mark.parametrize("attach", [(0,), (0, 1, 2)])
+def test_bullet_validation_of_an_attach_tuple_of_the_wrong_length(attach):
+    with pytest.raises(GraphError, match="attach must be an edge"):
+        bullet_kp(cycle(4), 1, attach)
+
+
 def test_family_order_five_pendant_clique():
     g = non_ke_alpha_plus_family(5, 1)
     assert brute_stability_number(g) == 2

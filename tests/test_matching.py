@@ -1,8 +1,11 @@
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
+import kegraphs.matching
 from kegraphs.bruteforce import (
     SearchBudgetExceededError,
     brute_max_matching_size,
@@ -319,6 +322,34 @@ def test_all_maximum_matchings_enumeration():
         target = brute_max_matching_size(g)
         assert all(len(m) == target for m in ms)
         assert len(set(ms)) == len(ms) and len(ms) >= 1
+
+
+def test_enumerator_lists_every_largest_edge_subset_that_is_a_matching():
+    rng = random.Random(91)
+    for _ in range(60):
+        g = random_graph(rng.randint(0, 7), rng.random(), rng.randrange(1 << 30))
+        edges = sorted(g.edges)
+        g = Graph(g.n, rng.sample(edges, min(len(edges), 12)))
+        matchings = [
+            frozenset(sub)
+            for k in range(g.m + 1)
+            for sub in itertools.combinations(sorted(g.edges), k)
+            if len({v for e in sub for v in e}) == 2 * k
+        ]
+        largest = max(len(m) for m in matchings)
+        expected = sorted((m for m in matchings if len(m) == largest), key=sorted)
+        assert enumerate_maximum_matchings(g) == tuple(expected), sorted(g.edges)
+
+
+def test_matching_does_not_import_the_oracles():
+    tree = ast.parse(Path(kegraphs.matching.__file__).read_text(encoding="utf-8"))
+    named = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            named += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            named += [node.module or ""] + [alias.name for alias in node.names]
+    assert not [name for name in named if "bruteforce" in name]
 
 
 def test_enumeration_respects_the_cap():
