@@ -24,7 +24,6 @@ from .graph import (
 from .limits import CapExceededError, DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP
 from .edgefile import GraphFormatError, format_graph, parse_graph
 from .matching import (
-    enumerate_maximum_matchings,
     exposed_vertices,
     has_flower,
     has_posy,
@@ -81,7 +80,6 @@ __all__ = [
     "cut_edges",
     "decompose",
     "delete_vertices",
-    "enumerate_maximum_matchings",
     "exposed_vertices",
     "extend_stable_through_matching",
     "format_graph",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .bruteforce import brute_stable_sets
+from .bruteforce import brute_maximum_matchings, brute_stable_sets
 from .graph import (
     Edge,
     Graph,
@@ -45,7 +45,6 @@ from .graph import (
 )
 from .matching import (
     Matching,
-    enumerate_maximum_matchings,
     flower_and_posy,
     has_blossom,
     maximum_matching,
@@ -129,7 +128,7 @@ class Facts:
 
     @cached_property
     def maximum_matchings(self) -> tuple[Matching, ...]:
-        return enumerate_maximum_matchings(self.graph)
+        return brute_maximum_matchings(self.graph, self.mu)
 
     @cached_property
     def family(self) -> StableSetFamily:
@@ -318,34 +317,33 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     """A stable set s is maximum iff, for a maximum matching m, s holds
     every m-exposed vertex and exactly one endpoint of each m-edge.
 
-    One test per distinct (exposed set E(m), |m|), not per matching: s is
-    stable, so it holds at most one endpoint of each m-edge, and "exactly
-    one of each" is |s & V(m)| = |m|; given E(m) <= s that is
-    |s| = n - |m|.  Matchings with equal (E(m), |m|) thus give the same
-    answer on every s.
+    One test per distinct exposed set E(m), not per matching: s is stable,
+    so it holds at most one endpoint of each m-edge, and "exactly one of
+    each" is |s & V(m)| = |m|; given E(m) <= s that is |s| = n - |m|.
+    Every enumerated matching has mu edges, so matchings with equal E(m)
+    give the same answer on every s.
 
     Past the KE gate, the expected side reads only membership in the
-    enumerated family and the certified side only the enumerated matchings;
-    neither reads alpha, core or anticore.
+    enumerated family and the certified side only the enumerated matchings
+    and their size mu; neither reads alpha, core or anticore.
     """
     if not f.is_ke:
         raise GraphError("the stable-set certificate is a KE-only property")
     g = f.graph
     members = {_as_mask(s) for s in f.family.sets}
     matchings = f.maximum_matchings
-    first_of: dict[tuple[int, int], int] = {}
+    first_of: dict[int, int] = {}
     for i, m in enumerate(matchings):
-        exposed = g.full_mask & ~_as_mask(v for e in m for v in e)
-        first_of.setdefault((exposed, len(m)), i)
+        first_of.setdefault(g.full_mask & ~_as_mask(v for e in m for v in e), i)
     # first_of keeps insertion order: the first failing test names the
     # first failing matching
-    tests = [(i, exposed, g.n - size) for (exposed, size), i in first_of.items()]
+    certified_size = g.n - f.mu
     stable_sets = brute_stable_sets(g)
     for k, s in enumerate(stable_sets):
         expected = s in members
-        size = s.bit_count()
-        for i, exposed, certified_size in tests:
-            if (not exposed & ~s and size == certified_size) != expected:
+        size_ok = s.bit_count() == certified_size
+        for exposed, i in first_of.items():
+            if (not exposed & ~s and size_ok) != expected:
                 return CertificateVerdict(k * len(matchings) + i + 1, False)
     return CertificateVerdict(len(stable_sets) * len(matchings), True)
 

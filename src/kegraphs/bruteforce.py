@@ -3,10 +3,11 @@
 These are the independent second routes used by the test suite and the
 verification harness.  They share no algorithmic ideas with the
 production implementations they check.  Every stable-set answer (every
-stable set, the maximum ones, the stability number) comes from one scan
-of the vertex subsets in increasing order, brute_stable_sets; the
-matching number comes from a bitmask recursion over covered vertices
-rather than an augmenting-path search.
+stable set, the maximum ones) comes from one scan of the vertex subsets in
+increasing order, brute_stable_sets; the matching number comes from a
+bitmask recursion over covered vertices rather than an augmenting-path
+search.  brute_maximum_matchings lists the matchings of a given size;
+Facts passes it the matching number from Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
@@ -67,11 +68,6 @@ def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
     return sorted(sets, key=sorted)
 
 
-def brute_stability_number(g: Graph) -> int:
-    """The largest size among brute_stable_sets."""
-    return max(s.bit_count() for s in brute_stable_sets(g))
-
-
 def brute_max_matching_size(g: Graph) -> int:
     """Matching number by recursion on the lowest uncovered vertex."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "brute matching number")
@@ -97,6 +93,36 @@ def brute_max_matching_size(g: Graph) -> int:
         return best
 
     return rec(g.full_mask)
+
+
+def brute_maximum_matchings(g: Graph, size: int) -> tuple[frozenset[Edge], ...]:
+    """Every matching of exactly size edges, in lexicographic order, by
+    exhaustive recursion over the sorted edges; given the matching number,
+    these are the maximum matchings.  A branch stops once it holds size
+    edges, or once the free vertices and remaining edges cannot fill it."""
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching enumeration")
+    edges = sorted(g.edges)
+    results: list[frozenset[Edge]] = []
+    acc: list[Edge] = []
+
+    def rec(start: int, covered: int) -> None:
+        if len(acc) == size:
+            results.append(frozenset(acc))
+            return
+        free = g.n - covered.bit_count()
+        if len(acc) + min(free // 2, len(edges) - start) < size:
+            return
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if covered >> u & 1 or covered >> v & 1:
+                continue
+            acc.append((u, v))
+            rec(i + 1, covered | 1 << u | 1 << v)
+            acc.pop()
+
+    rec(0, 0)
+    results.sort(key=sorted)
+    return tuple(results)
 
 
 # -- exhaustive alternating-walk search ---------------------------------------

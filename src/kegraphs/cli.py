@@ -150,12 +150,11 @@ def cmd_analyze(args) -> int:
     docs = []
     for path in args.paths:
         try:
-            g = read_graph(path)
+            # refused at the p line, before a graph above the cap is built
+            report = full_report(read_graph(path, DEFAULT_OMEGA_CAP))
         except GraphFormatError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
-        try:
-            report = full_report(g)
         except CapExceededError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_CAP
@@ -195,7 +194,9 @@ def cmd_generate(args) -> int:
             raise GraphError(f"{args.kind} needs {' and '.join(needs)}")
         g = build(args)
     except (GraphError, GraphFormatError, KeyError) as exc:
-        print(f"generate: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"generate: {message}", file=sys.stderr)
         return EXIT_PARSE
     _emit(format_graph(g), args.out)
     return EXIT_OK

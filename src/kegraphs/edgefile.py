@@ -9,7 +9,8 @@ Layout::
 The first non-comment line must be the ``p`` line giving the vertex and
 edge counts; every following non-comment line is an ``e`` line with
 0-based endpoints.  Writers emit edges sorted lexicographically, which
-makes the format bit-exact round-trippable.
+makes the format bit-exact round-trippable.  Given max_order, a reader
+refuses a larger order at the ``p`` line, before it builds the graph.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import os
 
 from .graph import Graph
+from .limits import check_cap
 
 
 class GraphFormatError(ValueError):
@@ -27,7 +29,7 @@ class GraphFormatError(ValueError):
         self.line_no = line_no
 
 
-def parse_graph(text: str) -> Graph:
+def parse_graph(text: str, max_order: int | None = None) -> Graph:
     n = None
     m = None
     edges: list[tuple[int, int]] = []
@@ -48,6 +50,8 @@ def parse_graph(text: str) -> Graph:
                 raise GraphFormatError(line_no, "p line counts must be integers") from None
             if n < 0 or m < 0:
                 raise GraphFormatError(line_no, "p line counts must be nonnegative")
+            if max_order is not None:
+                check_cap(n, max_order, "graph file")
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError(line_no, "e line before p line")
@@ -82,9 +86,9 @@ def format_graph(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_graph(path: str | os.PathLike) -> Graph:
-    """Parse the file at `path`; a byte that is not UTF-8 is a
-    GraphFormatError on its line."""
+def read_graph(path: str | os.PathLike, max_order: int | None = None) -> Graph:
+    """Parse the file at `path` as parse_graph does; a byte that is not
+    UTF-8 is a GraphFormatError on its line."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
@@ -92,7 +96,7 @@ def read_graph(path: str | os.PathLike) -> Graph:
     except UnicodeDecodeError as exc:
         line_no = data.count(b"\n", 0, exc.start) + 1
         raise GraphFormatError(line_no, "not UTF-8 text") from None
-    return parse_graph(text)
+    return parse_graph(text, max_order)
 
 
 def write_graph(path: str | os.PathLike, g: Graph) -> None:

@@ -4,7 +4,8 @@ Every oracle-backed operation refuses inputs above its cap instead of
 silently approximating.  The caps are fixed and sized for desk-scale
 graphs: every enumeration (maximum stable sets, maximum matchings, the
 brute-force scans) is capped at 16 vertices, the stability number alone
-at 20.  Each oracle passes its own cap to check_cap.
+at 20.  Each oracle passes its own cap to check_cap, and `kegraphs
+analyze` checks the 16-vertex cap at a graph file's p line.
 """
 
 DEFAULT_OMEGA_CAP = 16

@@ -16,9 +16,9 @@ last edges are heavy.
 Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
-the oracle those tests are checked against, live in bruteforce.  The one
-exponential routine left here is enumerate_maximum_matchings, which finds
-the maximum size itself, so this module needs no oracle.
+the oracle those tests are checked against, live in bruteforce, as does
+the enumeration of every maximum matching.  Everything here runs in
+polynomial time, so no routine in this module has a size cap.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from collections import deque
 from typing import Iterable
 
 from .graph import Edge, Graph, GraphError, normalize_edge
-from .limits import DEFAULT_OMEGA_CAP, check_cap
 
 Matching = frozenset[Edge]
 
@@ -331,40 +330,3 @@ def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
     match = _require_maximum(g, validate_matching(g, m))
     return _has_flower(g, match), _has_posy(g, match)
 
-
-# -- brute-force enumeration oracle ------------------------------------------
-
-
-def enumerate_maximum_matchings(g: Graph) -> tuple[Matching, ...]:
-    """All maximum matchings by exhaustive recursion; a desk-scale oracle.
-
-    The recursion finds its own maximum: it keeps every matching of the
-    largest size seen so far, starts over when it meets a larger one, and
-    prunes a branch that cannot reach that size."""
-    check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching enumeration")
-    edges = sorted(g.edges)
-    results: list[Matching] = []
-    best = 0
-    acc: list[Edge] = []
-
-    def rec(start: int, covered: int) -> None:
-        nonlocal best
-        if len(acc) > best:
-            best = len(acc)
-            results.clear()
-        if len(acc) == best:
-            results.append(frozenset(acc))
-        free = g.n - covered.bit_count()
-        if len(acc) + min(free // 2, len(edges) - start) < best:
-            return
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            if covered >> u & 1 or covered >> v & 1:
-                continue
-            acc.append((u, v))
-            rec(i + 1, covered | 1 << u | 1 << v)
-            acc.pop()
-
-    rec(0, 0)
-    results.sort(key=sorted)
-    return tuple(results)

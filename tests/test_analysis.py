@@ -441,7 +441,7 @@ def test_verdict_rows_report_an_inconsistent_verdict_by_its_repr(
 
 ORACLES = (
     "maximum_stable_sets",
-    "enumerate_maximum_matchings",
+    "brute_maximum_matchings",
     "maximum_matching",
     "is_edge_addition_stable",
 )
@@ -505,8 +505,7 @@ def test_full_report_hands_each_graph_to_each_oracle_once(oracle_calls):
 
 def test_run_checks_runs_each_brute_oracle_once_per_graph(monkeypatch):
     counts = collections.Counter()
-    for name in ("brute_max_matching_size", "brute_max_stable_sets",
-                 "brute_stability_number"):
+    for name in ("brute_max_matching_size", "brute_max_stable_sets"):
         original = getattr(bruteforce, name)
 
         def counted(g, _name=name, _original=original):

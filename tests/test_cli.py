@@ -163,6 +163,28 @@ def test_analyze_cap_exceeded(capsys, tmp_path):
     assert code == 3 and "cap" in err
 
 
+def test_analyze_refuses_an_order_above_the_cap(capsys, tmp_path):
+    big = tmp_path / "p17.gr"
+    big.write_text("p 17 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(big))
+    assert code == 3 and out == ""
+    assert err == f"{big}: graph file refuses n=17 above cap 16\n"
+
+
+def test_analyze_refuses_a_huge_order_before_building_the_graph(
+    capsys, tmp_path, monkeypatch
+):
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("kegraphs.edgefile.Graph", build)
+    big = tmp_path / "huge.gr"
+    big.write_text("p 99999999999 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(big))
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "above cap 16" in err
+
+
 def test_analyze_has_no_cap_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--cap", "16", str(FIXTURE_DIR / "p3.gr")])
@@ -279,8 +301,9 @@ def test_generate_requires_seed_for_random_kinds(capsys):
 
 
 def test_generate_unknown_fixture(capsys):
-    code, _, err = run_cli(capsys, "generate", "fixture", "nope")
-    assert code == 2 and err
+    code, out, err = run_cli(capsys, "generate", "fixture", "nope")
+    assert code == 2 and out == ""
+    assert err == "generate: unknown fixture 'nope'\n"
 
 
 def test_generate_help_lists_every_kind(capsys):

@@ -9,7 +9,7 @@ from kegraphs.analysis import (
     full_report,
     is_koenig_egervary,
 )
-from kegraphs.bruteforce import brute_max_matching_size, brute_stability_number
+from kegraphs.bruteforce import brute_max_matching_size, brute_max_stable_sets
 from kegraphs.constructions import (
     Fixture,
     attach_k2,
@@ -54,7 +54,7 @@ def test_join_with_cut_matching_gives_ke():
     h1 = Graph(3)
     h2 = complete(2)
     g = join(h1, h2, [(0, 0), (1, 1), (2, 0)])
-    assert brute_stability_number(g) + brute_max_matching_size(g) == g.n
+    assert len(brute_max_stable_sets(g)[0]) + brute_max_matching_size(g) == g.n
 
 
 def test_join_validation():
@@ -79,7 +79,7 @@ def test_join_property_stable_side_with_cut_matching():
             if (u, v) not in set(cross) and rng.random() < 0.3
         ]
         g = join(h1, h2, cross)
-        assert brute_stability_number(g) + brute_max_matching_size(g) == g.n
+        assert len(brute_max_stable_sets(g)[0]) + brute_max_matching_size(g) == g.n
 
 
 def test_attach_pendant_pair_to_square():
@@ -184,7 +184,7 @@ def test_bullet_validation_of_an_attach_tuple_of_the_wrong_length(attach):
 
 def test_family_order_five_pendant_clique():
     g = non_ke_alpha_plus_family(5, 1)
-    assert brute_stability_number(g) == 2
+    assert len(brute_max_stable_sets(g)[0]) == 2
     assert brute_max_matching_size(g) == 2
     assert not is_koenig_egervary(g)
     assert core_report(maximum_stable_sets(g)).core == {0}

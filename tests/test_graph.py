@@ -86,7 +86,7 @@ def test_delete_nothing_is_identity():
 
 
 def test_delete_on_the_eight_vertex_pm_fixture():
-    from kegraphs.bruteforce import brute_max_matching_size, brute_stability_number
+    from kegraphs.bruteforce import brute_max_matching_size, brute_max_stable_sets
     from kegraphs.matching import has_blossom, maximum_matching
 
     g = fixture_by_name("fig3_nonstable").graph
@@ -95,7 +95,7 @@ def test_delete_on_the_eight_vertex_pm_fixture():
     h = delete_vertices(g, {1, 2})
     assert h.n == 6 and h.m == 5 and is_connected(h)
     assert not has_blossom(h, maximum_matching(h))
-    assert brute_stability_number(h) != brute_max_matching_size(h)
+    assert len(brute_max_stable_sets(h)[0]) != brute_max_matching_size(h)
     # other same-column deletions merely shrink the graph
     assert delete_vertices(g, {1, 5}).n == 6
 

@@ -9,6 +9,7 @@ import kegraphs.matching
 from kegraphs.bruteforce import (
     SearchBudgetExceededError,
     brute_max_matching_size,
+    brute_maximum_matchings,
     find_blossoms,
     find_flower,
     find_posy,
@@ -28,7 +29,6 @@ from kegraphs.constructions import (
 from kegraphs.graph import Graph, GraphError
 from kegraphs.limits import CapExceededError
 from kegraphs.matching import (
-    enumerate_maximum_matchings,
     exposed_vertices,
     has_blossom,
     has_flower,
@@ -188,7 +188,7 @@ def test_has_blossom_agrees_with_the_exhaustive_walker():
         g = random_graph(n, rng.random(), rng.randrange(1 << 30))
         matchings = [_random_non_maximum_matching(g, rng), maximum_matching(g)]
         if n <= 8:
-            matchings.extend(enumerate_maximum_matchings(g))
+            matchings.extend(brute_maximum_matchings(g, brute_max_matching_size(g)))
         for m in matchings:
             assert has_blossom(g, m) == bool(find_blossoms(g, m))
 
@@ -264,7 +264,10 @@ def test_flower_and_posy_tests_agree_with_the_exhaustive_walker():
     for _ in range(300):
         n = rng.randint(0, 9)
         g = random_graph(n, rng.random(), rng.randrange(1 << 30))
-        ms = enumerate_maximum_matchings(g) if n <= 8 else (maximum_matching(g),)
+        if n <= 8:
+            ms = brute_maximum_matchings(g, brute_max_matching_size(g))
+        else:
+            ms = (maximum_matching(g),)
         for m in ms:
             assert has_flower(g, m) == (find_flower(g, m) is not None)
             assert has_posy(g, m) == (find_posy(g, m) is not None)
@@ -301,25 +304,25 @@ def test_structures_absent_for_every_maximum_matching_of_ke_graphs():
         if stability_number(g) + matching_number(g) != n:
             continue
         seen += 1
-        for m in enumerate_maximum_matchings(g):
+        for m in brute_maximum_matchings(g, brute_max_matching_size(g)):
             assert find_flower(g, m) is None
             assert find_posy(g, m) is None
 
 
 def test_all_maximum_matchings_enumeration():
-    assert enumerate_maximum_matchings(path(3)) == (
+    assert brute_maximum_matchings(path(3), brute_max_matching_size(path(3))) == (
         frozenset({(0, 1)}),
         frozenset({(1, 2)}),
     )
-    assert enumerate_maximum_matchings(cycle(4)) == (
+    assert brute_maximum_matchings(cycle(4), brute_max_matching_size(cycle(4))) == (
         frozenset({(0, 1), (2, 3)}),
         frozenset({(0, 3), (1, 2)}),
     )
     rng = random.Random(90)
     for _ in range(60):
         g = random_graph(rng.randint(0, 7), rng.random(), rng.randrange(1 << 30))
-        ms = enumerate_maximum_matchings(g)
         target = brute_max_matching_size(g)
+        ms = brute_maximum_matchings(g, target)
         assert all(len(m) == target for m in ms)
         assert len(set(ms)) == len(ms) and len(ms) >= 1
 
@@ -338,7 +341,12 @@ def test_enumerator_lists_every_largest_edge_subset_that_is_a_matching():
         ]
         largest = max(len(m) for m in matchings)
         expected = sorted((m for m in matchings if len(m) == largest), key=sorted)
-        assert enumerate_maximum_matchings(g) == tuple(expected), sorted(g.edges)
+        got = brute_maximum_matchings(g, brute_max_matching_size(g))
+        assert got == tuple(expected), sorted(g.edges)
+        # the enumerator lists the matchings of exactly the size it is given
+        for k in range(largest + 2):
+            expected = sorted((m for m in matchings if len(m) == k), key=sorted)
+            assert brute_maximum_matchings(g, k) == tuple(expected), (k, sorted(g.edges))
 
 
 def test_matching_does_not_import_the_oracles():
@@ -349,12 +357,12 @@ def test_matching_does_not_import_the_oracles():
             named += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             named += [node.module or ""] + [alias.name for alias in node.names]
-    assert not [name for name in named if "bruteforce" in name]
+    assert not [name for name in named if "bruteforce" in name or "limits" in name]
 
 
 def test_enumeration_respects_the_cap():
     with pytest.raises(CapExceededError):
-        enumerate_maximum_matchings(Graph(17))
+        brute_maximum_matchings(Graph(17), 0)
 
 
 def test_search_budget_is_enforced(monkeypatch):
