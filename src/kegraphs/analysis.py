@@ -54,6 +54,7 @@ from .matching import (
 from .stable import (
     CoreReport,
     StableSetFamily,
+    _alpha_mask,
     _as_mask,
     core_report,
     maximum_stable_sets,
@@ -73,22 +74,41 @@ def is_koenig_egervary(g: Graph) -> bool:
 
 
 def is_edge_addition_stable(g: Graph) -> bool:
-    """Definition route: no single added edge lowers the stability number."""
+    """Definition route: no single added edge lowers the stability number.
+
+    For a non-edge uv, a set is stable in G+uv exactly when it is stable in
+    G and misses u or v, that is, when it is a stable set of G-u or of G-v.
+    So alpha(G+uv) = max(alpha(G-u), alpha(G-v)), and since no deletion
+    raises alpha, adding uv lowers it exactly when deleting u and deleting
+    v both do.  The route runs the branch-and-bound once for alpha(G) and
+    at most once per vertex, the first time a non-edge needs alpha(G-v);
+    it builds no graph and reads no stable-set family, core or anticore.
+    """
     alpha = stability_number(g)
+    without: dict[int, int] = {}
+
+    def lowers(v: int) -> bool:
+        if v not in without:
+            without[v] = _alpha_mask(g, g.full_mask & ~(1 << v))
+        return without[v] < alpha
+
     for u in range(g.n):
-        mask = g.adjacency_mask(u)
-        for v in range(u + 1, g.n):
-            if mask >> v & 1:
-                continue
-            if stability_after_adding_edge(g, (u, v)) != alpha:
+        later = g.full_mask & ~g.adjacency_mask(u) & -(2 << u)
+        if not later or not lowers(u):
+            continue
+        while later:
+            low = later & -later
+            if lowers(low.bit_length() - 1):
                 return False
+            later ^= low
     return True
 
 
 def is_alpha_critical(g: Graph, v: int) -> bool:
     """Whether deleting v lowers the stability number."""
     g.check_vertex(v)
-    return stability_number(delete_vertices(g, {v})) < stability_number(g)
+    # stability_number first: it refuses a graph above the cap
+    return stability_number(g) > _alpha_mask(g, g.full_mask & ~(1 << v))
 
 
 class Facts:
@@ -96,7 +116,7 @@ class Facts:
 
     A verdict may read any cached value, but the three routes to
     edge-addition stability stay apart: stable_by_definition runs the
-    definition on its own (its own alpha, one more per added edge), the
+    definition on its own (its own alpha and one per deleted vertex), the
     core-size route reads core and anticore (and whether a perfect
     matching exists), and the matching-structure route reads only
     matchings and blossoms.  Each exact oracle refuses a graph above its

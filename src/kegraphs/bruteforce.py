@@ -3,11 +3,12 @@
 These are the independent second routes used by the test suite and the
 verification harness.  They share no algorithmic ideas with the
 production implementations they check.  Every stable-set answer (every
-stable set, the maximum ones) comes from one scan of the vertex subsets in
-increasing order, brute_stable_sets; the matching number comes from a
-bitmask recursion over covered vertices rather than an augmenting-path
-search.  brute_maximum_matchings lists the matchings of a given size;
-Facts passes it the matching number from Edmonds' search.
+stable set, the maximum ones, edge-addition stability by definition) comes
+from one scan of the vertex subsets in increasing order, brute_stable_sets;
+the matching number comes from a bitmask recursion over covered vertices
+rather than an augmenting-path search.  brute_maximum_matchings lists the
+matchings of a given size; Facts passes it the matching number from
+Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Mapping
 
-from .graph import Edge, Graph, normalize_edge
+from .graph import Edge, Graph, complement_non_edges, normalize_edge
 from .limits import DEFAULT_OMEGA_CAP, check_cap
 from .matching import _require_maximum, exposed_vertices, partner_map, validate_matching
 
@@ -66,6 +67,17 @@ def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
         if s.bit_count() == best
     ]
     return sorted(sets, key=sorted)
+
+
+def brute_edge_addition_stable(g: Graph) -> bool:
+    """Edge-addition stability straight from the definition: build G+uv for
+    every non-edge uv and compare the largest stable set found by
+    brute_stable_sets in it with the largest one in G."""
+    def alpha(h: Graph) -> int:
+        return max(s.bit_count() for s in brute_stable_sets(h))
+
+    alpha_g = alpha(g)
+    return all(alpha(g.with_edge(u, v)) == alpha_g for u, v in complement_non_edges(g))
 
 
 def brute_max_matching_size(g: Graph) -> int:

@@ -40,6 +40,7 @@ from kegraphs.constructions import (
     fixture_by_name,
     path,
     random_bipartite,
+    random_bipartite_with_pm,
     random_tree,
 )
 from kegraphs.edgefile import format_graph
@@ -118,6 +119,48 @@ def test_classification_matches_definition():
         )
         kind = classify_alpha_plus(Facts(g)).kind
         assert is_edge_addition_stable(g) == (kind != "not_stable")
+
+
+def _ke16_inputs():
+    """C16, K8,8, K7,9 and 119 seeded 16-vertex graphs from four
+    generators in turn: the sparse and dense inputs kegraphs analyze
+    meets at the enumeration cap."""
+    makers = (
+        lambda s: random_bipartite(8, 8, 0.5, s),
+        lambda s: random_bipartite_with_pm(8, 0.3, s),
+        lambda s: random_tree(16, s),
+        lambda s: random_bipartite(8, 8, 0.8, s),
+    )
+    fixed = [cycle(16), complete_bipartite(8, 8), complete_bipartite(7, 9)]
+    return fixed + [makers[i % 4](i) for i in range(119)]
+
+
+@pytest.mark.parametrize("corpus", [
+    _ke16_inputs,
+    lambda: [g for _, g in verify.connected_corpus(1, 300, 2, 10)],
+    lambda: [g for _, g in verify.bipartite_corpus(1, 550, 12)],
+], ids=["ke16", "connected", "bipartite"])
+def test_definition_route_agrees_with_the_per_edge_oracle(corpus):
+    graphs = corpus()
+    answers = [is_edge_addition_stable(g) for g in graphs]
+    assert answers == [bruteforce.brute_edge_addition_stable(g) for g in graphs]
+    assert any(answers) and not all(answers)
+
+
+@pytest.mark.parametrize("g", [complete_bipartite(8, 8), cycle(16), random_tree(16, 1)],
+                         ids=["k8x8", "c16", "tree16"])
+def test_definition_route_builds_no_graph(monkeypatch, g):
+    expected = bruteforce.brute_edge_addition_stable(g)
+
+    def refuse(*args):
+        raise AssertionError("the definition route built a graph per non-edge")
+
+    monkeypatch.setattr(Graph, "with_edge", refuse)
+    for mod in (kegraphs, kegraphs.stable, kegraphs.analysis):
+        monkeypatch.setattr(mod, "stability_after_adding_edge", refuse)
+    counts = _count_calls(monkeypatch, ["_alpha_mask"])
+    assert is_edge_addition_stable(g) == expected
+    assert 0 < counts["_alpha_mask", g] <= g.n + 1
 
 
 def test_pm_criterion_examples():

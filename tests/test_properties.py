@@ -3,7 +3,8 @@ vertices of a graph are renamed or its edge file is reordered, and that
 must add up over a disjoint union.  They compare the package with itself
 on two presentations of one graph, or on a union and its parts, and share
 no code path with any brute-force oracle; one only draws its input
-matching from the maximum-matching enumerator."""
+matching from the maximum-matching enumerator.  One more checks, on brute
+force alone, the identity the edge-addition definition route rests on."""
 
 import contextlib
 import io
@@ -15,10 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kegraphs.analysis import Facts, check_structure_consistency
-from kegraphs.bruteforce import brute_max_matching_size, brute_maximum_matchings
+from kegraphs.bruteforce import (
+    brute_max_matching_size,
+    brute_maximum_matchings,
+    brute_stable_sets,
+)
 from kegraphs.cli import main
 from kegraphs.edgefile import format_graph, parse_graph
-from kegraphs.graph import Graph, normalize_edge
+from kegraphs.graph import Graph, complement_non_edges, delete_vertices, normalize_edge
 from kegraphs.matching import has_flower, has_posy
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -100,6 +105,20 @@ def test_alpha_mu_core_and_anticore_add_over_a_disjoint_union(data):
     assert f.mu == fg.mu + fh.mu
     assert f.core.core == fg.core.core | {v + shift for v in fh.core.core}
     assert f.core.anticore == fg.core.anticore | {v + shift for v in fh.core.anticore}
+
+
+def _brute_alpha(g):
+    return max(s.bit_count() for s in brute_stable_sets(g))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_adding_an_edge_leaves_the_better_of_two_deletions(data):
+    g, _ = data.draw(relabelled_graphs())
+    for u, v in complement_non_edges(g):
+        assert _brute_alpha(g.with_edge(u, v)) == max(
+            _brute_alpha(delete_vertices(g, {u})), _brute_alpha(delete_vertices(g, {v}))
+        )
 
 
 def _analyze_stdout(path: str) -> str:
