@@ -309,13 +309,11 @@ def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
     if not f.is_ke:
         raise GraphError("cut containment is a KE-only property")
     g, fam, matchings = f.graph, f.family, f.maximum_matchings
+    # every matching lies in a cut iff the union of their edges does
+    used = frozenset().union(*matchings)
     full = frozenset(range(g.n))
-    for s in fam.sets:
-        cut = cut_edges(g, s, full - s)
-        for m in matchings:
-            if not m <= cut:
-                return CutContainmentVerdict(len(matchings), len(fam.sets), False)
-    return CutContainmentVerdict(len(matchings), len(fam.sets), True)
+    consistent = all(used <= cut_edges(g, s, full - s) for s in fam.sets)
+    return CutContainmentVerdict(len(matchings), len(fam.sets), consistent)
 
 
 @dataclass(frozen=True)
@@ -341,7 +339,11 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     so it holds at most one endpoint of each m-edge, and "exactly one of
     each" is |s & V(m)| = |m|; given E(m) <= s that is |s| = n - |m|.
     Every enumerated matching has mu edges, so matchings with equal E(m)
-    give the same answer on every s.
+    give the same answer on every s.  A stable set of any other size than
+    n - mu is certified by no matching, so its first pair (with the first
+    matching) fails iff it is a member, and it needs one test, not one per
+    E(m).  sets_checked still counts the pairs the per-pair scan would
+    reach, so the verdict is the same as that scan's, failure included.
 
     Past the KE gate, the expected side reads only membership in the
     enumerated family and the certified side only the enumerated matchings
@@ -361,9 +363,13 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     stable_sets = brute_stable_sets(g)
     for k, s in enumerate(stable_sets):
         expected = s in members
-        size_ok = s.bit_count() == certified_size
+        if s.bit_count() != certified_size:
+            # no matching certifies s: the first pair fails iff s is a member
+            if expected:
+                return CertificateVerdict(k * len(matchings) + 1, False)
+            continue
         for exposed, i in first_of.items():
-            if (not exposed & ~s and size_ok) != expected:
+            if (not exposed & ~s) != expected:
                 return CertificateVerdict(k * len(matchings) + i + 1, False)
     return CertificateVerdict(len(stable_sets) * len(matchings), True)
 

@@ -7,8 +7,9 @@ stable set, the maximum ones, edge-addition stability by definition) comes
 from one scan of the vertex subsets in increasing order, brute_stable_sets;
 the matching number comes from a bitmask recursion over covered vertices
 rather than an augmenting-path search.  brute_maximum_matchings lists the
-matchings of a given size; Facts passes it the matching number from
-Edmonds' search.
+matchings of a given size by recursion on the lowest undecided vertex
+(matched to a higher neighbour, or exposed); Facts passes it the matching
+number from Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
@@ -108,32 +109,47 @@ def brute_max_matching_size(g: Graph) -> int:
 
 
 def brute_maximum_matchings(g: Graph, size: int) -> tuple[frozenset[Edge], ...]:
-    """Every matching of exactly size edges, in lexicographic order, by
-    exhaustive recursion over the sorted edges; given the matching number,
-    these are the maximum matchings.  A branch stops once it holds size
-    edges, or once the free vertices and remaining edges cannot fill it."""
+    """Every matching of exactly size edges, in lexicographic order (of
+    their sorted edge lists); given the matching number, these are the
+    maximum matchings.
+
+    Exhaustive recursion on the lowest undecided vertex v: match v to each
+    higher undecided neighbour in ascending order, then leave v exposed,
+    which is allowed while fewer than n - 2*size vertices are exposed.  A
+    branch stops once it holds size edges.  The edges of a branch are
+    appended with increasing lower endpoint, so each edge list is sorted.
+    Two branches first differ at some vertex v, with fewer than size edges
+    so far: one matches v to a lower partner than the other, or matches v
+    where the other leaves it exposed and takes a later edge (v', w) with
+    v' > v.  Either way the branch taken first has the smaller edge list,
+    so depth-first order is lexicographic order and nothing is sorted.
+    """
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching enumeration")
-    edges = sorted(g.edges)
+    if not 0 <= 2 * size <= g.n:
+        return ()
+    masks = g._masks  # noqa: SLF001
     results: list[frozenset[Edge]] = []
     acc: list[Edge] = []
 
-    def rec(start: int, covered: int) -> None:
+    def rec(undecided: int, exposures: int) -> None:
         if len(acc) == size:
             results.append(frozenset(acc))
             return
-        free = g.n - covered.bit_count()
-        if len(acc) + min(free // 2, len(edges) - start) < size:
-            return
-        for i in range(start, len(edges)):
-            u, v = edges[i]
-            if covered >> u & 1 or covered >> v & 1:
-                continue
-            acc.append((u, v))
-            rec(i + 1, covered | 1 << u | 1 << v)
+        # fewer than size edges, so at least two undecided vertices remain
+        low = undecided & -undecided
+        v = low.bit_length() - 1
+        rest = undecided ^ low
+        nbrs = masks[v] & rest
+        while nbrs:
+            ub = nbrs & -nbrs
+            nbrs ^= ub
+            acc.append((v, ub.bit_length() - 1))
+            rec(rest ^ ub, exposures)
             acc.pop()
+        if exposures:
+            rec(rest, exposures - 1)
 
-    rec(0, 0)
-    results.sort(key=sorted)
+    rec(g.full_mask, g.n - 2 * size)
     return tuple(results)
 
 

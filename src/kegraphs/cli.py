@@ -53,7 +53,9 @@ def _bullet_kp(args) -> Graph:
     p = int(args.p)
     named = {"c4": constructions.cycle(4), "k2": constructions.complete(2),
              "p4": constructions.path(4)}
-    base = named.get(args.base.lower()) or read_graph(args.base)
+    # bullet_kp classifies its base through the maximum stable sets, which
+    # refuse above the cap anyway: refuse a larger base at its p line
+    base = named.get(args.base.lower()) or read_graph(args.base, DEFAULT_OMEGA_CAP)
     if args.attach is None:
         attach = min(maximum_matching(base), default=None) if p <= 2 else 0
     elif len(args.attach) != (2 if p <= 2 else 1):
@@ -198,6 +200,9 @@ def cmd_generate(args) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"generate: {message}", file=sys.stderr)
         return EXIT_PARSE
+    except CapExceededError as exc:
+        print(f"generate: {exc}", file=sys.stderr)
+        return EXIT_CAP
     _emit(format_graph(g), args.out)
     return EXIT_OK
 

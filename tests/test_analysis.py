@@ -11,6 +11,7 @@ from kegraphs.analysis import (
     ArithmeticVerdict,
     BipartiteZeroCoreVerdict,
     CertificateVerdict,
+    CutContainmentVerdict,
     Facts,
     check_alpha_plus_pm_criterion,
     check_alpha_plus_three_routes,
@@ -291,6 +292,13 @@ def test_ke_arithmetic_and_near_perfect():
     assert check_matchings_in_cuts(Facts(K4_MINUS_E)).consistent
 
 
+def test_cut_containment_fails_on_a_planted_matching_outside_every_cut():
+    # both ends of (0, 2) lie in the maximum stable set {0, 2} of C4
+    f = Facts(cycle(4))
+    f.maximum_matchings += (frozenset({(0, 2)}),)
+    assert check_matchings_in_cuts(f) == CutContainmentVerdict(3, 2, False)
+
+
 def test_certificate_equivalence_check():
     assert check_certificate_equivalence(Facts(K4_MINUS_E)).consistent
     assert check_certificate_equivalence(Facts(path(4))).consistent
@@ -352,6 +360,23 @@ def test_certificate_scans_agree_on_a_planted_non_matching_pair():
     verdict = check_certificate_equivalence(f)
     assert verdict == _certificate_scan_per_pair(f)
     assert verdict == CertificateVerdict(8 * 4 + 3 + 1, False)
+
+
+@pytest.mark.parametrize("g, planted, expected", [
+    # {0} is stable set 1 of the scan; C4 has two maximum matchings
+    (cycle(4), ({0},), CertificateVerdict(1 * 2 + 1, False)),
+    # {0, 1} is stable set 3 of the scan; K2,3 has six maximum matchings
+    (complete_bipartite(2, 3), ({0, 1}, {2, 3}), CertificateVerdict(3 * 6 + 1, False)),
+], ids=["c4", "k2x3"])
+def test_certificate_scan_fails_a_member_of_the_wrong_size_at_its_first_pair(
+    g, planted, expected
+):
+    f = Facts(g)
+    sets = tuple(frozenset(s) for s in planted)
+    f.family = StableSetFamily(g.n, len(sets[0]), sets)
+    verdict = check_certificate_equivalence(f)
+    assert verdict == _certificate_scan_per_pair(f)
+    assert verdict == expected
 
 
 def test_structure_consistency():

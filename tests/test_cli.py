@@ -185,6 +185,30 @@ def test_analyze_refuses_a_huge_order_before_building_the_graph(
     assert len(err.splitlines()) == 1 and "above cap 16" in err
 
 
+def test_bullet_kp_refuses_a_base_above_the_cap(capsys, tmp_path):
+    base = tmp_path / "p17.gr"
+    base.write_text("p 17 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "generate", "bullet-kp", "--base", str(base),
+                             "--p", "3")
+    assert code == 3 and out == ""
+    assert err == "generate: graph file refuses n=17 above cap 16\n"
+
+
+def test_bullet_kp_refuses_a_huge_base_before_building_the_graph(
+    capsys, tmp_path, monkeypatch
+):
+    def build(*args):
+        raise AssertionError("a graph was built")
+
+    monkeypatch.setattr("kegraphs.edgefile.Graph", build)
+    base = tmp_path / "huge.gr"
+    base.write_text("p 99999999999 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "generate", "bullet-kp", "--base", str(base),
+                             "--p", "3")
+    assert code == 3 and out == ""
+    assert len(err.splitlines()) == 1 and "above cap 16" in err
+
+
 def test_analyze_has_no_cap_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--cap", "16", str(FIXTURE_DIR / "p3.gr")])

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import kegraphs.matching
+from kegraphs import verify
 from kegraphs.bruteforce import (
     SearchBudgetExceededError,
     brute_max_matching_size,
@@ -347,6 +348,45 @@ def test_enumerator_lists_every_largest_edge_subset_that_is_a_matching():
         for k in range(largest + 2):
             expected = sorted((m for m in matchings if len(m) == k), key=sorted)
             assert brute_maximum_matchings(g, k) == tuple(expected), (k, sorted(g.edges))
+
+
+def _edge_recursion_maximum_matchings(g, size):
+    """The enumerator as it was before it branched on vertices: recursion
+    over the sorted edges, pruned on the free vertices and the edges left,
+    then sorted.  Kept as the reference for order and content."""
+    edges = sorted(g.edges)
+    results = []
+    acc = []
+
+    def rec(start, covered):
+        if len(acc) == size:
+            results.append(frozenset(acc))
+            return
+        free = g.n - covered.bit_count()
+        if len(acc) + min(free // 2, len(edges) - start) < size:
+            return
+        for i in range(start, len(edges)):
+            u, v = edges[i]
+            if covered >> u & 1 or covered >> v & 1:
+                continue
+            acc.append((u, v))
+            rec(i + 1, covered | 1 << u | 1 << v)
+            acc.pop()
+
+    rec(0, 0)
+    results.sort(key=sorted)
+    return tuple(results)
+
+
+def test_vertex_branching_enumerator_agrees_with_the_edge_recursion():
+    corpus = verify.bipartite_corpus(1, 200, 12) + verify.connected_corpus(1, 30, 2, 10)
+    for label, g in corpus:
+        mu = matching_number(g)
+        for size in (mu, mu - 1):
+            got = brute_maximum_matchings(g, size)
+            assert got == _edge_recursion_maximum_matchings(g, size), (label, size)
+            keys = [sorted(m) for m in got]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (label, size)
 
 
 def test_matching_does_not_import_the_oracles():
