@@ -8,8 +8,10 @@ every check computes both sides of an equivalence by independent routes
 they agree, rather than inferring one side from the other.
 
 Every verdict reads one Facts, a per-graph cache, so each quantity is
-computed once however many verdicts read it: check_x(Facts(g)).  Only
-entry points that start from a bare graph take a Graph: full_report,
+computed once however many verdicts read it: check_x(Facts(g)).  The
+definition route, the alpha-critical pendants and the not-stable witness
+all read alpha and alpha(G - v), Facts.alpha_without, and build no graph.
+Only entry points that start from a bare graph take a Graph: full_report,
 is_koenig_egervary, is_edge_addition_stable and is_alpha_critical.
 
 Each per-theorem verdict (the check_* functions and
@@ -35,6 +37,7 @@ from .graph import (
     Graph,
     GraphError,
     bipartition,
+    complement_non_edges,
     connected_components,
     cut_edges,
     delete_vertices,
@@ -58,7 +61,6 @@ from .stable import (
     _as_mask,
     core_report,
     maximum_stable_sets,
-    stability_after_adding_edge,
     stability_number,
 )
 
@@ -74,58 +76,32 @@ def is_koenig_egervary(g: Graph) -> bool:
 
 
 def is_edge_addition_stable(g: Graph) -> bool:
-    """Definition route: no single added edge lowers the stability number.
-
-    For a non-edge uv, a set is stable in G+uv exactly when it is stable in
-    G and misses u or v, that is, when it is a stable set of G-u or of G-v.
-    So alpha(G+uv) = max(alpha(G-u), alpha(G-v)), and since no deletion
-    raises alpha, adding uv lowers it exactly when deleting u and deleting
-    v both do.  The route runs the branch-and-bound once for alpha(G) and
-    at most once per vertex, the first time a non-edge needs alpha(G-v);
-    it builds no graph and reads no stable-set family, core or anticore.
-    """
-    alpha = stability_number(g)
-    without: dict[int, int] = {}
-
-    def lowers(v: int) -> bool:
-        if v not in without:
-            without[v] = _alpha_mask(g, g.full_mask & ~(1 << v))
-        return without[v] < alpha
-
-    for u in range(g.n):
-        later = g.full_mask & ~g.adjacency_mask(u) & -(2 << u)
-        if not later or not lowers(u):
-            continue
-        while later:
-            low = later & -later
-            if lowers(low.bit_length() - 1):
-                return False
-            later ^= low
-    return True
+    """Definition route: no single added edge lowers the stability number."""
+    return Facts(g).stable_by_definition
 
 
 def is_alpha_critical(g: Graph, v: int) -> bool:
     """Whether deleting v lowers the stability number."""
-    g.check_vertex(v)
-    # stability_number first: it refuses a graph above the cap
-    return stability_number(g) > _alpha_mask(g, g.full_mask & ~(1 << v))
+    f = Facts(g)
+    return f.alpha_without(v) < f.alpha
 
 
 class Facts:
     """Per-graph quantities, each computed on first use and then shared.
 
     A verdict may read any cached value, but the three routes to
-    edge-addition stability stay apart: stable_by_definition runs the
-    definition on its own (its own alpha and one per deleted vertex), the
-    core-size route reads core and anticore (and whether a perfect
-    matching exists), and the matching-structure route reads only
-    matchings and blossoms.  Each exact oracle refuses a graph above its
-    fixed cap (see limits) the first time a value that needs it is read.
+    edge-addition stability stay apart: stable_by_definition reads only
+    alpha and alpha_without, the core-size route reads core and anticore
+    (and whether a perfect matching exists), and the matching-structure
+    route reads only matchings and blossoms.  Each exact oracle refuses a
+    graph above its fixed cap (see limits) the first time a value that
+    needs it is read.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
         self._derived: dict[Graph, Facts] = {}
+        self._alpha_without: dict[int, int] = {}
 
     def facts_of(self, h: Graph) -> Facts:
         """The Facts of a graph derived from this one (a component, a
@@ -158,6 +134,21 @@ class Facts:
     def alpha(self) -> int:
         return stability_number(self.graph)
 
+    def alpha_without(self, v: int) -> int:
+        """alpha(G - v), one branch-and-bound run per vertex; alpha is read
+        first, so its cap refuses a large graph before any search runs."""
+        g, cache = self.graph, self._alpha_without
+        if v not in cache:
+            g.check_vertex(v)
+            self.alpha  # noqa: B018 - the cap check
+            cache[v] = _alpha_mask(g, g.full_mask & ~(1 << v))
+        return cache[v]
+
+    @cached_property
+    def stable_sets(self) -> list[int]:
+        """Every stable set as a bitmask, in brute_stable_sets order."""
+        return brute_stable_sets(self.graph)
+
     @cached_property
     def core(self) -> CoreReport:
         return core_report(self.family)
@@ -188,7 +179,21 @@ class Facts:
 
     @cached_property
     def stable_by_definition(self) -> bool:
-        return is_edge_addition_stable(self.graph)
+        """Definition route: no single added edge lowers alpha.
+
+        For a non-edge uv, a set is stable in G+uv exactly when it is stable
+        in G and misses u or v, that is, when it is a stable set of G-u or
+        of G-v.  So alpha(G+uv) = max(alpha(G-u), alpha(G-v)), and since no
+        deletion raises alpha, adding uv lowers it exactly when deleting u
+        and deleting v both do.  The route reads alpha and alpha_without,
+        stops at the first non-edge that lowers alpha, builds no graph and
+        reads no stable-set family, core or anticore.
+        """
+        alpha = self.alpha
+        return not any(
+            self.alpha_without(u) < alpha and self.alpha_without(v) < alpha
+            for u, v in complement_non_edges(self.graph)
+        )
 
     @cached_property
     def pendants(self) -> tuple[int, ...]:
@@ -196,11 +201,7 @@ class Facts:
 
     @cached_property
     def alpha_critical_pendants(self) -> tuple[int, ...]:
-        g = self.graph
-        return tuple(
-            p for p in self.pendants
-            if self.facts_of(delete_vertices(g, {p})).alpha < self.alpha
-        )
+        return tuple(p for p in self.pendants if self.alpha_without(p) < self.alpha)
 
 
 # -- decomposition ------------------------------------------------------------
@@ -259,11 +260,10 @@ def classify_alpha_plus(f: Facts) -> StabilityClassification:
         return StabilityClassification("alpha1_plus", rep.core)
     u, v = sorted(rep.core)[:2]
     # two core vertices are never adjacent, and joining them kills every
-    # maximum stable set at once
-    witness = (u, v)
-    if stability_after_adding_edge(f.graph, witness) >= f.alpha:
+    # maximum stable set: alpha(G+uv) = max(alpha(G-u), alpha(G-v)) < alpha
+    if max(f.alpha_without(u), f.alpha_without(v)) >= f.alpha:
         raise TheoremViolationError("core pair addition failed to lower alpha")
-    return StabilityClassification("not_stable", rep.core, witness)
+    return StabilityClassification("not_stable", rep.core, (u, v))
 
 
 # -- per-theorem verdicts ------------------------------------------------------
@@ -360,8 +360,7 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     # first_of keeps insertion order: the first failing test names the
     # first failing matching
     certified_size = g.n - f.mu
-    stable_sets = brute_stable_sets(g)
-    for k, s in enumerate(stable_sets):
+    for k, s in enumerate(f.stable_sets):
         expected = s in members
         if s.bit_count() != certified_size:
             # no matching certifies s: the first pair fails iff s is a member
@@ -371,7 +370,7 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
         for exposed, i in first_of.items():
             if (not exposed & ~s) != expected:
                 return CertificateVerdict(k * len(matchings) + i + 1, False)
-    return CertificateVerdict(len(stable_sets) * len(matchings), True)
+    return CertificateVerdict(len(f.stable_sets) * len(matchings), True)
 
 
 @dataclass(frozen=True)

@@ -60,13 +60,14 @@ def brute_stable_sets(g: Graph) -> list[int]:
 
 def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
     """The largest sets of brute_stable_sets, in lexicographic order."""
-    stable_sets = brute_stable_sets(g)
+    return largest_stable_sets(brute_stable_sets(g))
+
+
+def largest_stable_sets(stable_sets: list[int]) -> list[frozenset[int]]:
+    """The largest sets of a brute_stable_sets scan, in lexicographic order."""
     best = max(s.bit_count() for s in stable_sets)
-    sets = [
-        frozenset(v for v in range(g.n) if s >> v & 1)
-        for s in stable_sets
-        if s.bit_count() == best
-    ]
+    sets = [frozenset(v for v in range(s.bit_length()) if s >> v & 1)
+            for s in stable_sets if s.bit_count() == best]
     return sorted(sets, key=sorted)
 
 

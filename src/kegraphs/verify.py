@@ -84,7 +84,7 @@ def _check_matching_oracle(f: Facts) -> str | None:
 
 
 def _check_omega_oracle(f: Facts) -> str | None:
-    brute = bruteforce.brute_max_stable_sets(f.graph)
+    brute = bruteforce.largest_stable_sets(f.stable_sets)
     if list(f.family.sets) != brute:
         return "stable-set families differ between enumerators"
     if f.alpha != len(brute[0]):

@@ -13,6 +13,7 @@ from kegraphs.analysis import (
     CertificateVerdict,
     CutContainmentVerdict,
     Facts,
+    TheoremViolationError,
     check_alpha_plus_pm_criterion,
     check_alpha_plus_three_routes,
     check_anticore_empty_criterion,
@@ -45,9 +46,9 @@ from kegraphs.constructions import (
     random_tree,
 )
 from kegraphs.edgefile import format_graph
-from kegraphs.graph import Graph, GraphError, neighborhood
-from kegraphs.limits import DEFAULT_OMEGA_CAP
-from kegraphs.stable import StableSetFamily, core_report, maximum_stable_sets
+from kegraphs.graph import Graph, GraphError, delete_vertices, neighborhood
+from kegraphs.limits import DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP, CapExceededError
+from kegraphs.stable import CoreReport, StableSetFamily, core_report, maximum_stable_sets
 
 K4_MINUS_E = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -157,11 +158,37 @@ def test_definition_route_builds_no_graph(monkeypatch, g):
         raise AssertionError("the definition route built a graph per non-edge")
 
     monkeypatch.setattr(Graph, "with_edge", refuse)
-    for mod in (kegraphs, kegraphs.stable, kegraphs.analysis):
+    for mod in (kegraphs, kegraphs.stable):
         monkeypatch.setattr(mod, "stability_after_adding_edge", refuse)
+    assert not hasattr(kegraphs.analysis, "stability_after_adding_edge")
     counts = _count_calls(monkeypatch, ["_alpha_mask"])
     assert is_edge_addition_stable(g) == expected
     assert 0 < counts["_alpha_mask", g] <= g.n + 1
+
+
+@pytest.mark.parametrize("g", [
+    complete_bipartite(1, 8), fixture_by_name("fig3_nonstable").graph, random_tree(16, 1),
+], ids=["k1x8", "fig3", "tree16"])
+def test_full_report_builds_no_graph_for_the_witness(monkeypatch, g):
+    expected = full_report(g)
+    assert expected.stability.kind == "not_stable"
+
+    def refuse(*args):
+        raise AssertionError("the witness check built G + uv")
+
+    monkeypatch.setattr(Graph, "with_edge", refuse)
+    for mod in (kegraphs, kegraphs.stable):
+        monkeypatch.setattr(mod, "stability_after_adding_edge", refuse)
+    assert full_report(g) == expected
+
+
+def test_witness_check_catches_a_core_pair_that_keeps_alpha(monkeypatch):
+    # 0 and 2 are opposite on C4: joining them leaves the stable set {1, 3}
+    monkeypatch.setattr(kegraphs.analysis, "core_report",
+                        lambda fam: CoreReport(frozenset({0, 2}), frozenset()))
+    with pytest.raises(TheoremViolationError,
+                       match="^core pair addition failed to lower alpha$"):
+        full_report(cycle(4))
 
 
 def test_pm_criterion_examples():
@@ -258,6 +285,33 @@ def test_alpha_critical_examples():
     assert is_alpha_critical(path(3), 0)
     assert not is_alpha_critical(Graph(2, [(0, 1)]), 0)
     assert not is_alpha_critical(cycle(4), 2)
+
+
+def _brute_alpha(g):
+    return max(s.bit_count() for s in bruteforce.brute_stable_sets(g))
+
+
+def test_alpha_critical_agrees_with_the_brute_scan():
+    answers = []
+    for _, g in verify.connected_corpus(1, 30, 2, 10):
+        alpha = _brute_alpha(g)
+        for v in g.vertices():
+            answers.append(is_alpha_critical(g, v))
+            assert answers[-1] == (_brute_alpha(delete_vertices(g, {v})) < alpha)
+    assert any(answers) and not all(answers)
+
+
+def test_alpha_critical_refuses_above_the_cap_before_any_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the branch-and-bound ran above the cap")
+
+    for mod in (kegraphs.stable, kegraphs.analysis):
+        monkeypatch.setattr(mod, "_alpha_mask", refuse)
+    big = Graph(DEFAULT_ALPHA_CAP + 1)
+    with pytest.raises(CapExceededError):
+        is_alpha_critical(big, 0)
+    with pytest.raises(CapExceededError):
+        Facts(big).alpha_without(0)
 
 
 def test_core_lower_bound_examples():
@@ -511,12 +565,13 @@ ORACLES = (
     "maximum_stable_sets",
     "brute_maximum_matchings",
     "maximum_matching",
-    "is_edge_addition_stable",
+    "brute_stable_sets",
 )
 
 
-def _count_calls(monkeypatch, names):
-    """Calls per (function, graph), counted through every package binding."""
+def _count_calls(monkeypatch, names, key=lambda name, g, *args: (name, g)):
+    """Calls per key, by default (function, graph), counted through every
+    package binding."""
     counts = collections.Counter()
     modules = [m for name, m in list(sys.modules.items())
                if name == "kegraphs" or name.startswith("kegraphs.")]
@@ -524,7 +579,7 @@ def _count_calls(monkeypatch, names):
         original = getattr(kegraphs.analysis, name)
 
         def counted(g, *args, _name=name, _original=original, **kwargs):
-            counts[_name, g] += 1
+            counts[key(_name, g, *args)] += 1
             return _original(g, *args, **kwargs)
 
         for mod in modules:
@@ -572,19 +627,21 @@ def test_full_report_hands_each_graph_to_each_oracle_once(oracle_calls):
 
 
 def test_run_checks_runs_each_brute_oracle_once_per_graph(monkeypatch):
-    counts = collections.Counter()
-    for name in ("brute_max_matching_size", "brute_max_stable_sets"):
-        original = getattr(bruteforce, name)
+    # the omega-oracle row and the certificate row share one stable-set scan
+    counts = _count_calls(monkeypatch, ["brute_stable_sets"],
+                          key=lambda name, g: name)
+    original = bruteforce.brute_max_matching_size
 
-        def counted(g, _name=name, _original=original):
-            counts[_name] += 1
-            return _original(g)
+    def counted(g):
+        counts["brute_max_matching_size"] += 1
+        return original(g)
 
-        monkeypatch.setattr(bruteforce, name, counted)
-    corpus = verify.connected_corpus(1, 4, 2, 9)
+    monkeypatch.setattr(bruteforce, "brute_max_matching_size", counted)
+    corpus = verify.connected_corpus(1, 4, 2, 9) + verify.bipartite_corpus(1, 20, 10)
     assert verify.run_checks(corpus).violations == 0
+    assert sum(Facts(g).is_ke for _, g in corpus) > 0
     assert counts == {"brute_max_matching_size": len(corpus),
-                      "brute_max_stable_sets": len(corpus)}
+                      "brute_stable_sets": len(corpus)}
 
 
 def test_omega_oracle_catches_a_wrong_stability_number(monkeypatch):
@@ -600,8 +657,29 @@ def test_omega_oracle_catches_a_wrong_stability_number(monkeypatch):
 
 
 def test_alpha_critical_pendants_share_equal_deletions(monkeypatch):
+    runs = _count_calls(monkeypatch, ["_alpha_mask"], key=lambda name, g, mask: (g, mask))
+    graphs = ([g for _, g in verify.connected_corpus(1, 6, 2, 10)] + _ke16_inputs()[:12]
+              + [Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])])
+    deletions = 0
+    for g in graphs:
+        runs.clear()
+        full_report(g)
+        # one Facts per (component) graph, so each G - v is searched once
+        deletion_runs = [c for (h, mask), c in runs.items()
+                if (h.full_mask & ~mask).bit_count() == 1]
+        assert all(c == 1 for c in deletion_runs), sorted(g.edges)
+        deletions += len(deletion_runs)
+    assert deletions > len(graphs)
+
+    # on K1,8 the definition route, the pendants and the witness read alpha
+    # and alpha(G - v) for the 8 leaves: 9 runs, none repeated
     star = complete_bipartite(1, 8)
-    counts = _count_calls(monkeypatch, ["stability_number"])
-    # deleting any leaf leaves the same K1,7
-    assert Facts(star).alpha_critical_pendants == tuple(range(1, 9))
-    assert sorted(counts.values()) == [1, 1]
+    f = Facts(star)
+    f.core  # the enumeration's own run is not one of them
+    runs.clear()
+    assert not f.stable_by_definition
+    assert f.alpha_critical_pendants == tuple(range(1, 9))
+    assert classify_alpha_plus(f).witness_edge == (1, 2)
+    full = star.full_mask
+    assert runs == {(star, mask): 1 for mask in
+                    [full] + [full & ~(1 << v) for v in range(1, 9)]}

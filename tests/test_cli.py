@@ -8,9 +8,10 @@ import pytest
 
 from kegraphs import analysis, verify
 from kegraphs.cli import EXIT_INTERNAL, GENERATORS, main
-from kegraphs.constructions import complete_bipartite
+from kegraphs.constructions import complete_bipartite, cycle
 from kegraphs.edgefile import format_graph
 from kegraphs.graph import Graph
+from kegraphs.stable import CoreReport
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -152,6 +153,17 @@ def test_internal_cross_check_failure_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "p3.gr"))
     assert code == EXIT_INTERNAL == 4 and out == ""
     assert err == "analyze: internal cross-check failed: KE arithmetic failed\n"
+
+
+def test_witness_check_failure_exit_code(capsys, monkeypatch, tmp_path):
+    # 0 and 2 are opposite on C4: joining them leaves the stable set {1, 3}
+    monkeypatch.setattr(analysis, "core_report",
+                        lambda fam: CoreReport(frozenset({0, 2}), frozenset()))
+    c4 = tmp_path / "c4.gr"
+    c4.write_text(format_graph(cycle(4)), encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(c4))
+    assert code == EXIT_INTERNAL == 4 and out == ""
+    assert err == "analyze: internal cross-check failed: core pair addition failed to lower alpha\n"
 
 
 def test_analyze_cap_exceeded(capsys, tmp_path):
