@@ -22,7 +22,7 @@ runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .graph import Edge, Graph, complement_non_edges, normalize_edge
 from .limits import DEFAULT_OMEGA_CAP, check_cap
@@ -162,7 +162,6 @@ class Blossom:
     """Odd cycle whose heavy edges near-perfectly match it; base first."""
 
     cycle: tuple[int, ...]
-    kind: ClassVar[str] = "blossom"
 
     @property
     def base(self) -> int:
@@ -187,7 +186,6 @@ class Flower:
 
     blossom: Blossom
     stem: tuple[int, ...]
-    kind: ClassVar[str] = "flower"
 
     @property
     def trivial_stem(self) -> bool:
@@ -202,7 +200,6 @@ class Posy:
     blossom1: Blossom
     blossom2: Blossom
     path: tuple[int, ...]
-    kind: ClassVar[str] = "posy"
 
 
 class _Budget:

@@ -344,9 +344,12 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
+    return _sample_graph(n, edge_prob, random.Random(seed))
+
+
+def _sample_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:
     if n < 0 or not 0.0 <= edge_prob <= 1.0:
         raise GraphError("need n >= 0 and edge probability in [0, 1]")
-    rng = random.Random(seed)
     edges = [
         (i, j)
         for i in range(n)
@@ -363,13 +366,7 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Rejection-sample random graphs until one is connected."""
     rng = random.Random(seed)
     for _ in range(CONNECTED_SAMPLE_TRIES):
-        edges = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < edge_prob
-        ]
-        g = Graph(n, edges)
+        g = _sample_graph(n, edge_prob, rng)
         if is_connected(g):
             return g
     raise GraphError(

@@ -85,7 +85,9 @@ def matching_number(g: Graph) -> int:
     return len(maximum_matching(g))
 
 
-def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
+def _augment_from(g: Graph, root: int, match: list[int]) -> tuple[bool, bool]:
+    """Edmonds search from the exposed root: whether it augmented match (in
+    place) and whether it shrank an odd cycle on the way."""
     n = g.n
     parent = [-1] * n
     base = list(range(n))
@@ -93,6 +95,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
     in_queue[root] = True
     queue = deque([root])
     finish = -1
+    shrank = False
     while queue and finish == -1:
         v = queue.popleft()
         for to in g.neighbors(v):
@@ -103,6 +106,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
                 # closed; shrink it to its base.
                 cur = _cycle_base(match, base, parent, v, to)
                 _shrink(match, base, parent, in_queue, queue, v, to, cur)
+                shrank = True
             elif parent[to] == -1:
                 parent[to] = v
                 if match[to] == -1:
@@ -112,7 +116,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
                     in_queue[match[to]] = True
                     queue.append(match[to])
     if finish == -1:
-        return False
+        return False, shrank
     v = finish
     while v != -1:
         pv = parent[v]
@@ -120,7 +124,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> bool:
         match[v] = pv
         match[pv] = v
         v = nxt
-    return True
+    return True, shrank
 
 
 def _cycle_base(match: list[int], base: list[int], parent: list[int], a: int, b: int) -> int:
@@ -248,55 +252,44 @@ def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
     return False
 
 
-def _require_maximum(g: Graph, m: Matching) -> list[int]:
+def _require_maximum(g: Graph, m: Matching) -> tuple[list[int], bool]:
     """Berge: m is maximum exactly when no exposed vertex starts an
     augmenting path, so one failed search per exposed vertex proves it.
-    Returns m as _match_list does (a failed search leaves it unchanged)."""
+    Returns m as _match_list does (a failed search leaves it unchanged)
+    and whether any of those searches shrank an odd cycle, which is
+    has_flower's answer."""
     match = _match_list(g, m)
+    shrank = False
     for root in range(g.n):
-        if match[root] == -1 and _augment_from(g, root, match):
-            raise GraphError(f"matching of size {len(m)} is not maximum")
-    return match
+        if match[root] == -1:
+            augmented, cycle = _augment_from(g, root, match)
+            if augmented:
+                raise GraphError(f"matching of size {len(m)} is not maximum")
+            shrank |= cycle
+    return match, shrank
 
 
 def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
     """Whether some flower exists relative to the maximum matching m.
 
-    Exact and polynomial: one alternating BFS per exposed root r, without
-    shrinking, answers yes at the first light edge joining two outer
-    vertices (r itself is outer).  That edge closes a real blossom whose
-    base is where the two tree paths meet, and the tree path from r to
-    that base is an even stem.  Conversely, every vertex of a flower's
-    cycle is reachable from its stem's exposed end by an even alternating
-    path, so Edmonds' search from there marks them all outer and some
-    light cycle edge joins two outer vertices.
+    Exact and polynomial: a flower exists exactly when the alternating BFS
+    without shrinking from some exposed root r finds a light edge joining
+    two outer vertices (r itself is outer).  That edge closes a real
+    blossom whose base is where the two tree paths meet, and the tree path
+    from r to that base is an even stem.  Conversely, every vertex of a
+    flower's cycle is reachable from its stem's exposed end by an even
+    alternating path, so Edmonds' search from there marks them all outer
+    and some light cycle edge joins two outer vertices.
+
+    That BFS is not run: the searches that prove m maximum answer it.  Up
+    to its first shrink, an Edmonds search from an exposed root makes the
+    same moves as the BFS, with the same queue order and neighbor order:
+    no vertex has merged, so a vertex is outer exactly when it is the root
+    or its partner has a tree parent, and no augmenting path exists.  It
+    shrinks at exactly the edge where the BFS finds two outer vertices
+    joined, so the flag _require_maximum returns is the answer.
     """
-    return _has_flower(g, _require_maximum(g, validate_matching(g, m)))
-
-
-def _has_flower(g: Graph, match: list[int]) -> bool:
-    return any(match[r] == -1 and _closes_odd_cycle(g, match, r) for r in range(g.n))
-
-
-def _closes_odd_cycle(g: Graph, match: list[int], root: int) -> bool:
-    """Alternating BFS from root with no shrinking: whether a light edge
-    joins two outer vertices.  The matching is maximum, so every inner
-    vertex reached is matched."""
-    outer = [False] * g.n
-    inner = [False] * g.n
-    outer[root] = True
-    queue = deque([root])
-    while queue:
-        v = queue.popleft()
-        for to in g.neighbors(v):
-            if inner[to]:
-                continue  # also v's own partner, the vertex v was reached by
-            if outer[to]:
-                return True
-            inner[to] = True
-            outer[match[to]] = True
-            queue.append(match[to])
-    return False
+    return _require_maximum(g, validate_matching(g, m))[1]
 
 
 def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
@@ -309,7 +302,7 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     augmenting path s b1 ... b2 t, and with s and t the only reachable
     exposed vertices one Edmonds search from s decides whether one exists.
     """
-    return _has_posy(g, _require_maximum(g, validate_matching(g, m)))
+    return _has_posy(g, _require_maximum(g, validate_matching(g, m))[0])
 
 
 def _has_posy(g: Graph, match: list[int]) -> bool:
@@ -321,12 +314,13 @@ def _has_posy(g: Graph, match: list[int]) -> bool:
     s, t = g.n, g.n + 1
     edges = [(u, v) for u, v in g.edges if match[u] != -1 and match[v] != -1]
     edges += [(b, x) for b in bases for x in (s, t)]
-    return _augment_from(Graph(g.n + 2, edges), s, match + [-1, -1])
+    return _augment_from(Graph(g.n + 2, edges), s, match + [-1, -1])[0]
 
 
 def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
     """has_flower and has_posy of the maximum matching m, with m validated
-    and proved maximum once for both."""
-    match = _require_maximum(g, validate_matching(g, m))
-    return _has_flower(g, match), _has_posy(g, match)
+    and proved maximum once for both; the proof's searches give the flower
+    answer."""
+    match, flower = _require_maximum(g, validate_matching(g, m))
+    return flower, _has_posy(g, match)
 

@@ -1,8 +1,9 @@
 """Exact stability-number machinery.
 
 The stability number comes from a bitmask branch-and-bound; the full
-family of maximum stable sets from a pruned depth-first enumeration over
-vertices in ascending order.  Both refuse inputs above the fixed caps in
+family of maximum stable sets from a pruned take-then-leave recursion on
+the lowest undecided vertex of a bitmask, whose depth-first order is
+already lexicographic.  Both refuse inputs above the fixed caps in
 limits.  The certificate check and the matching-driven extension replace
 enumeration for Koenig-Egervary inputs: a stable set is maximum exactly
 when it contains every exposed vertex and one endpoint of each heavy
@@ -92,30 +93,40 @@ class StableSetFamily:
 
 
 def maximum_stable_sets(g: Graph) -> StableSetFamily:
-    """Enumerate every maximum stable set, in lexicographic order."""
+    """Enumerate every maximum stable set, in lexicographic order.
+
+    Each branch decides its lowest undecided vertex v: first take v and
+    drop its neighbors from the undecided mask, then leave v out.  A
+    branch is emitted once it holds alpha vertices and pruned when its
+    size plus the undecided count falls below alpha.
+
+    The output needs no sort.  Two emitted sets S and T part at the first
+    branch that decides them differently, on its vertex v; S takes v and
+    T leaves it out.  Every vertex below v is settled alike in both, since
+    v was the lowest undecided one, so sorted(S) and sorted(T) share the
+    prefix below v, and then S has v where T has a larger vertex (T is not
+    shorter: both have alpha vertices).  So S < T, and S is emitted first
+    because taking comes before leaving out.
+    """
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-stable-set enumeration")
     n = g.n
     alpha = _alpha_mask(g, g.full_mask)
     masks = g._masks  # noqa: SLF001
     out: list[int] = []
 
-    def rec(v: int, chosen: int, banned: int, size: int) -> None:
-        if size + (n - v) < alpha:
+    def rec(undecided: int, chosen: int, size: int) -> None:
+        if size == alpha:
+            out.append(chosen)
             return
-        if v == n:
-            if size == alpha:
-                out.append(chosen)
-            return
-        if not banned >> v & 1:
-            rec(v + 1, chosen | 1 << v, banned | masks[v], size + 1)
-        rec(v + 1, chosen, banned, size)
+        while size + undecided.bit_count() >= alpha:
+            low = undecided & -undecided
+            v = low.bit_length() - 1
+            rec(undecided & ~(masks[v] | low), chosen | low, size + 1)
+            undecided ^= low  # and loop: v left out
 
-    rec(0, 0, 0, 0)
-    sets = sorted(
-        (frozenset(u for u in range(n) if chosen >> u & 1) for chosen in out),
-        key=sorted,
-    )
-    return StableSetFamily(n=n, alpha=alpha, sets=tuple(sets))
+    rec(g.full_mask, 0, 0)
+    sets = tuple(frozenset(u for u in range(n) if chosen >> u & 1) for chosen in out)
+    return StableSetFamily(n=n, alpha=alpha, sets=sets)
 
 
 @dataclass(frozen=True)

@@ -342,6 +342,13 @@ def test_generate_unknown_fixture(capsys):
     assert err == "generate: unknown fixture 'nope'\n"
 
 
+def test_generate_random_connected_refuses_a_bad_edge_probability(capsys):
+    code, out, err = run_cli(capsys, "generate", "random-connected", "--n", "4",
+                             "--seed", "1", "--p", "2")
+    assert code == 2 and out == ""
+    assert err == "generate: need n >= 0 and edge probability in [0, 1]\n"
+
+
 def test_generate_help_lists_every_kind(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generate", "--help"])

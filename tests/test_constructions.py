@@ -263,6 +263,12 @@ def test_random_connected_graph_is_connected():
         assert is_connected(g)
 
 
+@pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])
+def test_random_connected_graph_rejects_a_bad_edge_probability(p):
+    with pytest.raises(GraphError, match="edge probability"):
+        random_connected_graph(4, p, 1)
+
+
 def test_fixture_type_is_frozen():
     f = fixtures()[0]
     assert isinstance(f, Fixture)

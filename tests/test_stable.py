@@ -9,7 +9,16 @@ from kegraphs.bruteforce import (
     brute_stable_sets,
     is_stable_set,
 )
-from kegraphs.constructions import cycle, fixture_by_name, path, random_graph
+from kegraphs.constructions import (
+    complete_bipartite,
+    cycle,
+    fixture_by_name,
+    path,
+    random_bipartite,
+    random_bipartite_with_pm,
+    random_graph,
+    random_tree,
+)
 from kegraphs.graph import Graph, GraphError
 from kegraphs.limits import CapExceededError, DEFAULT_ALPHA_CAP
 from kegraphs.matching import maximum_matching
@@ -37,13 +46,29 @@ def test_family_examples():
 
 def test_two_enumerators_agree():
     rng = random.Random(17)
-    for _ in range(200):
-        n = rng.randint(0, 9)
-        g = random_graph(n, rng.random(), rng.randrange(1 << 30))
+    small = [random_graph(rng.randint(0, 9), rng.random(), rng.randrange(1 << 30))
+             for _ in range(200)]
+    # analyze enumerates the family up to 16 vertices
+    large = [
+        complete_bipartite(8, 8),
+        complete_bipartite(7, 9),
+        cycle(16),
+        random_tree(16, 1),
+        random_bipartite(8, 8, 0.5, 2),
+        random_bipartite(8, 8, 0.8, 3),
+        random_bipartite_with_pm(8, 0.3, 4),
+        random_graph(14, 0.3, 5),
+        random_graph(15, 0.25, 6),
+        random_graph(16, 0.2, 7),
+    ]
+    for g in small + large:
         fam = maximum_stable_sets(g)
-        assert fam.alpha == len(brute_max_stable_sets(g)[0])
-        assert list(fam.sets) == brute_max_stable_sets(g)
+        brute = brute_max_stable_sets(g)
+        assert fam.alpha == len(brute[0])
+        assert list(fam.sets) == brute
         assert all(is_stable_set(g, s) for s in fam.sets)
+    for g in small:
+        n = g.n
         every = [frozenset(v for v in range(n) if bits >> v & 1)
                  for bits in brute_stable_sets(g)]
         subsets = [frozenset(v for v in range(n) if bits >> v & 1)
