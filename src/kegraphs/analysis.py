@@ -31,7 +31,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .bruteforce import brute_maximum_matchings, brute_stable_sets
+from .bruteforce import (
+    MatchingSummary,
+    brute_matching_summary,
+    brute_maximum_matchings,
+    brute_stable_sets,
+)
 from .graph import (
     Edge,
     Graph,
@@ -125,6 +130,12 @@ class Facts:
     @cached_property
     def maximum_matchings(self) -> tuple[Matching, ...]:
         return brute_maximum_matchings(self.graph, self.mu)
+
+    @cached_property
+    def matching_summary(self) -> MatchingSummary:
+        """The count, distinct exposed sets and edge union of the maximum
+        matchings, taken without listing them."""
+        return brute_matching_summary(self.graph, self.mu)
 
     @cached_property
     def family(self) -> StableSetFamily:
@@ -306,14 +317,15 @@ class CutContainmentVerdict:
 
 
 def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
+    """Every matching lies in a cut iff the union of their edges does, so
+    past the KE gate the matching side reads only the maximum matchings'
+    summary (their count and edge union), never alpha, core or anticore."""
     if not f.is_ke:
         raise GraphError("cut containment is a KE-only property")
-    g, fam, matchings = f.graph, f.family, f.maximum_matchings
-    # every matching lies in a cut iff the union of their edges does
-    used = frozenset().union(*matchings)
+    g, fam, summary = f.graph, f.family, f.matching_summary
     full = frozenset(range(g.n))
-    consistent = all(used <= cut_edges(g, s, full - s) for s in fam.sets)
-    return CutContainmentVerdict(len(matchings), len(fam.sets), consistent)
+    consistent = all(summary.edges <= cut_edges(g, s, full - s) for s in fam.sets)
+    return CutContainmentVerdict(summary.count, len(fam.sets), consistent)
 
 
 @dataclass(frozen=True)
@@ -345,32 +357,32 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     E(m).  sets_checked still counts the pairs the per-pair scan would
     reach, so the verdict is the same as that scan's, failure included.
 
+    The maximum matchings' summary holds each distinct E(m) with the index
+    of its first matching, in increasing index order, so the first failing
+    test names the first failing matching.
+
     Past the KE gate, the expected side reads only membership in the
-    enumerated family and the certified side only the enumerated matchings
-    and their size mu; neither reads alpha, core or anticore.
+    enumerated family and the certified side only the maximum matchings'
+    summary and their size mu; neither reads alpha, core or anticore.
     """
     if not f.is_ke:
         raise GraphError("the stable-set certificate is a KE-only property")
     g = f.graph
     members = {_as_mask(s) for s in f.family.sets}
-    matchings = f.maximum_matchings
-    first_of: dict[int, int] = {}
-    for i, m in enumerate(matchings):
-        first_of.setdefault(g.full_mask & ~_as_mask(v for e in m for v in e), i)
-    # first_of keeps insertion order: the first failing test names the
-    # first failing matching
+    summary = f.matching_summary
+    count, first_of = summary.count, summary.first_of
     certified_size = g.n - f.mu
     for k, s in enumerate(f.stable_sets):
         expected = s in members
         if s.bit_count() != certified_size:
             # no matching certifies s: the first pair fails iff s is a member
             if expected:
-                return CertificateVerdict(k * len(matchings) + 1, False)
+                return CertificateVerdict(k * count + 1, False)
             continue
         for exposed, i in first_of.items():
             if (not exposed & ~s) != expected:
-                return CertificateVerdict(k * len(matchings) + i + 1, False)
-    return CertificateVerdict(len(f.stable_sets) * len(matchings), True)
+                return CertificateVerdict(k * count + i + 1, False)
+    return CertificateVerdict(len(f.stable_sets) * count, True)
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,15 @@ verification harness.  They share no algorithmic ideas with the
 production implementations they check.  Every stable-set answer (every
 stable set, the maximum ones, edge-addition stability by definition) comes
 from one scan of the vertex subsets in increasing order, brute_stable_sets;
-the matching number comes from a bitmask recursion over covered vertices
+the matching number comes from a bitmask recursion over covered vertices,
+cut off by counting (no matching covers more than the vertices left),
 rather than an augmenting-path search.  brute_maximum_matchings lists the
 matchings of a given size by recursion on the lowest undecided vertex
-(matched to a higher neighbour, or exposed); Facts passes it the matching
-number from Edmonds' search.
+(matched to a higher neighbour, or exposed); brute_matching_summary walks
+the same recursion, memoised, and returns only what the certificate and
+cut checks read of that listing: the count, the distinct exposed sets and
+the union of the edges.  Facts passes both the matching number from
+Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
@@ -83,7 +87,10 @@ def brute_edge_addition_stable(g: Graph) -> bool:
 
 
 def brute_max_matching_size(g: Graph) -> int:
-    """Matching number by recursion on the lowest uncovered vertex."""
+    """Matching number by recursion on the lowest uncovered vertex, matched
+    to each neighbour before it is left uncovered.  No matching of the
+    vertices in mask has more than popcount(mask) // 2 edges, so a mask
+    stops branching once its best reaches that count."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "brute matching number")
     masks = [g.adjacency_mask(v) for v in g.vertices()]
     memo: dict[int, int] = {}
@@ -96,13 +103,15 @@ def brute_max_matching_size(g: Graph) -> int:
             return cached
         low = mask & -mask
         v = low.bit_length() - 1
-        best = rec(mask ^ low)  # leave v uncovered
+        bound = mask.bit_count() // 2
+        best = 0
         nbrs = masks[v] & mask
-        while nbrs:
+        while nbrs and best < bound:
             ub = nbrs & -nbrs
-            u = ub.bit_length() - 1
             nbrs ^= ub
             best = max(best, 1 + rec(mask ^ low ^ ub))
+        if best < bound:
+            best = max(best, rec(mask ^ low))  # leave v uncovered
         memo[mask] = best
         return best
 
@@ -152,6 +161,88 @@ def brute_maximum_matchings(g: Graph, size: int) -> tuple[frozenset[Edge], ...]:
 
     rec(g.full_mask, g.n - 2 * size)
     return tuple(results)
+
+
+@dataclass(frozen=True)
+class MatchingSummary:
+    """What the certificate and cut checks read of a listing of matchings:
+    how many there are; each distinct exposed set (a vertex bitmask) mapped
+    to the index of its first matching in the listing, in increasing index
+    order; and the union of their edges."""
+
+    count: int
+    first_of: dict[int, int]
+    edges: frozenset[Edge]
+
+
+def brute_matching_summary(g: Graph, size: int) -> MatchingSummary:
+    """The summary of brute_maximum_matchings(g, size), without the listing.
+
+    The recursion is the listing's: the lowest undecided vertex v is matched
+    to each higher undecided neighbour in ascending order, then left exposed
+    while exposures remain.  A state (undecided, exposures) still has to
+    place (popcount(undecided) - exposures) / 2 edges, so the subtree below
+    it does not depend on the path to it and is summarised once: its count,
+    the first index (within the subtree) of each exposed set restricted to
+    undecided, and the edge union as a bitmask over v * n + u.  A state is
+    a leaf when no edge is left to place; its one matching exposes every
+    undecided vertex.
+
+    A state merges its children in listing order, offsetting each child's
+    indices by the counts of the children before it; the exposure child's
+    sets gain v.  By induction each child's dict is in increasing index
+    order, and every index a later child adds exceeds every index an
+    earlier one added, so the merged dict is in increasing index order too.
+    A set is added only by the first child that has it, at that child's
+    first index for it, which is therefore its first index in the state.
+    Nothing is sorted.
+    """
+    check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching summary")
+    n = g.n
+    if not 0 <= 2 * size <= n:
+        return MatchingSummary(0, {}, frozenset())
+    masks = g._masks  # noqa: SLF001
+    memo: dict[int, tuple[int, dict[int, int], int]] = {}
+
+    def rec(undecided: int, exposures: int) -> tuple[int, dict[int, int], int]:
+        key = undecided << 5 | exposures  # exposures <= n <= 16 < 32
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if undecided.bit_count() == exposures:
+            out = (1, {undecided: 0}, 0)
+        else:
+            low = undecided & -undecided
+            v = low.bit_length() - 1
+            rest = undecided ^ low
+            nbrs = masks[v] & rest
+            count, first, used = 0, {}, 0
+            while nbrs:
+                ub = nbrs & -nbrs
+                nbrs ^= ub
+                c, sub, e = rec(rest ^ ub, exposures)
+                if c:
+                    for x, i in sub.items():
+                        if x not in first:
+                            first[x] = count + i
+                    count += c
+                    used |= e | 1 << (v * n + ub.bit_length() - 1)
+            if exposures:
+                c, sub, e = rec(rest, exposures - 1)
+                if c:
+                    for x, i in sub.items():
+                        x |= low
+                        if x not in first:
+                            first[x] = count + i
+                    count += c
+                    used |= e
+            out = (count, first, used)
+        memo[key] = out
+        return out
+
+    count, first, used = rec(g.full_mask, n - 2 * size)
+    edges = frozenset(divmod(i, n) for i in range(used.bit_length()) if used >> i & 1)
+    return MatchingSummary(count, first, edges)
 
 
 # -- exhaustive alternating-walk search ---------------------------------------

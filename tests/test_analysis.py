@@ -346,10 +346,42 @@ def test_ke_arithmetic_and_near_perfect():
     assert check_matchings_in_cuts(Facts(K4_MINUS_E)).consistent
 
 
+def _summary_of(g, matchings):
+    """The MatchingSummary of a listing of matchings, read off the listing."""
+    first_of = {}
+    for i, m in enumerate(matchings):
+        first_of.setdefault(g.full_mask & ~sum(1 << v for e in m for v in e), i)
+    return bruteforce.MatchingSummary(
+        len(matchings), first_of, frozenset().union(*matchings)
+    )
+
+
+@pytest.mark.parametrize("corpus", ["bipartite", "connected", "named"])
+def test_matching_summary_agrees_with_a_summary_of_the_listing(corpus):
+    # sizes mu, mu - 1, 0 and one out of range; K8,8 and K7,9 skip mu - 1,
+    # whose listings run to hundreds of thousands of matchings
+    graphs = {
+        "bipartite": lambda: verify.bipartite_corpus(1, 200, 12),
+        "connected": lambda: verify.connected_corpus(1, 30, 2, 10),
+        "named": lambda: [("k8x8", complete_bipartite(8, 8)),
+                          ("k7x9", complete_bipartite(7, 9)), ("c16", cycle(16))],
+    }[corpus]()
+    for label, g in graphs:
+        mu = matching.matching_number(g)
+        sizes = (mu, 0, mu + 1) if label in ("k8x8", "k7x9") else (mu, mu - 1, 0, mu + 1)
+        for size in sizes:
+            got = bruteforce.brute_matching_summary(g, size)
+            want = _summary_of(g, bruteforce.brute_maximum_matchings(g, size))
+            assert got.count == want.count, (label, size)
+            assert list(got.first_of.items()) == list(want.first_of.items()), (label, size)
+            assert got.edges == want.edges, (label, size)
+
+
 def test_cut_containment_fails_on_a_planted_matching_outside_every_cut():
     # both ends of (0, 2) lie in the maximum stable set {0, 2} of C4
     f = Facts(cycle(4))
     f.maximum_matchings += (frozenset({(0, 2)}),)
+    f.matching_summary = _summary_of(f.graph, f.maximum_matchings)
     assert check_matchings_in_cuts(f) == CutContainmentVerdict(3, 2, False)
 
 
@@ -411,6 +443,7 @@ def test_certificate_scans_agree_on_a_planted_non_matching_pair():
     # the scan, against the fourth of four matchings
     f = Facts(complete_bipartite(1, 3))
     f.maximum_matchings += (frozenset({(1, 2)}),)
+    f.matching_summary = _summary_of(f.graph, f.maximum_matchings)
     verdict = check_certificate_equivalence(f)
     assert verdict == _certificate_scan_per_pair(f)
     assert verdict == CertificateVerdict(8 * 4 + 3 + 1, False)
@@ -564,6 +597,7 @@ def test_verdict_rows_report_an_inconsistent_verdict_by_its_repr(
 ORACLES = (
     "maximum_stable_sets",
     "brute_maximum_matchings",
+    "brute_matching_summary",
     "maximum_matching",
     "brute_stable_sets",
 )

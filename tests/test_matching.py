@@ -20,6 +20,7 @@ from kegraphs.constructions import (
     FIG2_M2,
     FIG3_PM,
     complete,
+    complete_bipartite,
     cycle,
     fixture_by_name,
     path,
@@ -387,6 +388,45 @@ def test_vertex_branching_enumerator_agrees_with_the_edge_recursion():
             assert got == _edge_recursion_maximum_matchings(g, size), (label, size)
             keys = [sorted(m) for m in got]
             assert all(a < b for a, b in zip(keys, keys[1:])), (label, size)
+
+
+def _unpruned_max_matching_size(g):
+    """The brute matching number as it was before the counting cut-off:
+    every branch at every mask.  Kept as the reference for its answers."""
+    masks = [g.adjacency_mask(v) for v in g.vertices()]
+    memo = {}
+
+    def rec(mask):
+        if mask == 0:
+            return 0
+        if mask not in memo:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            best = rec(mask ^ low)
+            nbrs = masks[v] & mask
+            while nbrs:
+                ub = nbrs & -nbrs
+                nbrs ^= ub
+                best = max(best, 1 + rec(mask ^ low ^ ub))
+            memo[mask] = best
+        return memo[mask]
+
+    return rec(g.full_mask)
+
+
+def test_pruned_brute_matching_number_agrees_with_the_unpruned_recursion():
+    rng = random.Random(17)
+    corpus = (
+        verify.connected_corpus(1, 30, 2, 10)
+        + verify.bipartite_corpus(1, 200, 12)
+        + [("k8x8", complete_bipartite(8, 8)), ("k7x9", complete_bipartite(7, 9)),
+           ("c16", cycle(16)), ("c15", cycle(15)),
+           ("tree16", random_tree(16, rng.randrange(1 << 30)))]
+        + [(f"random{n}", random_graph(n, p, rng.randrange(1 << 30)))
+           for n in (13, 14, 15, 16) for p in (0.1, 0.3, 0.6)]
+    )
+    for label, g in corpus:
+        assert brute_max_matching_size(g) == _unpruned_max_matching_size(g), label
 
 
 def test_matching_does_not_import_the_oracles():

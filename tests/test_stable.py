@@ -5,6 +5,7 @@ import pytest
 
 import kegraphs
 from kegraphs.bruteforce import (
+    brute_matching_summary,
     brute_max_stable_sets,
     brute_stable_sets,
     is_stable_set,
@@ -208,4 +209,6 @@ def test_caps_are_enforced():
         maximum_stable_sets(Graph(17))
     with pytest.raises(CapExceededError):
         brute_stable_sets(Graph(17))
+    with pytest.raises(CapExceededError):
+        brute_matching_summary(Graph(17), 0)
     assert stability_number(Graph(DEFAULT_ALPHA_CAP)) == DEFAULT_ALPHA_CAP
