@@ -658,6 +658,8 @@ class StructureConsistencyVerdict:
     posies relative to the canonical maximum matching (and, on KE graphs of
     order at most ALL_MATCHINGS_MAX_N, relative to every maximum matching;
     all_matchings_checked counts those, stopping at the first structure).
+    The loop meets the canonical matching again and reuses its answer
+    instead of searching it twice; it still counts in all_matchings_checked.
 
     This is Sterboul's theorem.  Both structure sides come from the exact
     polynomial flower and posy tests (flower_and_posy), which read only
@@ -681,12 +683,13 @@ class StructureConsistencyVerdict:
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g = f.graph
-    flower_found, posy_found = flower_and_posy(g, f.matching)
+    canonical = flower_and_posy(g, f.matching)
+    flower_found, posy_found = canonical
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower, posy = flower_and_posy(g, mm)
+            flower, posy = canonical if mm == f.matching else flower_and_posy(g, mm)
             flower_found = flower_found or flower
             posy_found = posy_found or posy
             if flower_found or posy_found:

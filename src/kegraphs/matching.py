@@ -15,6 +15,14 @@ last edges are heavy.
 
 Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
+searches read the graph's ascending neighbor tuples directly; has_posy's
+last search runs on neighbor tuples built for it, not on a new Graph.
+has_posy searches for bases only among the matched vertices whose
+component in the subgraph spanned by the matched vertices is not
+bipartite: a blossom based at a matched vertex is an odd cycle of matched
+vertices (its base is matched, the rest are covered by heavy cycle edges).
+Each search skips a root with fewer than two matched neighbors other than
+its mate, since a base's two light cycle edges end at such vertices.  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
 the oracle those tests are checked against, live in bruteforce, as does
 the enumeration of every maximum matching.  Everything here runs in
@@ -24,11 +32,13 @@ polynomial time, so no routine in this module has a size cap.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graph import Edge, Graph, GraphError, normalize_edge
 
 Matching = frozenset[Edge]
+# Each vertex's neighbors in ascending order, as Graph keeps them.
+Adjacency = Sequence[tuple[int, ...]]
 
 
 def validate_matching(g: Graph, pairs: Iterable[Edge]) -> Matching:
@@ -66,18 +76,19 @@ def exposed_vertices(g: Graph, m: Iterable[Edge]) -> frozenset[int]:
 
 def maximum_matching(g: Graph) -> Matching:
     """A maximum matching, deterministic for a given graph."""
+    adj = g._adj  # noqa: SLF001 - hot path inside the package
     n = g.n
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
-            for u in g.neighbors(v):
+            for u in adj[v]:
                 if match[u] == -1:
                     match[v] = u
                     match[u] = v
                     break
     for v in range(n):
         if match[v] == -1:
-            _augment_from(g, v, match)
+            _augment_from(adj, v, match)
     return frozenset((v, match[v]) for v in range(n) if match[v] > v)
 
 
@@ -85,10 +96,11 @@ def matching_number(g: Graph) -> int:
     return len(maximum_matching(g))
 
 
-def _augment_from(g: Graph, root: int, match: list[int]) -> tuple[bool, bool]:
-    """Edmonds search from the exposed root: whether it augmented match (in
-    place) and whether it shrank an odd cycle on the way."""
-    n = g.n
+def _augment_from(adj: Adjacency, root: int, match: list[int]) -> tuple[bool, bool]:
+    """Edmonds search from the exposed root over the ascending neighbor
+    tuples adj: whether it augmented match (in place) and whether it shrank
+    an odd cycle on the way."""
+    n = len(adj)
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
@@ -98,7 +110,7 @@ def _augment_from(g: Graph, root: int, match: list[int]) -> tuple[bool, bool]:
     shrank = False
     while queue and finish == -1:
         v = queue.popleft()
-        for to in g.neighbors(v):
+        for to in adj[v]:
             if base[v] == base[to] or match[v] == to:
                 continue
             if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -203,8 +215,9 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     cycle neighbors of a real base r are even, so the edge back to r closes
     a cycle at r.
     """
+    adj = g._adj  # noqa: SLF001 - hot path inside the package
     match = _match_list(g, validate_matching(g, m))
-    return any(_closes_blossom_at(g, match, r) for r in range(g.n))
+    return any(_closes_blossom_at(adj, match, r) for r in range(g.n))
 
 
 def _match_list(g: Graph, m: Matching) -> list[int]:
@@ -216,18 +229,27 @@ def _match_list(g: Graph, m: Matching) -> list[int]:
     return match
 
 
-def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
-    """Edmonds search from root with root the only exposed vertex left."""
-    n = g.n
-    if g.degree(root) < 2:
+def _closes_blossom_at(adj: Adjacency, matched: list[int], root: int) -> bool:
+    """Edmonds search from root with root the only exposed vertex left.
+
+    A root with fewer than two neighbors that are matched and are not its
+    mate is no base, and is answered without a search: a base has two
+    light cycle edges, and the far end of each is a cycle vertex other
+    than the base, so it is covered by a heavy cycle edge; that edge is
+    not the base's own heavy edge, which is off the cycle."""
+    mate = matched[root]
+    light = 0
+    for w in adj[root]:
+        if matched[w] != -1 and w != mate:
+            light += 1
+    if light < 2:
         return False
+    n = len(adj)
     match = matched[:]
-    deleted = [w == -1 for w in match]
-    deleted[root] = False
-    mate = match[root]
     if mate != -1:
-        deleted[mate] = True
         match[mate] = match[root] = -1
+    # the live vertices are root and those still matched: root's mate and
+    # every other exposed vertex are deleted
     parent = [-1] * n
     base = list(range(n))
     in_queue = [False] * n
@@ -235,10 +257,11 @@ def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
     queue = deque([root])
     while queue:
         v = queue.popleft()
-        for to in g.neighbors(v):
-            if deleted[to] or base[v] == base[to] or match[v] == to:
+        for to in adj[v]:
+            mt = match[to]
+            if (mt == -1 and to != root) or base[v] == base[to] or mt == v:
                 continue
-            if to == root or parent[match[to]] != -1:
+            if to == root or parent[mt] != -1:
                 cur = _cycle_base(match, base, parent, v, to)
                 if cur == root:
                     return True
@@ -246,9 +269,9 @@ def _closes_blossom_at(g: Graph, matched: list[int], root: int) -> bool:
             elif parent[to] == -1:
                 # every live vertex but root is matched: no augmenting path
                 parent[to] = v
-                if not in_queue[match[to]]:
-                    in_queue[match[to]] = True
-                    queue.append(match[to])
+                if not in_queue[mt]:
+                    in_queue[mt] = True
+                    queue.append(mt)
     return False
 
 
@@ -258,11 +281,12 @@ def _require_maximum(g: Graph, m: Matching) -> tuple[list[int], bool]:
     Returns m as _match_list does (a failed search leaves it unchanged)
     and whether any of those searches shrank an odd cycle, which is
     has_flower's answer."""
+    adj = g._adj  # noqa: SLF001 - hot path inside the package
     match = _match_list(g, m)
     shrank = False
     for root in range(g.n):
         if match[root] == -1:
-            augmented, cycle = _augment_from(g, root, match)
+            augmented, cycle = _augment_from(adj, root, match)
             if augmented:
                 raise GraphError(f"matching of size {len(m)} is not maximum")
             shrank |= cycle
@@ -296,25 +320,69 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     """Whether some posy exists relative to the maximum matching m.
 
     Exact and polynomial.  Take the matched blossom bases (one Edmonds
-    search per vertex, as in has_blossom), drop every edge at an exposed
-    vertex, and add two new vertices s and t, each joined to every base.
-    A posy path b1 -heavy- ... -heavy- b2 with b1 != b2 is then exactly an
-    augmenting path s b1 ... b2 t, and with s and t the only reachable
-    exposed vertices one Edmonds search from s decides whether one exists.
+    search per candidate, as in has_blossom), drop every edge at an
+    exposed vertex, and add two new vertices s and t, each joined to every
+    base.  A posy path b1 -heavy- ... -heavy- b2 with b1 != b2 is then
+    exactly an augmenting path s b1 ... b2 t, and with s and t the only
+    reachable exposed vertices one Edmonds search from s decides whether
+    one exists.  That search runs on neighbor tuples built for it, with s
+    and t numbered last so that each tuple stays ascending; no Graph is
+    built.
+
+    Only the matched vertices of the odd components (_odd_component_vertices)
+    are searched as bases.  A blossom based at a matched vertex r has
+    every vertex matched: r by assumption, the others by heavy cycle
+    edges.  So the blossom lies in the subgraph spanned by the matched
+    vertices, and being an odd cycle, it puts r in a component of that
+    subgraph that is not bipartite.
     """
     return _has_posy(g, _require_maximum(g, validate_matching(g, m))[0])
 
 
+def _odd_component_vertices(adj: Adjacency, match: list[int]) -> list[int]:
+    """The matched vertices, ascending, whose component in the subgraph
+    spanned by the matched vertices is not bipartite: one BFS 2-colouring
+    per component, and a whole component is kept once any of its edges
+    joins two vertices of one colour."""
+    colour = [-1] * len(adj)
+    odd: list[int] = []
+    for start in range(len(adj)):
+        if match[start] == -1 or colour[start] != -1:
+            continue
+        colour[start] = 0
+        component = [start]
+        clash = False
+        for v in component:  # grows as the BFS reaches new vertices
+            for w in adj[v]:
+                if match[w] == -1:
+                    continue
+                if colour[w] == -1:
+                    colour[w] = colour[v] ^ 1
+                    component.append(w)
+                elif colour[w] == colour[v]:
+                    clash = True
+        if clash:
+            odd += component
+    return sorted(odd)
+
+
 def _has_posy(g: Graph, match: list[int]) -> bool:
-    bases = [
-        r for r in range(g.n) if match[r] != -1 and _closes_blossom_at(g, match, r)
-    ]
+    adj = g._adj  # noqa: SLF001 - hot path inside the package
+    candidates = _odd_component_vertices(adj, match)
+    bases = [r for r in candidates if _closes_blossom_at(adj, match, r)]
     if len(bases) < 2:
         return False
-    s, t = g.n, g.n + 1
-    edges = [(u, v) for u, v in g.edges if match[u] != -1 and match[v] != -1]
-    edges += [(b, x) for b in bases for x in (s, t)]
-    return _augment_from(Graph(g.n + 2, edges), s, match + [-1, -1])[0]
+    n = g.n
+    ends = (n, n + 1)  # s and t
+    is_base = set(bases)
+    posy_adj = [
+        tuple([w for w in adj[v] if match[w] != -1]) + (ends if v in is_base else ())
+        if match[v] != -1
+        else ()
+        for v in range(n)
+    ]
+    posy_adj += [tuple(bases)] * 2
+    return _augment_from(posy_adj, n, match + [-1, -1])[0]
 
 
 def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
@@ -323,4 +391,3 @@ def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
     answer."""
     match, flower = _require_maximum(g, validate_matching(g, m))
     return flower, _has_posy(g, match)
-

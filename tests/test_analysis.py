@@ -532,22 +532,26 @@ def test_structure_consistency_never_enters_the_walker(monkeypatch):
 
 
 def test_structure_consistency_proves_each_matching_maximum_once(monkeypatch):
-    calls = 0
+    proved = []
     original = matching._require_maximum
 
-    def counted(g, m):
-        nonlocal calls
-        calls += 1
+    def recorded(g, m):
+        proved.append(m)
         return original(g, m)
 
-    monkeypatch.setattr(matching, "_require_maximum", counted)
-    all_checked = 0
+    monkeypatch.setattr(matching, "_require_maximum", recorded)
+    all_checked = reused = 0
     for label, g in verify.connected_corpus(4, 10, 2, 9):
-        calls = 0
-        verdict = check_structure_consistency(Facts(g))
-        assert calls == 1 + verdict.all_matchings_checked, label
-        all_checked += verdict.all_matchings_checked
-    assert all_checked > 0
+        f = Facts(g)
+        proved.clear()
+        verdict = check_structure_consistency(f)
+        checked = verdict.all_matchings_checked
+        reached = f.maximum_matchings[:checked] if checked else ()
+        assert len(set(proved)) == len(proved), label
+        assert set(proved) == {f.matching, *reached}, label
+        all_checked += checked
+        reused += f.matching in reached
+    assert all_checked > 0 and reused > 0
 
 
 def test_sterboul_row_decides_a_dense_16_vertex_graph():

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import random
+from collections import deque
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,105 @@ def test_flower_and_posy_tests_agree_with_the_exhaustive_walker():
         for m in ms:
             assert has_flower(g, m) == (find_flower(g, m) is not None)
             assert has_posy(g, m) == (find_posy(g, m) is not None)
+
+
+def test_base_filters_never_drop_a_real_base():
+    # every matched base the exhaustive walker lists lies in a non-bipartite
+    # component of the matched vertices, and the per-base search (with its
+    # early return) finds exactly the walker's bases, matched or exposed.
+    # The graphs are sparse: there the matched vertices split into several
+    # components, some bipartite, which is where the filter cuts.
+    rng = random.Random(91)
+    cut = 0
+    for _ in range(600):
+        n = rng.randint(0, 9)
+        g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
+        adj = [g.neighbors(v) for v in g.vertices()]
+        for m in brute_maximum_matchings(g, brute_max_matching_size(g)):
+            match = [-1] * n
+            for u, v in m:
+                match[u], match[v] = v, u
+            bases = {b.base for b in find_blossoms(g, m)}
+            candidates = set(kegraphs.matching._odd_component_vertices(adj, match))
+            assert {b for b in bases if match[b] != -1} <= candidates, sorted(g.edges)
+            assert all(match[v] != -1 for v in candidates)
+            searched = {
+                r for r in range(n) if kegraphs.matching._closes_blossom_at(adj, match, r)
+            }
+            assert searched == bases, sorted(g.edges)
+            cut += len(candidates) < n - match.count(-1)
+    assert cut > 0
+
+
+def _reference_has_posy(g, m):
+    """has_posy as it was before the base filter: a search from every
+    matched root, then one augmenting search in a Graph built with s and t.
+    Kept as the reference for its answers."""
+    match = [-1] * g.n
+    for u, v in m:
+        match[u], match[v] = v, u
+
+    def closes_blossom_at(root):
+        if g.degree(root) < 2:
+            return False
+        live = match[:]
+        deleted = [w == -1 for w in live]
+        deleted[root] = False
+        mate = live[root]
+        if mate != -1:
+            deleted[mate] = True
+            live[mate] = live[root] = -1
+        parent = [-1] * g.n
+        base = list(range(g.n))
+        in_queue = [False] * g.n
+        in_queue[root] = True
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for to in g.neighbors(v):
+                if deleted[to] or base[v] == base[to] or live[v] == to:
+                    continue
+                if to == root or parent[live[to]] != -1:
+                    cur = kegraphs.matching._cycle_base(live, base, parent, v, to)
+                    if cur == root:
+                        return True
+                    kegraphs.matching._shrink(live, base, parent, in_queue, queue, v, to, cur)
+                elif parent[to] == -1:
+                    parent[to] = v
+                    if not in_queue[live[to]]:
+                        in_queue[live[to]] = True
+                        queue.append(live[to])
+        return False
+
+    bases = [r for r in range(g.n) if match[r] != -1 and closes_blossom_at(r)]
+    if len(bases) < 2:
+        return False
+    s, t = g.n, g.n + 1
+    edges = [(u, v) for u, v in g.edges if match[u] != -1 and match[v] != -1]
+    edges += [(b, x) for b in bases for x in (s, t)]
+    h = Graph(g.n + 2, edges)
+    adj = [h.neighbors(v) for v in h.vertices()]
+    return kegraphs.matching._augment_from(adj, s, match + [-1, -1])[0]
+
+
+def test_has_posy_agrees_with_the_unfiltered_reference():
+    corpus = (
+        verify.connected_corpus(1, 12, 2, 16)
+        + verify.bipartite_corpus(1, 200, 16)
+        + [("k8x8", complete_bipartite(8, 8))]
+        + verify.connected_corpus(1, 3, 15, 16)[-1:]
+    )
+    assert corpus[-1][0] == "n16-2" and corpus[-1][1].m == 103
+    posies = 0
+    for label, g in corpus:
+        ms = [maximum_matching(g)]
+        if g.n <= 8:
+            ms += brute_maximum_matchings(g, brute_max_matching_size(g))
+        for m in ms:
+            expected = _reference_has_posy(g, m)
+            assert has_posy(g, m) == expected, (label, sorted(m))
+            posies += expected
+    assert posies > 0
 
 
 def test_posy_in_two_bridged_triangles():
