@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from .bruteforce import (
     MatchingSummary,
@@ -44,7 +43,6 @@ from .graph import (
     bipartition,
     complement_non_edges,
     connected_components,
-    cut_edges,
     delete_vertices,
     induced_subgraph,
     is_connected,
@@ -53,11 +51,10 @@ from .graph import (
 )
 from .matching import (
     Matching,
-    flower_and_posy,
+    _flower_and_posy,
     has_blossom,
     maximum_matching,
     partner_map,
-    validate_matching,
 )
 from .stable import (
     CoreReport,
@@ -243,7 +240,7 @@ def decompose(f: Facts) -> KeDecomposition:
     s = f.family.sets[0]
     rest = frozenset(range(g.n)) - s
     m = f.matching
-    if not m <= cut_edges(g, s, rest):
+    if not all((u in s) != (v in s) for u, v in m):
         raise TheoremViolationError("maximum matching leaves the cut of a KE split")
     if len(m) != len(rest):
         raise TheoremViolationError("cut matching does not cover the non-stable side")
@@ -319,12 +316,12 @@ class CutContainmentVerdict:
 def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
     """Every matching lies in a cut iff the union of their edges does, so
     past the KE gate the matching side reads only the maximum matchings'
-    summary (their count and edge union), never alpha, core or anticore."""
+    summary (their count and edge union), never alpha, core or anticore.
+    An edge lies in the cut (s, V - s) when one endpoint is in s."""
     if not f.is_ke:
         raise GraphError("cut containment is a KE-only property")
-    g, fam, summary = f.graph, f.family, f.matching_summary
-    full = frozenset(range(g.n))
-    consistent = all(summary.edges <= cut_edges(g, s, full - s) for s in fam.sets)
+    fam, summary = f.family, f.matching_summary
+    consistent = all((u in s) != (v in s) for s in fam.sets for u, v in summary.edges)
     return CutContainmentVerdict(summary.count, len(fam.sets), consistent)
 
 
@@ -502,18 +499,13 @@ class CoreDualityVerdict:
         return self.neighborhood_equals_anticore and self.anticore_matched_into_core
 
 
-def check_core_anticore_duality(
-    f: Facts, m: Iterable[Edge] | None = None
-) -> CoreDualityVerdict:
-    """Reads the canonical maximum matching unless another m is given."""
+def check_core_anticore_duality(f: Facts) -> CoreDualityVerdict:
+    """Reads the canonical maximum matching."""
     if not f.is_ke:
         raise GraphError("core/anticore duality is a KE-only property")
-    m = f.matching if m is None else validate_matching(f.graph, m)
-    if len(m) != f.mu:
-        raise GraphError("duality check needs a maximum matching")
     rep = f.core
     lemma5 = neighborhood(f.graph, rep.core) == rep.anticore
-    partner = partner_map(m)
+    partner = partner_map(f.matching)
     lemma6 = all(
         v in partner and partner[v] in rep.core for v in rep.anticore
     )
@@ -662,10 +654,10 @@ class StructureConsistencyVerdict:
     instead of searching it twice; it still counts in all_matchings_checked.
 
     This is Sterboul's theorem.  Both structure sides come from the exact
-    polynomial flower and posy tests (flower_and_posy), which read only
-    the graph and the matching: no stability number, core, anticore or
-    stable set, so the row stays independent of the anticore-empty
-    criterion."""
+    polynomial flower and posy tests (_flower_and_posy, on the matchings
+    Facts made), which read only the graph and the matching: no stability
+    number, core, anticore or stable set, so the row stays independent of
+    the anticore-empty criterion."""
 
     ke_by_arithmetic: bool
     flower_found: bool
@@ -683,13 +675,13 @@ class StructureConsistencyVerdict:
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g = f.graph
-    canonical = flower_and_posy(g, f.matching)
+    canonical = _flower_and_posy(g, f.matching)
     flower_found, posy_found = canonical
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower, posy = canonical if mm == f.matching else flower_and_posy(g, mm)
+            flower, posy = canonical if mm == f.matching else _flower_and_posy(g, mm)
             flower_found = flower_found or flower
             posy_found = posy_found or posy
             if flower_found or posy_found:

@@ -46,7 +46,7 @@ def is_stable_set(g: Graph, xs) -> bool:
     mask = 0
     for v in xs:
         mask |= 1 << v
-    return all(g.adjacency_mask(v) & mask == 0 for v in xs)
+    return all(g._masks[v] & mask == 0 for v in xs)  # noqa: SLF001 - checked ids
 
 
 def brute_stable_sets(g: Graph) -> list[int]:
@@ -56,8 +56,7 @@ def brute_stable_sets(g: Graph) -> list[int]:
     in it; each pass extends the sets found so far by the next vertex."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "brute stable-set scan")
     out = [0]
-    for v in g.vertices():
-        nbrs = g.adjacency_mask(v)
+    for v, nbrs in enumerate(g._masks):  # noqa: SLF001
         out += [s | 1 << v for s in out if not nbrs & s]
     return out
 
@@ -92,7 +91,7 @@ def brute_max_matching_size(g: Graph) -> int:
     vertices in mask has more than popcount(mask) // 2 edges, so a mask
     stops branching once its best reaches that count."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "brute matching number")
-    masks = [g.adjacency_mask(v) for v in g.vertices()]
+    masks = g._masks  # noqa: SLF001
     memo: dict[int, int] = {}
 
     def rec(mask: int) -> int:

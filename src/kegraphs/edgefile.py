@@ -6,11 +6,15 @@ Layout::
     p <n> <m>
     e <u> <v>
 
-The first non-comment line must be the ``p`` line giving the vertex and
-edge counts; every following non-comment line is an ``e`` line with
-0-based endpoints.  Writers emit edges sorted lexicographically, which
-makes the format bit-exact round-trippable.  Given max_order, a reader
-refuses a larger order at the ``p`` line, before it builds the graph.
+Lines end at ``\n`` only; a trailing ``\r`` is dropped with the other
+whitespace at either end.  The first non-comment line must be the ``p``
+line giving the vertex and edge counts; every following non-comment line
+is an ``e`` line with 0-based endpoints.  Only comments may hold
+characters outside ASCII, and counts and endpoints are decimal digits
+and nothing else: no sign and no ``_``.  Writers emit edges sorted
+lexicographically, which makes the format bit-exact round-trippable.
+Given max_order, a reader refuses a larger order at the ``p`` line,
+before it builds the graph.
 """
 
 from __future__ import annotations
@@ -34,22 +38,21 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
     m = None
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
+        if not raw.isascii():
+            raise GraphFormatError(line_no, "non-ASCII character outside a comment")
         fields = line.split()
         if fields[0] == "p":
             if n is not None:
                 raise GraphFormatError(line_no, "duplicate p line")
             if len(fields) != 3:
                 raise GraphFormatError(line_no, "expected 'p <n> <m>'")
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphFormatError(line_no, "p line counts must be integers") from None
-            if n < 0 or m < 0:
-                raise GraphFormatError(line_no, "p line counts must be nonnegative")
+            if not (fields[1].isdigit() and fields[2].isdigit()):  # ASCII digits
+                raise GraphFormatError(line_no, "p line counts must be decimal digits")
+            n, m = int(fields[1]), int(fields[2])
             if max_order is not None:
                 check_cap(n, max_order, "graph file")
         elif fields[0] == "e":
@@ -57,13 +60,12 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
                 raise GraphFormatError(line_no, "e line before p line")
             if len(fields) != 3:
                 raise GraphFormatError(line_no, "expected 'e <u> <v>'")
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise GraphFormatError(line_no, "edge endpoints must be integers") from None
+            if not (fields[1].isdigit() and fields[2].isdigit()):
+                raise GraphFormatError(line_no, "edge endpoints must be decimal digits")
+            u, v = int(fields[1]), int(fields[2])
             if u == v:
                 raise GraphFormatError(line_no, f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
+            if not (u < n and v < n):
                 raise GraphFormatError(line_no, f"edge ({u}, {v}) out of range for n={n}")
             e = (u, v) if u < v else (v, u)
             if e in seen:

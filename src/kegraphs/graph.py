@@ -4,6 +4,10 @@ Vertices are the integers 0..n-1; edges are unordered pairs stored as
 sorted tuples.  Graphs are value objects: every derived graph (induced
 subgraph, vertex deletion, edge addition) is a new instance, which keeps
 the theorem cross-checks free to compare many variants side by side.
+
+Vertex ids from outside are checked where they enter: by the accessors
+and by check_vertex_set.  Traversals over ids the package generated read
+the neighbor tuples and masks directly, as matching and stable do.
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class Graph:
         self.check_vertex(v)
         if u == v:
             raise GraphError(f"self-loop at vertex {u}")
-        if self.has_edge(u, v):
+        if self._masks[u] >> v & 1:
             raise GraphError(f"edge ({u}, {v}) already present")
         return Graph(self.n, list(self.edges) + [(u, v)])
 
@@ -152,9 +156,10 @@ def delete_vertices(g: Graph, ws: Iterable[int]) -> Graph:
 def neighborhood(g: Graph, xs: Iterable[int]) -> frozenset[int]:
     """Open neighborhood: all vertices adjacent to some member of xs."""
     xs = g.check_vertex_set(xs)
+    adj = g._adj  # noqa: SLF001 - the ids were just checked
     out: set[int] = set()
     for v in xs:
-        out.update(g.neighbors(v))
+        out.update(adj[v])
     return frozenset(out)
 
 
@@ -173,8 +178,7 @@ def cut_edges(g: Graph, a: Iterable[int], b: Iterable[int]) -> frozenset[Edge]:
 def complement_non_edges(g: Graph) -> tuple[Edge, ...]:
     """All unordered pairs of distinct vertices that are not edges of g."""
     out = []
-    for u in range(g.n):
-        mask = g.adjacency_mask(u)
+    for u, mask in enumerate(g._masks):  # noqa: SLF001
         for v in range(u + 1, g.n):
             if not (mask >> v & 1):
                 out.append((u, v))
@@ -183,6 +187,7 @@ def complement_non_edges(g: Graph) -> tuple[Edge, ...]:
 
 def connected_components(g: Graph) -> tuple[frozenset[int], ...]:
     """Maximal connected vertex sets, ordered by smallest member."""
+    adj = g._adj  # noqa: SLF001
     seen = [False] * g.n
     comps = []
     for s in range(g.n):
@@ -193,7 +198,7 @@ def connected_components(g: Graph) -> tuple[frozenset[int], ...]:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if not seen[w]:
                     seen[w] = True
                     comp.add(w)
@@ -216,6 +221,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     Each component's smallest vertex goes to side0, so the result is
     deterministic (and unique for connected graphs).
     """
+    adj = g._adj  # noqa: SLF001
     color = [-1] * g.n
     for s in range(g.n):
         if color[s] != -1:
@@ -224,7 +230,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
         queue = deque([s])
         while queue:
             v = queue.popleft()
-            for w in g.neighbors(v):
+            for w in adj[v]:
                 if color[w] == -1:
                     color[w] = 1 - color[v]
                     queue.append(w)
@@ -237,4 +243,4 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 def pendant_vertices(g: Graph) -> tuple[int, ...]:
     """Vertices of degree exactly one, ascending."""
-    return tuple(v for v in g.vertices() if g.degree(v) == 1)
+    return tuple(v for v, nbrs in enumerate(g._adj) if len(nbrs) == 1)  # noqa: SLF001

@@ -13,6 +13,11 @@ exposed vertex (sharing only the base with the cycle); a posy joins the
 bases of two blossoms by an odd-length alternating path whose first and
 last edges are heavy.
 
+A caller's matching is validated once, by the public function that
+receives it; a matching the package made (Facts.matching, the brute-force
+listing) goes to _flower_and_posy unvalidated, which still proves it
+maximum.
+
 Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
 searches read the graph's ascending neighbor tuples directly; has_posy's
@@ -385,9 +390,9 @@ def _has_posy(g: Graph, match: list[int]) -> bool:
     return _augment_from(posy_adj, n, match + [-1, -1])[0]
 
 
-def flower_and_posy(g: Graph, m: Iterable[Edge]) -> tuple[bool, bool]:
-    """has_flower and has_posy of the maximum matching m, with m validated
-    and proved maximum once for both; the proof's searches give the flower
-    answer."""
-    match, flower = _require_maximum(g, validate_matching(g, m))
+def _flower_and_posy(g: Graph, m: Matching) -> tuple[bool, bool]:
+    """has_flower and has_posy of a maximum matching the package made, not
+    validated again but proved maximum once for both; the proof's searches
+    give the flower answer."""
+    match, flower = _require_maximum(g, m)
     return flower, _has_posy(g, match)

@@ -9,6 +9,10 @@ enumeration for Koenig-Egervary inputs: a stable set is maximum exactly
 when it contains every exposed vertex and one endpoint of each heavy
 edge, and in the blossom-free perfect-matching case any excluded vertex
 can be pulled into a maximum stable set by alternating saturation.
+
+certify_max_stable and extend_stable_through_matching check the matching
+and vertex ids they receive once; past that, the certificate scan and
+the saturation read them and the adjacency without checking again.
 """
 
 from __future__ import annotations
@@ -18,12 +22,7 @@ from typing import Iterable, NamedTuple
 
 from .graph import Edge, Graph, GraphError, normalize_edge
 from .limits import DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP, check_cap
-from .matching import (
-    exposed_vertices,
-    matching_number,
-    partner_map,
-    validate_matching,
-)
+from .matching import matching_number, partner_map, validate_matching
 
 
 def stability_number(g: Graph) -> int:
@@ -153,8 +152,6 @@ def core_report(fam: StableSetFamily) -> CoreReport:
     for s in fam.sets:
         core &= s
         anticore &= full - s
-    if core & anticore:
-        raise GraphError("core and anticore overlap; family is inconsistent")
     return CoreReport(core=core, anticore=anticore)
 
 
@@ -201,12 +198,14 @@ def certify_max_stable(g: Graph, m: Iterable[Edge], s: Iterable[int]) -> Certifi
 def _certificate_failure(
     g: Graph, m: frozenset[Edge], s: frozenset[int]
 ) -> str | None:
-    """The first witness against the certificate, or None when s passes."""
+    """The first witness against the certificate of the checked m and s,
+    or None when s passes."""
     for u, v in g.edges:
         if u in s and v in s:
             return f"not stable: edge ({u}, {v}) inside the set"
-    for v in sorted(exposed_vertices(g, m)):
-        if v not in s:
+    covered = {v for e in m for v in e}
+    for v in range(g.n):
+        if v not in covered and v not in s:
             return f"exposed vertex {v} missing from the set"
     for u, v in sorted(m):
         hits = (u in s) + (v in s)
@@ -230,10 +229,11 @@ def extend_stable_through_matching(
     m and a maximum stable set s.  Saturates alternately: neighbors of the
     growing matched image inside s, then their matching partners, until no
     new vertices appear; the result swaps the saturated part of s for its
-    partner set.  The output is certified before it is returned.
+    partner set.  The output passes the certificate scan before it is
+    returned (s's certificate has already proved the graph KE, m maximum).
     """
     m = validate_matching(g, m)
-    if exposed_vertices(g, m):
+    if 2 * len(m) != g.n:
         raise GraphError("extension requires a perfect matching")
     s = g.check_vertex_set(s)
     cert = certify_max_stable(g, m, s)
@@ -243,8 +243,9 @@ def extend_stable_through_matching(
     if b in s:
         raise GraphError(f"vertex {b} is already in the stable set")
 
+    adj, masks = g._adj, g._masks  # noqa: SLF001 - every id here is checked
     partner = partner_map(m)
-    a_frontier = frozenset(g.neighbors(b)) & s
+    a_frontier = frozenset(adj[b]) & s
     if not a_frontier:
         # impossible for a maximum s: b would extend it
         raise GraphError(f"vertex {b} has no neighbor in the stable set")
@@ -256,12 +257,12 @@ def extend_stable_through_matching(
         b_all |= b_frontier
         reached: set[int] = set()
         for w in b_frontier:
-            reached.update(g.neighbors(w))
+            reached.update(adj[w])
         a_frontier = frozenset((reached & s) - a_all)
 
     b_mask = _as_mask(b_all)
     for u in sorted(b_all):
-        hit = g.adjacency_mask(u) & b_mask
+        hit = masks[u] & b_mask
         if hit:
             v = (hit & -hit).bit_length() - 1
             raise ExtensionBlockedError(
@@ -270,15 +271,11 @@ def extend_stable_through_matching(
             )
 
     rest = s - a_all
-    # the stated stop condition and the saturation fixpoint must coincide
-    for w in b_all:
-        if frozenset(g.neighbors(w)) & rest:
-            raise AssertionError("saturation stopped before the cut emptied")
     result = frozenset(b_all) | rest
     assert b in result
-    cert = certify_max_stable(g, m, result)
-    if not cert:
-        raise AssertionError(f"extension produced a non-maximum set: {cert.reason}")
+    reason = _certificate_failure(g, m, result)
+    if reason is not None:
+        raise AssertionError(f"extension produced a non-maximum set: {reason}")
     return result
 
 

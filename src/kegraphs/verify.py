@@ -24,7 +24,7 @@ from .analysis import Facts
 from .edgefile import format_graph
 from .graph import is_connected
 from .limits import DEFAULT_OMEGA_CAP
-from .stable import certify_max_stable, extend_stable_through_matching
+from .stable import extend_stable_through_matching
 
 
 @dataclass
@@ -108,11 +108,9 @@ def _check_pm_core_sizes(f: Facts) -> str | None:
 
 
 def _check_decomposition(f: Facts) -> str | None:
-    d = analysis.decompose(f)
-    if d.stable_set not in set(f.family.sets):
-        return "stable side is not a maximum stable set"
-    if len(d.rest) != f.mu:
-        return "non-stable side size differs from the matching number"
+    # decompose takes a family member as its stable side and raises unless
+    # the matching covers the rest inside the cut
+    analysis.decompose(f)
     return None
 
 
@@ -159,8 +157,6 @@ def _check_extension(f: Facts) -> str | None:
             return f"extension from vertex {b} does not contain it"
         if got not in members:
             return f"extension from vertex {b} is not maximum"
-        if not certify_max_stable(g, f.matching, got):
-            return f"extension from vertex {b} fails the certificate"
     return None
 
 

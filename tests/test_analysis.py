@@ -48,7 +48,14 @@ from kegraphs.constructions import (
 from kegraphs.edgefile import format_graph
 from kegraphs.graph import Graph, GraphError, delete_vertices, neighborhood
 from kegraphs.limits import DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP, CapExceededError
-from kegraphs.stable import CoreReport, StableSetFamily, core_report, maximum_stable_sets
+from kegraphs.stable import (
+    CoreReport,
+    StableSetFamily,
+    certify_max_stable,
+    core_report,
+    extend_stable_through_matching,
+    maximum_stable_sets,
+)
 
 K4_MINUS_E = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
 
@@ -251,8 +258,9 @@ def test_pm_via_core():
 
 
 def test_core_anticore_duality_examples():
-    v = check_core_anticore_duality(Facts(K4_MINUS_E), [(0, 2), (1, 3)])
-    assert v.consistent
+    f = Facts(K4_MINUS_E)
+    assert f.matching == {(0, 2), (1, 3)}
+    assert check_core_anticore_duality(f).consistent
     v = check_core_anticore_duality(Facts(cycle(4)))
     assert v.consistent
     # the duality genuinely fails outside its scope: on the non-KE fixture
@@ -554,6 +562,29 @@ def test_structure_consistency_proves_each_matching_maximum_once(monkeypatch):
     assert all_checked > 0 and reused > 0
 
 
+def test_matchings_are_validated_once_where_they_enter(monkeypatch):
+    counts = _count_calls(monkeypatch, ["validate_matching"], key=lambda name, *a: name)
+
+    def validations(call, *args):
+        counts.clear()
+        call(*args)
+        return counts["validate_matching"]
+
+    m = [(0, 2), (1, 3)]
+    assert validations(certify_max_stable, K4_MINUS_E, m, {2, 3}) == 1
+    assert validations(certify_max_stable, K4_MINUS_E, m, {0, 3}) == 1  # fails
+    c4_m = [(0, 1), (2, 3)]
+    assert validations(extend_stable_through_matching, cycle(4), c4_m, {0, 2}, 1) <= 2
+    g = fixture_by_name("fig4_g2").graph
+    s = maximum_stable_sets(g).sets[0]
+    b = min(set(range(g.n)) - s)
+    args = (g, matching.maximum_matching(g), s, b)
+    assert validations(extend_stable_through_matching, *args) <= 2
+    # the Sterboul row reads only matchings Facts made
+    for label, g in verify.connected_corpus(4, 10, 2, 9):
+        assert validations(check_structure_consistency, Facts(g)) == 0, label
+
+
 def test_sterboul_row_decides_a_dense_16_vertex_graph():
     # the exhaustive flower/posy walker ran out of its step budget here
     label, g = verify.connected_corpus(1, 3, 15, 16)[-1]
@@ -614,7 +645,7 @@ def _count_calls(monkeypatch, names, key=lambda name, g, *args: (name, g)):
     modules = [m for name, m in list(sys.modules.items())
                if name == "kegraphs" or name.startswith("kegraphs.")]
     for name in names:
-        original = getattr(kegraphs.analysis, name)
+        original = next(vars(m)[name] for m in modules if name in vars(m))
 
         def counted(g, *args, _name=name, _original=original, **kwargs):
             counts[key(_name, g, *args)] += 1

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kegraphs.edgefile import (
     GraphFormatError,
@@ -10,6 +13,7 @@ from kegraphs.edgefile import (
     write_graph,
 )
 from kegraphs.constructions import random_graph
+from kegraphs.graph import Graph
 
 
 def test_round_trip_is_bit_exact():
@@ -46,6 +50,11 @@ def test_edges_are_written_sorted():
         ("p 2 2\ne 0 1\ne 1 0\n", 3),   # duplicate edge
         ("p 2 1\nq 0 1\n", 2),          # unknown line type
         ("p 2 1\ne 0 one\n", 2),        # non-integer endpoint
+        ("p 1_0 0\n", 1),               # digit separator
+        ("p 2 1\ne 0 \u0661\n", 2),      # Arabic-Indic one
+        ("p 2 1\ne +0 1\n", 2),         # sign
+        ("p 2 1\nc x\x85c y\ne 0 9\n", 3),  # U+0085 inside a comment
+        ("p 2 1\re 0 1\n", 1),          # a lone CR ends no line
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
@@ -69,3 +78,49 @@ def test_file_round_trip(tmp_path):
     target = tmp_path / "g.gr"
     write_graph(target, g)
     assert read_graph(target) == g
+
+
+def test_only_newline_ends_a_line():
+    # U+0085 and U+2028 are line breaks to str.splitlines, not to the format
+    for brk in ("\x85", "\u2028", "\x1c", "\v"):
+        assert parse_graph(f"p 2 1\nc caf{brk}e\ne 0 1\n") == Graph(2, [(0, 1)])
+    assert parse_graph("c crlf\r\np 2 1\r\ne 0 1\r\n") == Graph(2, [(0, 1)])
+
+
+def test_both_error_paths_number_lines_alike(tmp_path):
+    target = tmp_path / "g.gr"
+    target.write_bytes("p 2 1\nc x\x85c y\ne 0 9\n".encode())
+    with pytest.raises(GraphFormatError) as parse_err:
+        read_graph(target)
+    target.write_bytes("p 2 1\nc x\x85c y\ne 0 ".encode() + b"\xff\n")
+    with pytest.raises(GraphFormatError) as decode_err:
+        read_graph(target)
+    assert parse_err.value.line_no == decode_err.value.line_no == 3
+
+
+# Characters a hand-edited file might slip into a line: other line breaks,
+# non-ASCII digits and spaces, signs and digit separators.
+MUTATIONS = ["\x85", "\u2028", "\u2003", "\r", "\v", "\x1c", "\u0661", "\u00b2",
+             "_", "+", "-", " ", "\t", "0", "7", "c", "\n"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_accepted_files_have_canonical_tokens(data):
+    n = data.draw(st.integers(0, 5))
+    g = random_graph(n, 0.5, data.draw(st.integers(0, 1 << 20)))
+    text = "c a comment\n" + format_graph(g)
+    for _ in range(data.draw(st.integers(1, 3))):
+        at = data.draw(st.integers(0, len(text)))
+        text = text[:at] + data.draw(st.sampled_from(MUTATIONS)) + text[at:]
+    lines = text.split("\n")
+    try:
+        parse_graph(text)
+    except GraphFormatError as err:
+        assert 1 <= err.line_no <= len(lines)
+        return
+    for line in lines:
+        fields = line.split()
+        if fields and not fields[0].startswith("c"):
+            assert line.isascii() and fields[0] in ("p", "e")
+            assert all(re.fullmatch("[0-9]+", tok) for tok in fields[1:])
