@@ -17,18 +17,19 @@ is_koenig_egervary, is_edge_addition_stable and is_alpha_critical.
 Each per-theorem verdict (the check_* functions and
 pendant_characterization) returns a frozen dataclass whose consistent
 field or property says whether the statement held; the other fields
-record the sides that were compared.  The verification suite runs these
-verdicts as they are and reports an inconsistent one by its repr.
-
-Statements that hold only under connectivity assumptions are gated: the
-checks raise on inputs outside their scope, and full_report applies them
-per connected component.
+record the sides that were compared; a verdict raises on an input
+outside its scope.  A Check row pairs a theorem with that scope
+(applies) and says what disagreed when it fails (run), a verdict row by
+the verdict's repr.  REPORT_CHECKS holds the rows full_report re-checks,
+on the graph and on each component of a disconnected one; verify.CHECKS
+runs the same objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Any, Callable
 
 from .bruteforce import (
     MatchingSummary,
@@ -40,11 +41,11 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    _induced_subgraph,
     bipartition,
     complement_non_edges,
     connected_components,
     delete_vertices,
-    induced_subgraph,
     is_connected,
     neighborhood,
     pendant_vertices,
@@ -52,7 +53,7 @@ from .graph import (
 from .matching import (
     Matching,
     _flower_and_posy,
-    has_blossom,
+    _has_blossom,
     maximum_matching,
     partner_map,
 )
@@ -183,7 +184,7 @@ class Facts:
 
     @cached_property
     def blossom_free(self) -> bool:
-        return not has_blossom(self.graph, self.matching)
+        return not _has_blossom(self.graph, self.matching)
 
     @cached_property
     def stable_by_definition(self) -> bool:
@@ -395,14 +396,15 @@ class AnticoreEmptyVerdict:
         return self.anticore_empty == self.pm_and_blossom_free
 
 
+def _connected_ke(f: Facts) -> bool:
+    """The scope of the anticore, alpha-plus and core-lower-bound verdicts."""
+    return f.is_ke and f.connected and f.graph.n >= 2
+
+
 def _require_connected_ke(f: Facts) -> None:
     """The scope of the anticore and alpha-plus criteria."""
-    if f.graph.n < 2:
-        raise GraphError("criterion requires order at least 2")
-    if not f.connected:
-        raise GraphError("criterion requires a connected graph")
-    if not f.is_ke:
-        raise GraphError("criterion requires a Koenig-Egervary graph")
+    if not _connected_ke(f):
+        raise GraphError("criterion requires a connected KE graph of order at least 2")
 
 
 def check_anticore_empty_criterion(f: Facts) -> AnticoreEmptyVerdict:
@@ -689,6 +691,65 @@ def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     return StructureConsistencyVerdict(f.is_ke, flower_found, posy_found, checked)
 
 
+# -- the rows full_report re-checks --------------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    description: str
+    applies: Callable[[Facts], bool]
+    run: Callable[[Facts], str | None]
+
+
+def _verdict(verdict: Callable[[Facts], Any]) -> Callable[[Facts], str | None]:
+    """The check of one verdict: None when it is consistent, its repr
+    otherwise.  The verdict is looked up in this module by name on every
+    call, so a rebinding here (a tracing wrapper) is the one that runs."""
+    name = verdict.__name__
+
+    def run(f: Facts) -> str | None:
+        v = globals()[name](f)
+        return None if v.consistent else repr(v)
+
+    return run
+
+
+def _check_pm_core_sizes(f: Facts) -> str | None:
+    via_core = pm_via_core(f)
+    if via_core != f.has_pm:
+        return f"core sizes say {via_core}, matching says {f.has_pm}"
+    return None
+
+
+REPORT_CHECKS: tuple[Check, ...] = (
+    Check("ke-arithmetic", "KE bounds and perfect-matching arithmetic",
+          lambda f: True, _verdict(check_ke_arithmetic)),
+    Check("anticore-empty-criterion",
+          "empty anticore iff perfect matching and blossom-free",
+          _connected_ke, _verdict(check_anticore_empty_criterion)),
+    Check("alpha-plus-pm-criterion",
+          "stability by definition iff perfect matching and anticore <= 1",
+          _connected_ke, _verdict(check_alpha_plus_pm_criterion)),
+    Check("alpha-plus-three-routes",
+          "definition, core sizes, and matching structure agree",
+          _connected_ke, _verdict(check_alpha_plus_three_routes)),
+    Check("core-anticore-duality",
+          "N(core) equals anticore and is matched into the core",
+          lambda f: f.is_ke, _verdict(check_core_anticore_duality)),
+    Check("pm-iff-core-equals-anticore",
+          "perfect matching iff core and anticore sizes agree",
+          lambda f: f.is_ke, _check_pm_core_sizes),
+    Check("pendant-characterization",
+          "pendant perfect matching three-way equivalence",
+          lambda f: f.connected and f.graph.n >= 3,
+          _verdict(pendant_characterization)),
+    Check("core-lower-bounds",
+          "oversized alpha or unequal sides force core size >= 2",
+          _connected_ke, _verdict(check_core_lower_bounds)),
+)
+
+
 # -- the aggregated report -----------------------------------------------------
 
 
@@ -752,30 +813,12 @@ class AnalysisReport:
         }
 
 
-def _component_cross_checks(f: Facts) -> None:
-    """Per-component theorem checks; any failure is an implementation bug."""
-    g = f.graph
-    for comp in connected_components(g):
-        part = f.facts_of(induced_subgraph(g, comp)[0])
-        n = part.graph.n
-        if n >= 2 and part.is_ke:
-            if not check_anticore_empty_criterion(part).consistent:
-                raise TheoremViolationError("anticore-empty criterion failed")
-            if not check_alpha_plus_pm_criterion(part).consistent:
-                raise TheoremViolationError("perfect-matching stability criterion failed")
-            if not check_alpha_plus_three_routes(part).consistent:
-                raise TheoremViolationError("three-route stability criterion failed")
-            if not check_core_lower_bounds(part).consistent:
-                raise TheoremViolationError("core lower bound failed")
-        if n >= 3 and not pendant_characterization(part).consistent:
-            raise TheoremViolationError("pendant characterization failed")
-
-
 def full_report(g: Graph) -> AnalysisReport:
     """Aggregate verdict for one graph.
 
-    The applicable structural equivalences are re-verified per connected
-    component, and a TheoremViolationError is raised on any disagreement.
+    Every REPORT_CHECKS row that applies is re-checked on the graph and,
+    when it is disconnected, on each component; a TheoremViolationError
+    naming the row and what disagreed is raised on any failure.
     """
     f = Facts(g)
     rep = f.core  # the family first: its cap is the one a large input hits
@@ -783,14 +826,17 @@ def full_report(g: Graph) -> AnalysisReport:
     stability = classify_alpha_plus(f)
     decomposition = decompose(f) if (ke and f.connected and g.n) else None
     profile = PendantProfile(f.pendants, f.alpha_critical_pendants)
-    if ke:
-        if f.has_pm != pm_via_core(f):
-            raise TheoremViolationError("core-size perfect-matching test failed")
-        if not check_core_anticore_duality(f).consistent:
-            raise TheoremViolationError("core/anticore duality failed")
-        if not check_ke_arithmetic(f).consistent:
-            raise TheoremViolationError("KE arithmetic failed")
-    _component_cross_checks(f)
+    parts = [f]
+    if not f.connected:
+        # equal components share one Facts (facts_of), checked once
+        parts += dict.fromkeys(f.facts_of(_induced_subgraph(g, comp)[0])
+                               for comp in connected_components(g))
+    for part in parts:
+        for row in REPORT_CHECKS:
+            if row.applies(part):
+                detail = row.run(part)
+                if detail is not None:
+                    raise TheoremViolationError(f"{row.name}: {detail}")
     return AnalysisReport(
         n=g.n,
         m=g.m,

@@ -6,12 +6,13 @@ Layout::
     p <n> <m>
     e <u> <v>
 
-Lines end at ``\n`` only; a trailing ``\r`` is dropped with the other
-whitespace at either end.  The first non-comment line must be the ``p``
-line giving the vertex and edge counts; every following non-comment line
-is an ``e`` line with 0-based endpoints.  Only comments may hold
-characters outside ASCII, and counts and endpoints are decimal digits
-and nothing else: no sign and no ``_``.  Writers emit edges sorted
+Lines end at ``\n`` only; one trailing ``\r`` is dropped, and so are the
+spaces and tabs at either end.  The first non-comment line must be the
+``p`` line giving the vertex and edge counts; every following non-comment
+line is an ``e`` line with 0-based endpoints, and only spaces and tabs
+separate fields.  Only comments may hold control characters or characters
+outside ASCII, and counts and endpoints are decimal digits and nothing
+else: no sign and no ``_``.  Writers emit edges sorted
 lexicographically, which makes the format bit-exact round-trippable.
 Given max_order, a reader refuses a larger order at the ``p`` line,
 before it builds the graph.
@@ -39,11 +40,12 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.removesuffix("\r").strip(" \t")
         if not line or line.startswith("c"):
             continue
-        if not raw.isascii():
-            raise GraphFormatError(line_no, "non-ASCII character outside a comment")
+        # one C-level test: printable ASCII once a tab counts as a space
+        if not (line.isascii() and line.replace("\t", " ").isprintable()):
+            raise GraphFormatError(line_no, "non-ASCII or control character outside a comment")
         fields = line.split()
         if fields[0] == "p":
             if n is not None:

@@ -7,7 +7,9 @@ the theorem cross-checks free to compare many variants side by side.
 
 Vertex ids from outside are checked where they enter: by the accessors
 and by check_vertex_set.  Traversals over ids the package generated read
-the neighbor tuples and masks directly, as matching and stable do.
+the neighbor tuples and masks directly, as matching and stable do, and
+sets of such ids (the vertices a deletion keeps, a component) are spanned
+by _induced_subgraph, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -136,7 +138,11 @@ def induced_subgraph(g: Graph, xs: Iterable[int]) -> tuple[Graph, dict[int, int]
     New ids follow the ascending order of the old ids, so the map is the
     unique order-preserving bijection.
     """
-    xs = g.check_vertex_set(xs)
+    return _induced_subgraph(g, g.check_vertex_set(xs))
+
+
+def _induced_subgraph(g: Graph, xs: frozenset[int]) -> tuple[Graph, dict[int, int]]:
+    """induced_subgraph of ids the package made, not checked again."""
     ordered = sorted(xs)
     relabel = {old: new for new, old in enumerate(ordered)}
     edges = [
@@ -148,8 +154,7 @@ def induced_subgraph(g: Graph, xs: Iterable[int]) -> tuple[Graph, dict[int, int]
 def delete_vertices(g: Graph, ws: Iterable[int]) -> Graph:
     """The subgraph spanned by all vertices outside ws."""
     ws = g.check_vertex_set(ws)
-    keep = [v for v in g.vertices() if v not in ws]
-    sub, _ = induced_subgraph(g, keep)
+    sub, _ = _induced_subgraph(g, frozenset(g.vertices()) - ws)
     return sub
 
 

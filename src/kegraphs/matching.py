@@ -15,8 +15,8 @@ last edges are heavy.
 
 A caller's matching is validated once, by the public function that
 receives it; a matching the package made (Facts.matching, the brute-force
-listing) goes to _flower_and_posy unvalidated, which still proves it
-maximum.
+listing) goes to _has_blossom or _flower_and_posy unvalidated, and the
+latter still proves it maximum.
 
 Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
@@ -220,8 +220,13 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     cycle neighbors of a real base r are even, so the edge back to r closes
     a cycle at r.
     """
+    return _has_blossom(g, validate_matching(g, m))
+
+
+def _has_blossom(g: Graph, m: Matching) -> bool:
+    """has_blossom of a matching the package made, not validated again."""
     adj = g._adj  # noqa: SLF001 - hot path inside the package
-    match = _match_list(g, validate_matching(g, m))
+    match = _match_list(g, m)
     return any(_closes_blossom_at(adj, match, r) for r in range(g.n))
 
 

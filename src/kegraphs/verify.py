@@ -5,10 +5,11 @@ to, and is evaluated over seeded random corpora.  Both sides of every
 equivalence are computed by independent routes (brute force, definition
 chasing, or matching structure), so a reported violation always means an
 implementation bug.  run_checks builds one analysis.Facts per input graph
-and hands it to every check.  Most checks are an analysis verdict run
-through _verdict: the check passes when the verdict is consistent, and a
-failure line carries the verdict's repr.  The checks with logic of their
-own are functions here; one that derives a new graph (peel, attachment)
+and hands it to every check.  CHECKS ends with analysis.REPORT_CHECKS,
+the rows full_report re-checks too.  Most checks are an analysis verdict
+run through _verdict: the check passes when the verdict is consistent,
+and a failure line carries the verdict's repr.  The checks with logic of
+their own are functions here; one that derives a new graph (peel, attachment)
 takes that graph's Facts from Facts.facts_of.  The CLI's verify command
 and the acceptance suite are thin wrappers around run_checks.
 """
@@ -17,10 +18,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable
 
 from . import analysis, bruteforce, constructions
-from .analysis import Facts
+from .analysis import REPORT_CHECKS, Check, Facts, _verdict
 from .edgefile import format_graph
 from .graph import is_connected
 from .limits import DEFAULT_OMEGA_CAP
@@ -63,19 +63,6 @@ class VerifySummary:
         return "\n".join(lines)
 
 
-def _verdict(verdict: Callable[[Facts], Any]) -> Callable[[Facts], str | None]:
-    """The check of one analysis verdict: None when it is consistent, its
-    repr otherwise.  The verdict is looked up in analysis by name on every
-    call, so a rebinding there (a tracing wrapper) is the one that runs."""
-    name = verdict.__name__
-
-    def run(f: Facts) -> str | None:
-        v = getattr(analysis, name)(f)
-        return None if v.consistent else repr(v)
-
-    return run
-
-
 def _check_matching_oracle(f: Facts) -> str | None:
     brute = bruteforce.brute_max_matching_size(f.graph)
     if f.mu != brute:
@@ -97,13 +84,6 @@ def _check_edge_addition_definition(f: Facts) -> str | None:
     by_core = f.core.core_size <= 1
     if by_def != by_core:
         return f"definition says {by_def}, core size {f.core.core_size} says {by_core}"
-    return None
-
-
-def _check_pm_core_sizes(f: Facts) -> str | None:
-    via_core = analysis.pm_via_core(f)
-    if via_core != f.has_pm:
-        return f"core sizes say {via_core}, matching says {f.has_pm}"
     return None
 
 
@@ -160,19 +140,6 @@ def _check_extension(f: Facts) -> str | None:
     return None
 
 
-def _connected_ke(f: Facts) -> bool:
-    """The scope of the anticore, alpha-plus and core-lower-bound verdicts."""
-    return f.is_ke and f.connected and f.graph.n >= 2
-
-
-@dataclass(frozen=True)
-class Check:
-    name: str
-    description: str
-    applies: callable
-    run: callable
-
-
 CHECKS: tuple[Check, ...] = (
     Check("matching-oracle", "search matching size equals brute force",
           lambda f: True, _check_matching_oracle),
@@ -184,8 +151,6 @@ CHECKS: tuple[Check, ...] = (
     Check("sterboul-structures",
           "KE by arithmetic iff no flower and no posy",
           lambda f: True, _verdict(analysis.check_structure_consistency)),
-    Check("ke-arithmetic", "KE bounds and perfect-matching arithmetic",
-          lambda f: True, _verdict(analysis.check_ke_arithmetic)),
     Check("matchings-in-cut",
           "every maximum matching lies in every maximum-stable-set cut",
           lambda f: f.is_ke, _verdict(analysis.check_matchings_in_cuts)),
@@ -195,32 +160,6 @@ CHECKS: tuple[Check, ...] = (
     Check("near-perfect-necessity",
           "edge-addition-stable KE graphs have (near-)perfect matchings",
           lambda f: f.is_ke, _verdict(analysis.check_near_perfect_necessity)),
-    Check("anticore-empty-criterion",
-          "empty anticore iff perfect matching and blossom-free",
-          _connected_ke,
-          _verdict(analysis.check_anticore_empty_criterion)),
-    Check("alpha-plus-pm-criterion",
-          "stability by definition iff perfect matching and anticore <= 1",
-          _connected_ke,
-          _verdict(analysis.check_alpha_plus_pm_criterion)),
-    Check("alpha-plus-three-routes",
-          "definition, core sizes, and matching structure agree",
-          _connected_ke,
-          _verdict(analysis.check_alpha_plus_three_routes)),
-    Check("core-anticore-duality",
-          "N(core) equals anticore and is matched into the core",
-          lambda f: f.is_ke, _verdict(analysis.check_core_anticore_duality)),
-    Check("pm-iff-core-equals-anticore",
-          "perfect matching iff core and anticore sizes agree",
-          lambda f: f.is_ke, _check_pm_core_sizes),
-    Check("pendant-characterization",
-          "pendant perfect matching three-way equivalence",
-          lambda f: f.connected and f.graph.n >= 3,
-          _verdict(analysis.pendant_characterization)),
-    Check("core-lower-bounds",
-          "oversized alpha or unequal sides force core size >= 2",
-          _connected_ke,
-          _verdict(analysis.check_core_lower_bounds)),
     Check("ke-decomposition",
           "stable side * matched rest decomposition is valid",
           lambda f: f.is_ke and f.connected, _check_decomposition),
@@ -246,6 +185,7 @@ CHECKS: tuple[Check, ...] = (
     Check("bipartite-zero-core",
           "equal core and anticore sizes force both empty",
           lambda f: f.bipartite, _verdict(analysis.check_bipartite_zero_core)),
+    *REPORT_CHECKS,
 )
 
 CHECKS_BY_NAME = {c.name: c for c in CHECKS}

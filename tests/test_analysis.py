@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 import random
 import sys
@@ -8,12 +9,19 @@ import pytest
 import kegraphs
 from kegraphs import bruteforce, matching, verify
 from kegraphs.analysis import (
+    REPORT_CHECKS,
+    AnticoreEmptyVerdict,
     ArithmeticVerdict,
     BipartiteZeroCoreVerdict,
     CertificateVerdict,
+    CoreDualityVerdict,
+    CoreLowerBoundVerdict,
     CutContainmentVerdict,
     Facts,
+    PendantVerdict,
+    PmCriterionVerdict,
     TheoremViolationError,
+    ThreeRouteVerdict,
     check_alpha_plus_pm_criterion,
     check_alpha_plus_three_routes,
     check_anticore_empty_criterion,
@@ -610,6 +618,107 @@ def test_facts_share_derived_graphs():
     assert f.facts_of(Graph(4, g.edges)) is f
     h = f.facts_of(Graph(2, [(0, 1)]))
     assert h is not f and f.facts_of(Graph(2, [(0, 1)])) is h
+
+
+# For each REPORT_CHECKS row: the analysis binding it calls, and a stand-in
+# whose answer the row must reject.
+BROKEN_REPORT_ROWS = {
+    "ke-arithmetic": ("check_ke_arithmetic", ArithmeticVerdict(True, False, True)),
+    "anticore-empty-criterion": ("check_anticore_empty_criterion",
+                                 AnticoreEmptyVerdict(True, False)),
+    "alpha-plus-pm-criterion": ("check_alpha_plus_pm_criterion",
+                                PmCriterionVerdict(True, False)),
+    "alpha-plus-three-routes": ("check_alpha_plus_three_routes",
+                                ThreeRouteVerdict(True, True, False)),
+    "core-anticore-duality": ("check_core_anticore_duality",
+                              CoreDualityVerdict(True, False)),
+    "pm-iff-core-equals-anticore": ("pm_via_core", False),
+    "pendant-characterization": ("pendant_characterization",
+                                 PendantVerdict(True, False, False)),
+    "core-lower-bounds": ("check_core_lower_bounds",
+                          CoreLowerBoundVerdict(True, False, False, True)),
+}
+
+
+@pytest.mark.parametrize("row", REPORT_CHECKS, ids=lambda row: row.name)
+@pytest.mark.parametrize("g", [path(4), Graph(5, [(0, 1), (2, 3), (3, 4)])],
+                         ids=["p4", "p2+p3"])
+def test_full_report_names_the_row_that_disagreed(monkeypatch, row, g):
+    # every row applies to P4, which has a perfect matching; on P2 + P3 the
+    # rows that need a connected graph apply only to its components
+    verdict, bad = BROKEN_REPORT_ROWS[row.name]
+    monkeypatch.setattr(kegraphs.analysis, verdict, lambda f: bad)
+    with pytest.raises(TheoremViolationError, match=f"^{row.name}: ") as err:
+        full_report(g)
+    assert str(err.value) == f"{row.name}: {row.run(Facts(path(4)))}"
+
+
+P3_PLUS_C4 = Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])
+
+
+def test_full_report_runs_the_rows_on_the_graph_and_each_component(monkeypatch):
+    g = P3_PLUS_C4
+    p3, c4 = path(3), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    seen = collections.defaultdict(list)
+
+    def recorded(row):
+        def run(f):
+            seen[row.name].append(f.graph)
+            return row.run(f)
+        return dataclasses.replace(row, run=run)
+
+    monkeypatch.setattr(kegraphs.analysis, "REPORT_CHECKS",
+                        tuple(recorded(row) for row in REPORT_CHECKS))
+    full_report(g)
+    # the whole graph is KE but disconnected, so only the rows that do not
+    # ask for a connected graph run on it
+    whole = {"ke-arithmetic", "core-anticore-duality", "pm-iff-core-equals-anticore"}
+    assert seen == {row.name: ([g] if row.name in whole else []) + [p3, c4]
+                    for row in REPORT_CHECKS}
+    # three equal components share one Facts, and the rows run on it once
+    seen.clear()
+    full_report(Graph(6, [(0, 1), (2, 3), (4, 5)]))
+    assert seen["core-lower-bounds"] == [Graph(2, [(0, 1)])]
+
+
+def test_verify_runs_each_report_row_itself():
+    for row in REPORT_CHECKS:
+        assert sum(check is row for check in verify.CHECKS) == 1, row.name
+    assert len(verify.CHECKS_BY_NAME) == len(verify.CHECKS)
+
+
+@pytest.mark.parametrize("g, graphs_built", [
+    (complete_bipartite(3, 3), 0),
+    (path(5), 0),
+    (cycle(6), 0),
+    (P3_PLUS_C4, 2),
+], ids=["k3x3", "p5", "c6", "p3+c4"])
+def test_full_report_builds_a_component_graph_only_when_disconnected(
+    monkeypatch, g, graphs_built
+):
+    # none of these has a blossom, so the structural route deletes nothing
+    built = []
+    original = Graph.__init__
+
+    def counted(self, n, edges=()):
+        built.append(n)
+        original(self, n, edges)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    full_report(g)
+    assert len(built) == graphs_built
+
+
+def test_blossom_free_validates_no_matching(monkeypatch):
+    graphs = (cycle(5), complete(4), path(4), fixture_by_name("fig2_blossom").graph)
+    expected = [not matching.has_blossom(g, matching.maximum_matching(g)) for g in graphs]
+
+    def refuse(*args):
+        raise AssertionError("the package's own matching was validated")
+
+    monkeypatch.setattr(matching, "validate_matching", refuse)
+    assert [Facts(g).blossom_free for g in graphs] == expected
+    assert False in expected and True in expected
 
 
 @pytest.mark.parametrize("row, verdict, bad", [

@@ -152,7 +152,9 @@ def test_internal_cross_check_failure_exit_code(capsys, monkeypatch):
                         lambda f: analysis.ArithmeticVerdict(True, False, True))
     code, out, err = run_cli(capsys, "analyze", str(FIXTURE_DIR / "p3.gr"))
     assert code == EXIT_INTERNAL == 4 and out == ""
-    assert err == "analyze: internal cross-check failed: KE arithmetic failed\n"
+    assert err == ("analyze: internal cross-check failed: ke-arithmetic: "
+                   "ArithmeticVerdict(bounds_hold=True, pm_iff_alpha_equals_mu=False, "
+                   "pm_graphs_alpha_mu_iff_ke=True)\n")
 
 
 def test_witness_check_failure_exit_code(capsys, monkeypatch, tmp_path):

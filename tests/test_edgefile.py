@@ -55,6 +55,14 @@ def test_edges_are_written_sorted():
         ("p 2 1\ne +0 1\n", 2),         # sign
         ("p 2 1\nc x\x85c y\ne 0 9\n", 3),  # U+0085 inside a comment
         ("p 2 1\re 0 1\n", 1),          # a lone CR ends no line
+        ("p 2 1\ne 0\x1c1\n", 2),        # file separator between fields
+        ("p 2 1\ne 0\v1\n", 2),          # vertical tab between fields
+        ("p 2 1\ne 0 1\f\n", 2),         # trailing form feed
+        ("\x1fp 2 0\n", 1),             # leading unit separator
+        ("\x1ec x\np 2 0\n", 1),        # a control character is no comment
+        ("p 2 1\n\x1d\ne 0 1\n", 2),    # a line of one control character
+        ("p 2 1\ne 0 1\r\r\n", 2),      # only one trailing CR is dropped
+        ("p 2 1\ne 0\x7f 1\n", 2),       # DEL
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line_no):
@@ -100,8 +108,9 @@ def test_both_error_paths_number_lines_alike(tmp_path):
 
 # Characters a hand-edited file might slip into a line: other line breaks,
 # non-ASCII digits and spaces, signs and digit separators.
-MUTATIONS = ["\x85", "\u2028", "\u2003", "\r", "\v", "\x1c", "\u0661", "\u00b2",
-             "_", "+", "-", " ", "\t", "0", "7", "c", "\n"]
+MUTATIONS = ["\x85", "\u2028", "\u2003", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e",
+             "\x1f", "\u0661", "\u00b2", "_", "+", "-", " ", "\t", "0", "7", "c",
+             "\n"]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -120,7 +129,7 @@ def test_accepted_files_have_canonical_tokens(data):
         assert 1 <= err.line_no <= len(lines)
         return
     for line in lines:
-        fields = line.split()
-        if fields and not fields[0].startswith("c"):
-            assert line.isascii() and fields[0] in ("p", "e")
-            assert all(re.fullmatch("[0-9]+", tok) for tok in fields[1:])
+        # only spaces and tabs around fields, and one trailing CR
+        body = line.removesuffix("\r").strip(" \t")
+        if body and not body.startswith("c"):
+            assert re.fullmatch("[pe]([ \t]+[0-9]+){2}", body), repr(line)

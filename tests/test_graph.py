@@ -1,3 +1,4 @@
+import collections
 import random
 
 import pytest
@@ -98,6 +99,21 @@ def test_delete_on_the_eight_vertex_pm_fixture():
     assert len(brute_max_stable_sets(h)[0]) != brute_max_matching_size(h)
     # other same-column deletions merely shrink the graph
     assert delete_vertices(g, {1, 5}).n == 6
+
+
+def test_delete_vertices_checks_each_given_id_once(monkeypatch):
+    checked = collections.Counter()
+    original = Graph.check_vertex
+
+    def counted(self, v):
+        checked[v] += 1
+        original(self, v)
+
+    monkeypatch.setattr(Graph, "check_vertex", counted)
+    assert delete_vertices(cycle(6), {1, 4}) == Graph(4, [(1, 2), (0, 3)])
+    assert checked == {1: 1, 4: 1}
+    with pytest.raises(GraphError):
+        delete_vertices(path(3), {0, 7})
 
 
 def test_neighborhood_basics():
