@@ -13,7 +13,6 @@ from .graph import (
     GraphError,
     complement_non_edges,
     connected_components,
-    cut_edges,
     delete_vertices,
     induced_subgraph,
     is_bipartite,
@@ -38,11 +37,9 @@ from .stable import (
     core_report,
     extend_stable_through_matching,
     maximum_stable_sets,
-    stability_after_adding_edge,
     stability_number,
 )
 from .analysis import (
-    AnalysisReport,
     Facts,
     KeDecomposition,
     StabilityClassification,
@@ -57,7 +54,6 @@ from .analysis import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnalysisReport",
     "CapExceededError",
     "Certification",
     "CoreReport",
@@ -77,7 +73,6 @@ __all__ = [
     "complement_non_edges",
     "connected_components",
     "core_report",
-    "cut_edges",
     "decompose",
     "delete_vertices",
     "exposed_vertices",
@@ -96,6 +91,5 @@ __all__ = [
     "neighborhood",
     "parse_graph",
     "pendant_vertices",
-    "stability_after_adding_edge",
     "stability_number",
 ]

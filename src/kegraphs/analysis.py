@@ -10,9 +10,10 @@ they agree, rather than inferring one side from the other.
 Every verdict reads one Facts, a per-graph cache, so each quantity is
 computed once however many verdicts read it: check_x(Facts(g)).  The
 definition route, the alpha-critical pendants and the not-stable witness
-all read alpha and alpha(G - v), Facts.alpha_without, and build no graph.
-Only entry points that start from a bare graph take a Graph: full_report,
-is_koenig_egervary, is_edge_addition_stable and is_alpha_critical.
+all read whether deleting a vertex lowers alpha, Facts.alpha_critical,
+and build no graph.  Only entry points that start from a bare graph take
+a Graph: full_report, is_koenig_egervary and is_alpha_critical.
+full_report returns the JSON document kegraphs analyze writes.
 
 Each per-theorem verdict (the check_* functions and
 pendant_characterization) returns a frozen dataclass whose consistent
@@ -78,15 +79,10 @@ def is_koenig_egervary(g: Graph) -> bool:
     return Facts(g).is_ke
 
 
-def is_edge_addition_stable(g: Graph) -> bool:
-    """Definition route: no single added edge lowers the stability number."""
-    return Facts(g).stable_by_definition
-
-
 def is_alpha_critical(g: Graph, v: int) -> bool:
     """Whether deleting v lowers the stability number."""
-    f = Facts(g)
-    return f.alpha_without(v) < f.alpha
+    g.check_vertex(v)
+    return Facts(g).alpha_critical(v)
 
 
 class Facts:
@@ -94,7 +90,7 @@ class Facts:
 
     A verdict may read any cached value, but the three routes to
     edge-addition stability stay apart: stable_by_definition reads only
-    alpha and alpha_without, the core-size route reads core and anticore
+    alpha_critical, the core-size route reads core and anticore
     (and whether a perfect matching exists), and the matching-structure
     route reads only matchings and blossoms.  Each exact oracle refuses a
     graph above its fixed cap (see limits) the first time a value that
@@ -104,7 +100,7 @@ class Facts:
     def __init__(self, graph: Graph):
         self.graph = graph
         self._derived: dict[Graph, Facts] = {}
-        self._alpha_without: dict[int, int] = {}
+        self._alpha_critical: dict[int, bool] = {}
 
     def facts_of(self, h: Graph) -> Facts:
         """The Facts of a graph derived from this one (a component, a
@@ -143,14 +139,14 @@ class Facts:
     def alpha(self) -> int:
         return stability_number(self.graph)
 
-    def alpha_without(self, v: int) -> int:
-        """alpha(G - v), one branch-and-bound run per vertex; alpha is read
-        first, so its cap refuses a large graph before any search runs."""
-        g, cache = self.graph, self._alpha_without
+    def alpha_critical(self, v: int) -> bool:
+        """Whether alpha(G - v) < alpha, one branch-and-bound run per
+        vertex the package made; alpha is read first, so its cap refuses a
+        large graph before any search runs."""
+        g, cache = self.graph, self._alpha_critical
         if v not in cache:
-            g.check_vertex(v)
-            self.alpha  # noqa: B018 - the cap check
-            cache[v] = _alpha_mask(g, g.full_mask & ~(1 << v))
+            alpha = self.alpha
+            cache[v] = _alpha_mask(g, g.full_mask & ~(1 << v)) < alpha
         return cache[v]
 
     @cached_property
@@ -194,14 +190,13 @@ class Facts:
         in G and misses u or v, that is, when it is a stable set of G-u or
         of G-v.  So alpha(G+uv) = max(alpha(G-u), alpha(G-v)), and since no
         deletion raises alpha, adding uv lowers it exactly when deleting u
-        and deleting v both do.  The route reads alpha and alpha_without,
-        stops at the first non-edge that lowers alpha, builds no graph and
-        reads no stable-set family, core or anticore.
+        and deleting v both do.  The route reads alpha_critical, stops at
+        the first non-edge that lowers alpha, builds no graph and reads no
+        stable-set family, core or anticore.
         """
-        alpha = self.alpha
+        critical = self.alpha_critical
         return not any(
-            self.alpha_without(u) < alpha and self.alpha_without(v) < alpha
-            for u, v in complement_non_edges(self.graph)
+            critical(u) and critical(v) for u, v in complement_non_edges(self.graph)
         )
 
     @cached_property
@@ -210,7 +205,7 @@ class Facts:
 
     @cached_property
     def alpha_critical_pendants(self) -> tuple[int, ...]:
-        return tuple(p for p in self.pendants if self.alpha_without(p) < self.alpha)
+        return tuple(p for p in self.pendants if self.alpha_critical(p))
 
 
 # -- decomposition ------------------------------------------------------------
@@ -257,22 +252,21 @@ class StabilityClassification:
     or not_stable with a witness edge whose addition drops alpha."""
 
     kind: str
-    core: frozenset[int]
     witness_edge: Edge | None = None
 
 
 def classify_alpha_plus(f: Facts) -> StabilityClassification:
     rep = f.core
     if rep.core_size == 0:
-        return StabilityClassification("alpha0_plus", rep.core)
+        return StabilityClassification("alpha0_plus")
     if rep.core_size == 1:
-        return StabilityClassification("alpha1_plus", rep.core)
+        return StabilityClassification("alpha1_plus")
     u, v = sorted(rep.core)[:2]
     # two core vertices are never adjacent, and joining them kills every
     # maximum stable set: alpha(G+uv) = max(alpha(G-u), alpha(G-v)) < alpha
-    if max(f.alpha_without(u), f.alpha_without(v)) >= f.alpha:
+    if not (f.alpha_critical(u) and f.alpha_critical(v)):
         raise TheoremViolationError("core pair addition failed to lower alpha")
-    return StabilityClassification("not_stable", rep.core, (u, v))
+    return StabilityClassification("not_stable", (u, v))
 
 
 # -- per-theorem verdicts ------------------------------------------------------
@@ -753,68 +747,11 @@ REPORT_CHECKS: tuple[Check, ...] = (
 # -- the aggregated report -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PendantProfile:
-    pendants: tuple[int, ...]
-    alpha_critical_pendants: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class AnalysisReport:
-    n: int
-    m: int
-    connected: bool
-    alpha: int
-    mu: int
-    is_ke: bool
-    has_pm: bool
-    core: CoreReport
-    stability: StabilityClassification
-    decomposition: KeDecomposition | None
-    blossom_free: bool
-    pendant_profile: PendantProfile
-    omega_size: int
-
-    def to_json_dict(self) -> dict:
-        dec = None
-        if self.decomposition is not None:
-            dec = {
-                "stable_set": sorted(self.decomposition.stable_set),
-                "rest": sorted(self.decomposition.rest),
-                "cut_matching": [list(e) for e in sorted(self.decomposition.cut_matching)],
-            }
-        return {
-            "n": self.n,
-            "m": self.m,
-            "connected": self.connected,
-            "alpha": self.alpha,
-            "mu": self.mu,
-            "is_ke": self.is_ke,
-            "has_pm": self.has_pm,
-            "core": sorted(self.core.core),
-            "anticore": sorted(self.core.anticore),
-            "core_size": self.core.core_size,
-            "anticore_size": self.core.anticore_size,
-            "stability": {
-                "class": self.stability.kind,
-                "witness_edge": list(self.stability.witness_edge)
-                if self.stability.witness_edge
-                else None,
-            },
-            "decomposition": dec,
-            "blossom_free": self.blossom_free,
-            "pendant_profile": {
-                "pendants": list(self.pendant_profile.pendants),
-                "alpha_critical_pendants": list(
-                    self.pendant_profile.alpha_critical_pendants
-                ),
-            },
-            "omega_size": self.omega_size,
-        }
-
-
-def full_report(g: Graph) -> AnalysisReport:
-    """Aggregate verdict for one graph.
+def full_report(g: Graph) -> dict:
+    """Aggregate verdict for one graph, as the JSON document analyze emits:
+    vertex sets and edges as sorted lists, the stability class with its
+    witness edge, and the decomposition (None unless the graph is connected
+    and KE).
 
     Every REPORT_CHECKS row that applies is re-checked on the graph and,
     when it is disconnected, on each component; a TheoremViolationError
@@ -824,8 +761,14 @@ def full_report(g: Graph) -> AnalysisReport:
     rep = f.core  # the family first: its cap is the one a large input hits
     ke = f.is_ke
     stability = classify_alpha_plus(f)
-    decomposition = decompose(f) if (ke and f.connected and g.n) else None
-    profile = PendantProfile(f.pendants, f.alpha_critical_pendants)
+    dec = None
+    if ke and f.connected and g.n:
+        d = decompose(f)
+        dec = {
+            "stable_set": sorted(d.stable_set),
+            "rest": sorted(d.rest),
+            "cut_matching": [list(e) for e in sorted(d.cut_matching)],
+        }
     parts = [f]
     if not f.connected:
         # equal components share one Facts (facts_of), checked once
@@ -837,18 +780,24 @@ def full_report(g: Graph) -> AnalysisReport:
                 detail = row.run(part)
                 if detail is not None:
                     raise TheoremViolationError(f"{row.name}: {detail}")
-    return AnalysisReport(
-        n=g.n,
-        m=g.m,
-        connected=f.connected,
-        alpha=f.alpha,
-        mu=f.mu,
-        is_ke=ke,
-        has_pm=f.has_pm,
-        core=rep,
-        stability=stability,
-        decomposition=decomposition,
-        blossom_free=f.blossom_free,
-        pendant_profile=profile,
-        omega_size=len(f.family.sets),
-    )
+    witness = stability.witness_edge
+    return {
+        "n": g.n,
+        "m": g.m,
+        "connected": f.connected,
+        "alpha": f.alpha,
+        "mu": f.mu,
+        "is_ke": ke,
+        "has_pm": f.has_pm,
+        "core": sorted(rep.core),
+        "anticore": sorted(rep.anticore),
+        "core_size": rep.core_size,
+        "anticore_size": rep.anticore_size,
+        "stability": {"class": stability.kind,
+                      "witness_edge": list(witness) if witness else None},
+        "decomposition": dec,
+        "blossom_free": f.blossom_free,
+        "pendant_profile": {"pendants": list(f.pendants),
+                            "alpha_critical_pendants": list(f.alpha_critical_pendants)},
+        "omega_size": len(f.family.sets),
+    }

@@ -20,7 +20,8 @@ find_posy) is the oracle for matching's polynomial has_blossom, has_flower
 and has_posy.  Its running time grows with the number of alternating
 walks, which a vertex cap does not bound usefully, so it runs under a
 fixed step budget instead and raises SearchBudgetExceededError when that
-runs out.
+runs out.  find_flower and find_posy refuse a matching smaller than
+brute_max_matching_size, not through matching's augmenting-path search.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import Edge, Graph, complement_non_edges, normalize_edge
+from .graph import Edge, Graph, GraphError, complement_non_edges, normalize_edge
 from .limits import DEFAULT_OMEGA_CAP, check_cap
-from .matching import _require_maximum, exposed_vertices, partner_map, validate_matching
+from .matching import partner_map, validate_matching
 
 # Primitive-step allowance for the exhaustive alternating-structure
 # searches: blossom, flower and posy enumeration only.
@@ -376,6 +377,15 @@ def find_blossoms(g: Graph, m: Iterable[Edge]) -> tuple[Blossom, ...]:
     return tuple(_collect_blossoms(g, partner_map(m), _Budget()))
 
 
+def _validated_maximum(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
+    """m validated as a matching of g, refused unless it is as large as
+    the brute-force matching number."""
+    m = validate_matching(g, m)
+    if len(m) != brute_max_matching_size(g):
+        raise GraphError(f"matching of size {len(m)} is not maximum")
+    return m
+
+
 def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
     """A flower relative to the maximum matching m, or None.
 
@@ -383,12 +393,10 @@ def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
     alternating stem to an exposed vertex (a base that is itself exposed
     counts, with the trivial stem).
     """
-    m = validate_matching(g, m)
-    _require_maximum(g, m)
-    exposed = exposed_vertices(g, m)
+    partner = partner_map(_validated_maximum(g, m))
+    exposed = frozenset(v for v in g.vertices() if v not in partner)
     if not exposed:
         return None
-    partner = partner_map(m)
     budget_box = _Budget()
     for blossom in _collect_blossoms(g, partner, budget_box):
         if blossom.base in exposed:
@@ -448,9 +456,7 @@ def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
     bases whose first and last edges are heavy; the two blossoms need not be
     disjoint from each other.
     """
-    m = validate_matching(g, m)
-    _require_maximum(g, m)
-    partner = partner_map(m)
+    partner = partner_map(_validated_maximum(g, m))
     budget_box = _Budget()
     blossoms = _collect_blossoms(g, partner, budget_box)
     if not blossoms:

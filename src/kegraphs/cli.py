@@ -5,7 +5,9 @@ claims over seeded random corpora, generate graphs (`generate --help` lists
 the kinds) and dump the named fixtures.  Exit codes: 0 success, 1
 verification violation, 2 usage, parse or I/O error (reading a graph file or
 writing --out) or out of memory (a generated graph too large to build), 3
-cap exceeded, 4 internal cross-check failed (a bug).
+cap exceeded, 4 internal cross-check failed or a route raised while
+analyzing a graph that was read cleanly (a bug).  verify records a row that
+raises as a failure of that row, so it ends with 1 instead.
 
 All randomness flows from --seed; no invocation reads the clock or OS
 entropy, so identical invocations produce identical bytes.
@@ -153,14 +155,22 @@ def cmd_analyze(args) -> int:
     for path in args.paths:
         try:
             # refused at the p line, before a graph above the cap is built
-            report = full_report(read_graph(path, DEFAULT_OMEGA_CAP))
+            g = read_graph(path, DEFAULT_OMEGA_CAP)
+            try:
+                report = full_report(g)
+            except (CapExceededError, AssertionError, MemoryError):
+                raise  # exit 3 below; main reports the others (4 and 2)
+            except Exception as exc:  # a route that raises is a bug too
+                print(f"{path}: internal error: {type(exc).__name__}: {exc}",
+                      file=sys.stderr)
+                return EXIT_INTERNAL
         except GraphFormatError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         except CapExceededError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_CAP
-        doc = {"source": path, **report.to_json_dict()}
+        doc = {"source": path, **report}
         docs.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     _emit("".join(d + "\n" for d in docs), args.out)
     return EXIT_OK

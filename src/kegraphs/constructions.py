@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .analysis import AnalysisReport, Facts, classify_alpha_plus
+from .analysis import Facts, classify_alpha_plus
 from .graph import Edge, Graph, GraphError, bipartition, delete_vertices, is_connected
 from .matching import matching_number, partner_map
 
@@ -293,10 +293,9 @@ def fixture_by_name(name: str) -> Fixture:
     raise KeyError(f"unknown fixture {name!r}")
 
 
-def fixture_mismatches(f: Fixture, report: AnalysisReport) -> list[str]:
+def fixture_mismatches(f: Fixture, doc: dict) -> list[str]:
     """Expected-versus-computed discrepancies for one fixture, empty when
-    the pinned values are reproduced exactly."""
-    doc = report.to_json_dict()
+    the pinned values are reproduced exactly; doc is its full_report."""
     out = []
     for key, want in sorted(f.expected.items()):
         if key == "stability_class":

@@ -168,18 +168,6 @@ def neighborhood(g: Graph, xs: Iterable[int]) -> frozenset[int]:
     return frozenset(out)
 
 
-def cut_edges(g: Graph, a: Iterable[int], b: Iterable[int]) -> frozenset[Edge]:
-    """Edges with one endpoint in a and the other in b; a and b disjoint."""
-    a = g.check_vertex_set(a)
-    b = g.check_vertex_set(b)
-    overlap = a & b
-    if overlap:
-        raise GraphError(f"cut sides overlap on {sorted(overlap)}")
-    return frozenset(
-        e for e in g.edges if (e[0] in a and e[1] in b) or (e[0] in b and e[1] in a)
-    )
-
-
 def complement_non_edges(g: Graph) -> tuple[Edge, ...]:
     """All unordered pairs of distinct vertices that are not edges of g."""
     out = []

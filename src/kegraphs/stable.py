@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .graph import Edge, Graph, GraphError, normalize_edge
+from .graph import Edge, Graph, GraphError
 from .limits import DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP, check_cap
 from .matching import matching_number, partner_map, validate_matching
 
@@ -284,9 +284,3 @@ def _as_mask(vs: Iterable[int]) -> int:
     for v in vs:
         mask |= 1 << v
     return mask
-
-
-def stability_after_adding_edge(g: Graph, e: Edge) -> int:
-    """Stability number of the graph with one extra edge."""
-    u, v = normalize_edge(int(e[0]), int(e[1]))
-    return stability_number(g.with_edge(u, v))

@@ -8,7 +8,10 @@ implementation bug.  run_checks builds one analysis.Facts per input graph
 and hands it to every check.  CHECKS ends with analysis.REPORT_CHECKS,
 the rows full_report re-checks too.  Most checks are an analysis verdict
 run through _verdict: the check passes when the verdict is consistent,
-and a failure line carries the verdict's repr.  The checks with logic of
+and a failure line carries the verdict's repr.  A check that raises
+(TheoremViolationError included) fails on that graph, and its failure
+line names the exception; only a refusal above a cap (CapExceededError)
+and MemoryError end the run.  The checks with logic of
 their own are functions here; one that derives a new graph (peel, attachment)
 takes that graph's Facts from Facts.facts_of.  The CLI's verify command
 and the acceptance suite are thin wrappers around run_checks.
@@ -23,7 +26,7 @@ from . import analysis, bruteforce, constructions
 from .analysis import REPORT_CHECKS, Check, Facts, _verdict
 from .edgefile import format_graph
 from .graph import is_connected
-from .limits import DEFAULT_OMEGA_CAP
+from .limits import DEFAULT_OMEGA_CAP, CapExceededError
 from .stable import extend_stable_through_matching
 
 
@@ -216,7 +219,12 @@ def run_checks(
                 continue
             s = stats[check.name]
             s.applicable += 1
-            detail = check.run(f)
+            try:
+                detail = check.run(f)
+            except (CapExceededError, MemoryError):
+                raise
+            except Exception as exc:  # a route that raises fails its row
+                detail = f"raised {type(exc).__name__}: {exc}"
             if detail is None:
                 s.passed += 1
             elif len(s.failures) < MAX_RECORDED_FAILURES:

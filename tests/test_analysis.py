@@ -38,7 +38,6 @@ from kegraphs.analysis import (
     decompose,
     full_report,
     is_alpha_critical,
-    is_edge_addition_stable,
     is_koenig_egervary,
     pendant_characterization,
     pm_via_core,
@@ -135,7 +134,7 @@ def test_classification_matches_definition():
             ],
         )
         kind = classify_alpha_plus(Facts(g)).kind
-        assert is_edge_addition_stable(g) == (kind != "not_stable")
+        assert Facts(g).stable_by_definition == (kind != "not_stable")
 
 
 def _ke16_inputs():
@@ -159,7 +158,7 @@ def _ke16_inputs():
 ], ids=["ke16", "connected", "bipartite"])
 def test_definition_route_agrees_with_the_per_edge_oracle(corpus):
     graphs = corpus()
-    answers = [is_edge_addition_stable(g) for g in graphs]
+    answers = [Facts(g).stable_by_definition for g in graphs]
     assert answers == [bruteforce.brute_edge_addition_stable(g) for g in graphs]
     assert any(answers) and not all(answers)
 
@@ -173,11 +172,8 @@ def test_definition_route_builds_no_graph(monkeypatch, g):
         raise AssertionError("the definition route built a graph per non-edge")
 
     monkeypatch.setattr(Graph, "with_edge", refuse)
-    for mod in (kegraphs, kegraphs.stable):
-        monkeypatch.setattr(mod, "stability_after_adding_edge", refuse)
-    assert not hasattr(kegraphs.analysis, "stability_after_adding_edge")
     counts = _count_calls(monkeypatch, ["_alpha_mask"])
-    assert is_edge_addition_stable(g) == expected
+    assert Facts(g).stable_by_definition == expected
     assert 0 < counts["_alpha_mask", g] <= g.n + 1
 
 
@@ -186,14 +182,12 @@ def test_definition_route_builds_no_graph(monkeypatch, g):
 ], ids=["k1x8", "fig3", "tree16"])
 def test_full_report_builds_no_graph_for_the_witness(monkeypatch, g):
     expected = full_report(g)
-    assert expected.stability.kind == "not_stable"
+    assert expected["stability"]["class"] == "not_stable"
 
     def refuse(*args):
         raise AssertionError("the witness check built G + uv")
 
     monkeypatch.setattr(Graph, "with_edge", refuse)
-    for mod in (kegraphs, kegraphs.stable):
-        monkeypatch.setattr(mod, "stability_after_adding_edge", refuse)
     assert full_report(g) == expected
 
 
@@ -301,6 +295,8 @@ def test_alpha_critical_examples():
     assert is_alpha_critical(path(3), 0)
     assert not is_alpha_critical(Graph(2, [(0, 1)]), 0)
     assert not is_alpha_critical(cycle(4), 2)
+    with pytest.raises(GraphError, match="out of range"):
+        is_alpha_critical(path(3), 3)
 
 
 def _brute_alpha(g):
@@ -327,7 +323,7 @@ def test_alpha_critical_refuses_above_the_cap_before_any_search(monkeypatch):
     with pytest.raises(CapExceededError):
         is_alpha_critical(big, 0)
     with pytest.raises(CapExceededError):
-        Facts(big).alpha_without(0)
+        Facts(big).alpha_critical(0)
 
 
 def test_core_lower_bound_examples():
@@ -490,13 +486,11 @@ def test_structure_consistency():
 
 
 def test_full_report_values():
-    rep = full_report(K4_MINUS_E)
-    doc = rep.to_json_dict()
+    doc = full_report(K4_MINUS_E)
     assert (doc["alpha"], doc["mu"], doc["is_ke"], doc["has_pm"]) == (2, 2, True, True)
     assert (doc["core_size"], doc["anticore_size"]) == (2, 2)
     assert doc["stability"]["class"] == "not_stable"
-    rep = full_report(cycle(4))
-    doc = rep.to_json_dict()
+    doc = full_report(cycle(4))
     assert (doc["alpha"], doc["mu"], doc["core_size"], doc["anticore_size"]) == (
         2,
         2,
@@ -504,34 +498,33 @@ def test_full_report_values():
         0,
     )
     assert doc["stability"]["class"] == "alpha0_plus"
-    rep = full_report(fixture_by_name("fig1_seven").graph)
-    assert (rep.alpha, rep.mu, rep.is_ke, rep.has_pm) == (4, 3, True, False)
+    doc = full_report(fixture_by_name("fig1_seven").graph)
+    assert (doc["alpha"], doc["mu"], doc["is_ke"], doc["has_pm"]) == (4, 3, True, False)
 
 
 def test_full_report_handles_disconnected_graphs():
     g = Graph(5, [(0, 1), (2, 3), (3, 4)])
-    rep = full_report(g)
-    assert not rep.connected and rep.decomposition is None
-    assert rep.alpha == 3 and rep.mu == 2 and rep.is_ke
+    doc = full_report(g)
+    assert not doc["connected"] and doc["decomposition"] is None
+    assert doc["alpha"] == 3 and doc["mu"] == 2 and doc["is_ke"]
 
 
 def test_report_json_is_stable():
-    doc = full_report(fixture_by_name("fig4_g1").graph).to_json_dict()
+    doc = full_report(fixture_by_name("fig4_g1").graph)
     first = json.dumps(doc, sort_keys=True)
-    second = json.dumps(full_report(fixture_by_name("fig4_g1").graph).to_json_dict(),
-                        sort_keys=True)
+    second = json.dumps(full_report(fixture_by_name("fig4_g1").graph), sort_keys=True)
     assert first == second
 
 
 def test_full_report_never_enters_the_exhaustive_walker(monkeypatch):
     graphs = [complete_bipartite(8, 8), fixture_by_name("fig3_nonstable").graph]
-    expected = [full_report(g).to_json_dict() for g in graphs]
+    expected = [full_report(g) for g in graphs]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the exhaustive blossom walker was entered")
 
     monkeypatch.setattr(bruteforce, "_collect_blossoms", refuse)
-    assert [full_report(g).to_json_dict() for g in graphs] == expected
+    assert [full_report(g) for g in graphs] == expected
 
 
 def test_structure_consistency_never_enters_the_walker(monkeypatch):

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from kegraphs import analysis, verify
+from kegraphs import analysis, bruteforce, verify
 from kegraphs.cli import EXIT_INTERNAL, GENERATORS, main
 from kegraphs.constructions import complete_bipartite, cycle
 from kegraphs.edgefile import format_graph
-from kegraphs.graph import Graph
+from kegraphs.graph import Graph, GraphError
+from kegraphs.limits import CapExceededError
 from kegraphs.stable import CoreReport
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -168,6 +169,17 @@ def test_witness_check_failure_exit_code(capsys, monkeypatch, tmp_path):
     assert err == "analyze: internal cross-check failed: core pair addition failed to lower alpha\n"
 
 
+def test_a_route_that_raises_in_analyze_is_exit_4_naming_the_file(capsys, monkeypatch):
+    def planted(f):
+        raise GraphError("planted")
+
+    monkeypatch.setattr(analysis, "check_ke_arithmetic", planted)
+    path = str(FIXTURE_DIR / "p3.gr")
+    code, out, err = run_cli(capsys, "analyze", path)
+    assert code == EXIT_INTERNAL == 4 and out == ""
+    assert err == f"{path}: internal error: GraphError: planted\n"
+
+
 def test_analyze_cap_exceeded(capsys, tmp_path):
     big = tmp_path / "k25.gr"
     code, _, _ = run_cli(capsys, "generate", "complete", "--n", "25",
@@ -243,6 +255,30 @@ def test_verify_self_test_fails(capsys):
                            "--n", "2..4", "--self-test")
     assert code == 1
     assert "RESULT: FAIL" in out and "self-test" in out
+
+
+def test_a_row_that_raises_in_verify_is_a_failure_of_that_row(capsys, monkeypatch):
+    def planted(stable_sets):
+        raise GraphError("planted")
+
+    monkeypatch.setattr(bruteforce, "largest_stable_sets", planted)
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--count", "1",
+                             "--n", "2..3")
+    assert code == 1 and err == ""
+    # both graphs fail the one planted row, and every other row still runs
+    assert "\nomega-oracle                           2       0       2\n" in out
+    assert "\nRESULT: FAIL (2 violations over 2 graphs)\n" in out
+    assert "\nFAILURE [omega-oracle] n2-0: raised GraphError: planted\np 2 1\n" in out
+
+
+def test_a_row_that_refuses_above_a_cap_still_ends_verify(capsys, monkeypatch):
+    def planted(stable_sets):
+        raise CapExceededError("planted refusal")
+
+    monkeypatch.setattr(bruteforce, "largest_stable_sets", planted)
+    code, out, err = run_cli(capsys, "verify", "--seed", "1", "--count", "1",
+                             "--n", "2..3")
+    assert code == 3 and out == "" and err == "verify: planted refusal\n"
 
 
 def test_verify_cap_exceeded(capsys):

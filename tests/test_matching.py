@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import kegraphs.matching
-from kegraphs import verify
+from kegraphs import bruteforce, verify
 from kegraphs.bruteforce import (
     SearchBudgetExceededError,
     brute_max_matching_size,
@@ -252,6 +252,21 @@ def test_flower_requires_a_maximum_matching():
     with pytest.raises(GraphError):
         find_flower(cycle(5), [(0, 1)])
     with pytest.raises(GraphError):
+        find_posy(cycle(5), [(0, 1)])
+
+
+def test_the_oracles_check_maximality_without_the_augmenting_search(monkeypatch):
+    # with matching's proof of maximality accepting anything, wherever it is
+    # bound, the oracles still refuse: they compare the size with the brute
+    # matching number
+    def accept(g, m):
+        return None, False
+
+    monkeypatch.setattr(kegraphs.matching, "_require_maximum", accept)
+    monkeypatch.setattr(bruteforce, "_require_maximum", accept, raising=False)
+    with pytest.raises(GraphError, match="^matching of size 1 is not maximum$"):
+        find_flower(cycle(5), [(0, 1)])
+    with pytest.raises(GraphError, match="^matching of size 1 is not maximum$"):
         find_posy(cycle(5), [(0, 1)])
 
 

@@ -29,7 +29,6 @@ from kegraphs.stable import (
     core_report,
     extend_stable_through_matching,
     maximum_stable_sets,
-    stability_after_adding_edge,
     stability_number,
 )
 
@@ -179,15 +178,15 @@ def test_extension_detects_closed_blossoms():
 def test_alpha_after_edge_addition_examples():
     g3 = fixture_by_name("fig3_nonstable").graph
     assert stability_number(g3) == 4
-    assert stability_after_adding_edge(g3, (0, 4)) == 3
-    chord = stability_after_adding_edge(cycle(4), (0, 2))
+    assert stability_number(g3.with_edge(0, 4)) == 3
+    chord = stability_number(cycle(4).with_edge(0, 2))
     assert chord == len(brute_max_stable_sets(cycle(4).with_edge(0, 2))[0]) == 2
-    assert stability_after_adding_edge(K4_MINUS_E, (2, 3)) == 1
+    assert stability_number(K4_MINUS_E.with_edge(2, 3)) == 1
 
 
 def test_alpha_after_edge_addition_rejects_existing_edges():
     with pytest.raises(GraphError):
-        stability_after_adding_edge(cycle(4), (0, 1))
+        stability_number(cycle(4).with_edge(0, 1))
 
 
 def test_adding_an_edge_drops_alpha_by_at_most_one():
@@ -199,7 +198,7 @@ def test_adding_an_edge_drops_alpha_by_at_most_one():
         for u in range(n):
             for v in range(u + 1, n):
                 if not g.has_edge(u, v):
-                    assert stability_after_adding_edge(g, (u, v)) in (alpha - 1, alpha)
+                    assert stability_number(g.with_edge(u, v)) in (alpha - 1, alpha)
 
 
 def test_caps_are_enforced():
