@@ -127,7 +127,7 @@ class Facts:
 
     @cached_property
     def matching_summary(self) -> MatchingSummary:
-        """The count, distinct exposed sets and edge union of the maximum
+        """The distinct exposed sets and edge union of the maximum
         matchings, taken without listing them."""
         return brute_matching_summary(self.graph, self.mu)
 
@@ -301,9 +301,8 @@ def check_ke_arithmetic(f: Facts) -> ArithmeticVerdict:
 @dataclass(frozen=True)
 class CutContainmentVerdict:
     """Every maximum matching lies inside every (S, V-S) cut, S ranging over
-    the maximum stable sets."""
+    the maximum stable sets; stable_sets_checked counts those sets."""
 
-    matchings_checked: int
     stable_sets_checked: int
     consistent: bool
 
@@ -311,13 +310,13 @@ class CutContainmentVerdict:
 def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
     """Every matching lies in a cut iff the union of their edges does, so
     past the KE gate the matching side reads only the maximum matchings'
-    summary (their count and edge union), never alpha, core or anticore.
-    An edge lies in the cut (s, V - s) when one endpoint is in s."""
+    edge union, never alpha, core or anticore.  An edge lies in the cut
+    (s, V - s) when one endpoint is in s."""
     if not f.is_ke:
         raise GraphError("cut containment is a KE-only property")
-    fam, summary = f.family, f.matching_summary
-    consistent = all((u in s) != (v in s) for s in fam.sets for u, v in summary.edges)
-    return CutContainmentVerdict(summary.count, len(fam.sets), consistent)
+    fam, edges = f.family, f.matching_summary.edges
+    consistent = all((u in s) != (v in s) for s in fam.sets for u, v in edges)
+    return CutContainmentVerdict(len(fam.sets), consistent)
 
 
 @dataclass(frozen=True)
@@ -326,10 +325,9 @@ class CertificateVerdict:
     membership in the maximum-stable-set family, over every stable set and
     every maximum matching.
 
-    sets_checked counts (stable set, maximum matching) pairs in scan order:
-    stable sets as brute_stable_sets lists them, matchings in enumeration
-    order.  On a disagreement it stops at, and counts, the first pair that
-    disagrees."""
+    sets_checked counts stable sets in brute_stable_sets order: on a
+    disagreement it stops at, and counts, the first stable set that
+    disagrees with some maximum matching."""
 
     sets_checked: int
     consistent: bool
@@ -344,14 +342,8 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     each" is |s & V(m)| = |m|; given E(m) <= s that is |s| = n - |m|.
     Every enumerated matching has mu edges, so matchings with equal E(m)
     give the same answer on every s.  A stable set of any other size than
-    n - mu is certified by no matching, so its first pair (with the first
-    matching) fails iff it is a member, and it needs one test, not one per
-    E(m).  sets_checked still counts the pairs the per-pair scan would
-    reach, so the verdict is the same as that scan's, failure included.
-
-    The maximum matchings' summary holds each distinct E(m) with the index
-    of its first matching, in increasing index order, so the first failing
-    test names the first failing matching.
+    n - mu is certified by no matching, so it disagrees iff it is a
+    member, and it needs one test, not one per E(m).
 
     Past the KE gate, the expected side reads only membership in the
     enumerated family and the certified side only the maximum matchings'
@@ -361,20 +353,19 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
         raise GraphError("the stable-set certificate is a KE-only property")
     g = f.graph
     members = {_as_mask(s) for s in f.family.sets}
-    summary = f.matching_summary
-    count, first_of = summary.count, summary.first_of
+    exposed_sets = f.matching_summary.exposed
     certified_size = g.n - f.mu
-    for k, s in enumerate(f.stable_sets):
+    for k, s in enumerate(f.stable_sets, 1):
         expected = s in members
         if s.bit_count() != certified_size:
-            # no matching certifies s: the first pair fails iff s is a member
+            # no matching certifies s: it disagrees iff it is a member
             if expected:
-                return CertificateVerdict(k * count + 1, False)
+                return CertificateVerdict(k, False)
             continue
-        for exposed, i in first_of.items():
+        for exposed in exposed_sets:
             if (not exposed & ~s) != expected:
-                return CertificateVerdict(k * count + i + 1, False)
-    return CertificateVerdict(len(f.stable_sets) * count, True)
+                return CertificateVerdict(k, False)
+    return CertificateVerdict(len(f.stable_sets), True)
 
 
 @dataclass(frozen=True)

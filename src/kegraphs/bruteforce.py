@@ -11,8 +11,8 @@ rather than an augmenting-path search.  brute_maximum_matchings lists the
 matchings of a given size by recursion on the lowest undecided vertex
 (matched to a higher neighbour, or exposed); brute_matching_summary walks
 the same recursion, memoised, and returns only what the certificate and
-cut checks read of that listing: the count, the distinct exposed sets and
-the union of the edges.  Facts passes both the matching number from
+cut checks read of that listing: the distinct exposed sets and the union
+of the edges.  Facts passes both the matching number from
 Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
@@ -166,12 +166,10 @@ def brute_maximum_matchings(g: Graph, size: int) -> tuple[frozenset[Edge], ...]:
 @dataclass(frozen=True)
 class MatchingSummary:
     """What the certificate and cut checks read of a listing of matchings:
-    how many there are; each distinct exposed set (a vertex bitmask) mapped
-    to the index of its first matching in the listing, in increasing index
-    order; and the union of their edges."""
+    the distinct exposed sets (vertex bitmasks) and the union of the
+    edges."""
 
-    count: int
-    first_of: dict[int, int]
+    exposed: frozenset[int]
     edges: frozenset[Edge]
 
 
@@ -179,70 +177,55 @@ def brute_matching_summary(g: Graph, size: int) -> MatchingSummary:
     """The summary of brute_maximum_matchings(g, size), without the listing.
 
     The recursion is the listing's: the lowest undecided vertex v is matched
-    to each higher undecided neighbour in ascending order, then left exposed
-    while exposures remain.  A state (undecided, exposures) still has to
-    place (popcount(undecided) - exposures) / 2 edges, so the subtree below
-    it does not depend on the path to it and is summarised once: its count,
-    the first index (within the subtree) of each exposed set restricted to
-    undecided, and the edge union as a bitmask over v * n + u.  A state is
-    a leaf when no edge is left to place; its one matching exposes every
-    undecided vertex.
-
-    A state merges its children in listing order, offsetting each child's
-    indices by the counts of the children before it; the exposure child's
-    sets gain v.  By induction each child's dict is in increasing index
-    order, and every index a later child adds exceeds every index an
-    earlier one added, so the merged dict is in increasing index order too.
-    A set is added only by the first child that has it, at that child's
-    first index for it, which is therefore its first index in the state.
-    Nothing is sorted.
+    to each higher undecided neighbour, then left exposed while exposures
+    remain.  A state (undecided, exposures) still has to place
+    (popcount(undecided) - exposures) / 2 edges, so the subtree below it
+    does not depend on the path to it and is summarised once: the exposed
+    sets restricted to undecided, as dict keys, and the edge union as a
+    bitmask over v * n + u.  A state is a leaf when no edge is left to
+    place; its one matching exposes every undecided vertex.  A child with
+    no exposed set has no matching and adds no edge; the exposure child's
+    sets gain v.
     """
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-matching summary")
     n = g.n
     if not 0 <= 2 * size <= n:
-        return MatchingSummary(0, {}, frozenset())
+        return MatchingSummary(frozenset(), frozenset())
     masks = g._masks  # noqa: SLF001
-    memo: dict[int, tuple[int, dict[int, int], int]] = {}
+    memo: dict[int, tuple[dict[int, None], int]] = {}
 
-    def rec(undecided: int, exposures: int) -> tuple[int, dict[int, int], int]:
+    def rec(undecided: int, exposures: int) -> tuple[dict[int, None], int]:
         key = undecided << 5 | exposures  # exposures <= n <= 16 < 32
         hit = memo.get(key)
         if hit is not None:
             return hit
         if undecided.bit_count() == exposures:
-            out = (1, {undecided: 0}, 0)
+            out = ({undecided: None}, 0)
         else:
             low = undecided & -undecided
             v = low.bit_length() - 1
             rest = undecided ^ low
             nbrs = masks[v] & rest
-            count, first, used = 0, {}, 0
+            exposed, used = {}, 0
             while nbrs:
                 ub = nbrs & -nbrs
                 nbrs ^= ub
-                c, sub, e = rec(rest ^ ub, exposures)
-                if c:
-                    for x, i in sub.items():
-                        if x not in first:
-                            first[x] = count + i
-                    count += c
+                sub, e = rec(rest ^ ub, exposures)
+                if sub:
+                    exposed.update(sub)
                     used |= e | 1 << (v * n + ub.bit_length() - 1)
             if exposures:
-                c, sub, e = rec(rest, exposures - 1)
-                if c:
-                    for x, i in sub.items():
-                        x |= low
-                        if x not in first:
-                            first[x] = count + i
-                    count += c
-                    used |= e
-            out = (count, first, used)
+                sub, e = rec(rest, exposures - 1)
+                for x in sub:
+                    exposed[x | low] = None
+                used |= e
+            out = (exposed, used)
         memo[key] = out
         return out
 
-    count, first, used = rec(g.full_mask, n - 2 * size)
+    exposed, used = rec(g.full_mask, n - 2 * size)
     edges = frozenset(divmod(i, n) for i in range(used.bit_length()) if used >> i & 1)
-    return MatchingSummary(count, first, edges)
+    return MatchingSummary(frozenset(exposed), edges)
 
 
 # -- exhaustive alternating-walk search ---------------------------------------
