@@ -61,8 +61,8 @@ from .matching import (
 from .stable import (
     CoreReport,
     StableSetFamily,
-    _alpha_mask,
     _as_mask,
+    _stable_mask,
     core_report,
     maximum_stable_sets,
     stability_number,
@@ -90,9 +90,10 @@ class Facts:
 
     A verdict may read any cached value, but the three routes to
     edge-addition stability stay apart: stable_by_definition reads only
-    alpha_critical, the core-size route reads core and anticore
-    (and whether a perfect matching exists), and the matching-structure
-    route reads only matchings and blossoms.  Each exact oracle refuses a
+    alpha_critical, whose answers come from deletion searches alone (one
+    per vertex no earlier search settled), the core-size route reads core
+    and anticore (and whether a perfect matching exists), and the
+    matching-structure route reads only matchings and blossoms.  Each exact oracle refuses a
     graph above its fixed cap (see limits) the first time a value that
     needs it is read.
     """
@@ -140,13 +141,23 @@ class Facts:
         return stability_number(self.graph)
 
     def alpha_critical(self, v: int) -> bool:
-        """Whether alpha(G - v) < alpha, one branch-and-bound run per
-        vertex the package made; alpha is read first, so its cap refuses a
-        large graph before any search runs."""
+        """Whether alpha(G - v) < alpha: a search of G - v that stops at its
+        first stable set of alpha vertices.  alpha is read first, so its cap
+        refuses a large graph before any search runs.  A set S the search
+        finds is a maximum stable set of G, so it settles every vertex
+        outside S as not critical, and those vertices need no search of
+        their own.  The witnesses come only from these deletion searches,
+        never from the family, the core or the stable-set scan, so the
+        definition route stays apart from the enumeration."""
         g, cache = self.graph, self._alpha_critical
         if v not in cache:
-            alpha = self.alpha
-            cache[v] = _alpha_mask(g, g.full_mask & ~(1 << v)) < alpha
+            witness = _stable_mask(g, g.full_mask & ~(1 << v), self.alpha)
+            if witness is None:
+                cache[v] = True
+            else:
+                for u in range(g.n):
+                    if not witness >> u & 1:
+                        cache[u] = False
         return cache[v]
 
     @cached_property

@@ -22,10 +22,13 @@ Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
 searches read the graph's ascending neighbor tuples directly; has_posy's
 last search runs on neighbor tuples built for it, not on a new Graph.
-has_posy searches for bases only among the matched vertices whose
+has_blossom searches for bases only among the vertices of the components
+of the graph that are not bipartite, since a blossom is an odd cycle
+through its base; has_posy only among the matched vertices whose
 component in the subgraph spanned by the matched vertices is not
 bipartite: a blossom based at a matched vertex is an odd cycle of matched
 vertices (its base is matched, the rest are covered by heavy cycle edges).
+Both filters come from one 2-colouring, _odd_component_vertices.
 Each search skips a root with fewer than two matched neighbors other than
 its mate, since a base's two light cycle edges end at such vertices.  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
@@ -210,6 +213,9 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     m may be any matching, maximum or not.  The test is exact and
     polynomial: one Edmonds alternating-tree search per candidate base r,
     in the graph with r's partner and every other exposed vertex deleted.
+    The candidates are the vertices of the non-bipartite components of g
+    (_odd_component_vertices), as a blossom is an odd cycle through its
+    base, matched or exposed; on a bipartite graph no search runs.
     A blossom based at r avoids exactly those vertices: its other vertices
     are covered by heavy cycle edges, and r's own heavy edge is off the
     cycle.  With r the only exposed vertex there is no augmenting path, and
@@ -224,10 +230,11 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
 
 
 def _has_blossom(g: Graph, m: Matching) -> bool:
-    """has_blossom of a matching the package made, not validated again."""
+    """has_blossom of a matching the package made, not validated again;
+    only the vertices of non-bipartite components are tried as bases."""
     adj = g._adj  # noqa: SLF001 - hot path inside the package
     match = _match_list(g, m)
-    return any(_closes_blossom_at(adj, match, r) for r in range(g.n))
+    return any(_closes_blossom_at(adj, match, r) for r in _odd_component_vertices(adj))
 
 
 def _match_list(g: Graph, m: Matching) -> list[int]:
@@ -349,22 +356,23 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     return _has_posy(g, _require_maximum(g, validate_matching(g, m))[0])
 
 
-def _odd_component_vertices(adj: Adjacency, match: list[int]) -> list[int]:
-    """The matched vertices, ascending, whose component in the subgraph
-    spanned by the matched vertices is not bipartite: one BFS 2-colouring
-    per component, and a whole component is kept once any of its edges
-    joins two vertices of one colour."""
+def _odd_component_vertices(adj: Adjacency, match: list[int] | None = None) -> list[int]:
+    """The vertices, ascending, whose component in the subgraph spanned by
+    the matched vertices (every vertex when match is None) is not
+    bipartite: one BFS 2-colouring per component, and a whole component is
+    kept once any of its edges joins two vertices of one colour."""
+    spanned = [True] * len(adj) if match is None else [w != -1 for w in match]
     colour = [-1] * len(adj)
     odd: list[int] = []
     for start in range(len(adj)):
-        if match[start] == -1 or colour[start] != -1:
+        if not spanned[start] or colour[start] != -1:
             continue
         colour[start] = 0
         component = [start]
         clash = False
         for v in component:  # grows as the BFS reaches new vertices
             for w in adj[v]:
-                if match[w] == -1:
+                if not spanned[w]:
                     continue
                 if colour[w] == -1:
                     colour[w] = colour[v] ^ 1

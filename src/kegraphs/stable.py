@@ -1,9 +1,11 @@
 """Exact stability-number machinery.
 
-The stability number comes from a bitmask branch-and-bound; the full
-family of maximum stable sets from a pruned take-then-leave recursion on
-the lowest undecided vertex of a bitmask, whose depth-first order is
-already lexicographic.  Both refuse inputs above the fixed caps in
+The stability number comes from a bitmask branch-and-bound that returns
+its largest stable set, or, given a size k, stops at the first stable set
+of k vertices (the alpha-criticality searches of analysis.Facts); the
+full family of maximum stable sets from a pruned take-then-leave
+recursion on the lowest undecided vertex of a bitmask, whose depth-first
+order is already lexicographic.  Both refuse inputs above the fixed caps in
 limits.  The certificate check and the matching-driven extension replace
 enumeration for Koenig-Egervary inputs: a stable set is maximum exactly
 when it contains every exposed vertex and one endpoint of each heavy
@@ -28,22 +30,25 @@ from .matching import matching_number, partner_map, validate_matching
 def stability_number(g: Graph) -> int:
     """Size of a largest stable set."""
     check_cap(g.n, DEFAULT_ALPHA_CAP, "stability number")
-    return _alpha_mask(g, g.full_mask)
+    return _stable_mask(g, g.full_mask).bit_count()
 
 
-def _alpha_mask(g: Graph, mask: int) -> int:
+def _stable_mask(g: Graph, mask: int, k: int | None = None) -> int | None:
+    """A largest stable set inside mask, as a bitmask.
+
+    Given k, the search prunes every branch that cannot reach k vertices
+    and stops at the first set of at least k vertices it finds, or
+    returns None when mask holds no such set."""
     masks = g._masks  # noqa: SLF001 - hot path inside the package
-    best = 0
+    best = None
+    need = 0 if k is None else k  # a set counts only with need vertices or more
 
-    def rec(mask: int, size: int) -> None:
-        nonlocal best
+    def rec(mask: int, chosen: int, size: int) -> bool:
+        """Whether the search stops: a set of k vertices was found."""
+        nonlocal best, need
         while True:
-            if mask == 0:
-                if size > best:
-                    best = size
-                return
-            if size + mask.bit_count() <= best:
-                return
+            if size + mask.bit_count() < need:
+                return False
             # pivot: highest degree inside the mask, lowest id on ties
             pivot = -1
             pivot_deg = -1
@@ -56,16 +61,16 @@ def _alpha_mask(g: Graph, mask: int) -> int:
                 if d > pivot_deg:
                     pivot_deg = d
                     pivot = v
-            if pivot_deg == 0:
-                total = size + mask.bit_count()
-                if total > best:
-                    best = total
-                return
+            if pivot_deg <= 0:  # mask is empty or stable: take all of it
+                best = chosen | mask
+                need = size + mask.bit_count() + 1
+                return k is not None
             take = mask & ~(masks[pivot] | (1 << pivot))
-            rec(take, size + 1)
+            if rec(take, chosen | 1 << pivot, size + 1):
+                return True
             mask ^= 1 << pivot  # and loop: pivot excluded
 
-    rec(mask, 0)
+    rec(mask, 0, 0)
     return best
 
 
@@ -109,7 +114,7 @@ def maximum_stable_sets(g: Graph) -> StableSetFamily:
     """
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-stable-set enumeration")
     n = g.n
-    alpha = _alpha_mask(g, g.full_mask)
+    alpha = _stable_mask(g, g.full_mask).bit_count()
     masks = g._masks  # noqa: SLF001
     out: list[int] = []
 

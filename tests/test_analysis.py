@@ -1,13 +1,16 @@
 import collections
 import dataclasses
+import importlib.util
 import json
 import random
 import sys
+import types
+from pathlib import Path
 
 import pytest
 
 import kegraphs
-from kegraphs import bruteforce, matching, verify
+from kegraphs import bruteforce, constructions, matching, verify
 from kegraphs.analysis import (
     REPORT_CHECKS,
     AnticoreEmptyVerdict,
@@ -163,18 +166,21 @@ def test_definition_route_agrees_with_the_per_edge_oracle(corpus):
     assert any(answers) and not all(answers)
 
 
-@pytest.mark.parametrize("g", [complete_bipartite(8, 8), cycle(16), random_tree(16, 1)],
-                         ids=["k8x8", "c16", "tree16"])
-def test_definition_route_builds_no_graph(monkeypatch, g):
+@pytest.mark.parametrize("g, deletions", [
+    (complete_bipartite(8, 8), 2), (cycle(16), 2), (random_tree(16, 1), 4),
+], ids=["k8x8", "c16", "tree16"])
+def test_definition_route_builds_no_graph(monkeypatch, g, deletions):
     expected = bruteforce.brute_edge_addition_stable(g)
 
     def refuse(*args):
         raise AssertionError("the definition route built a graph per non-edge")
 
     monkeypatch.setattr(Graph, "with_edge", refuse)
-    counts = _count_calls(monkeypatch, ["_alpha_mask"])
+    counts = _count_calls(monkeypatch, ["_stable_mask"], key=_search_kind)
     assert Facts(g).stable_by_definition == expected
-    assert 0 < counts["_alpha_mask", g] <= g.n + 1
+    # K8,8 and C16: each witness of G - v is one side, or one colour class,
+    # and settles the other half of the vertices
+    assert counts == {"full": 1, "deletion": deletions}
 
 
 @pytest.mark.parametrize("g", [
@@ -313,12 +319,78 @@ def test_alpha_critical_agrees_with_the_brute_scan():
     assert any(answers) and not all(answers)
 
 
+def test_alpha_critical_does_not_depend_on_query_order():
+    # a search's witness settles other vertices, so an answer must not
+    # depend on which vertices were asked before it
+    rng = random.Random(34)
+    graphs = [g for _, g in verify.connected_corpus(1, 30, 2, 10)] + _ke16_inputs()
+    answers = []
+    for g in graphs:
+        stable = bruteforce.brute_stable_sets(g)
+        alpha = max(s.bit_count() for s in stable)
+        want = {v: max(s.bit_count() for s in stable if not s >> v & 1) < alpha
+                for v in g.vertices()}
+        answers += want.values()
+        for _ in range(3):
+            order = list(g.vertices())
+            rng.shuffle(order)
+            f = Facts(g)
+            assert {v: f.alpha_critical(v) for v in order} == want, (sorted(g.edges), order)
+    assert any(answers) and not all(answers)
+
+
+def test_definition_route_reads_no_enumeration(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the definition route read the stable-set enumeration")
+
+    for name in ("family", "core", "stable_sets"):
+        monkeypatch.setattr(Facts, name, property(refuse))
+    graphs = ([g for _, g in verify.connected_corpus(2, 60, 2, 10)]
+              + [g for _, g in verify.bipartite_corpus(2, 60, 12)])
+    answers = []
+    for g in graphs:
+        f = Facts(g)
+        answers.append(f.stable_by_definition)
+        assert answers[-1] == bruteforce.brute_edge_addition_stable(g), sorted(g.edges)
+        alpha = _brute_alpha(g)
+        assert f.alpha_critical_pendants == tuple(
+            p for p in f.pendants if _brute_alpha(delete_vertices(g, {p})) < alpha)
+    assert any(answers) and not all(answers)
+    assert any(Facts(g).alpha_critical_pendants for g in graphs)
+
+
+def _analyze_workload_graphs(monkeypatch, seed, size):
+    """The inputs of the benchmark's analyze-ke16 workload, as
+    bench/run.py's AnalyzeWorkload.graphs builds them."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_run", bench / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "bench_run", run)  # dataclasses look it up
+    spec.loader.exec_module(run)
+    kg = types.SimpleNamespace(constructions=constructions, graph=kegraphs.graph)
+    return [g for _, _, g in run.AnalyzeWorkload().graphs(kg, seed, size)]
+
+
+def test_analyze_workload_search_counts(monkeypatch):
+    # the witnesses settle most vertices without a search of their own, and
+    # no base search runs on these bipartite inputs
+    graphs = _analyze_workload_graphs(monkeypatch, 1, 270)
+    searches = _count_calls(monkeypatch, ["_stable_mask"], key=_search_kind)
+    roots = _count_calls(monkeypatch, ["_closes_blossom_at"], key=lambda name, *args: name)
+    for g in graphs:
+        full_report(g)
+    assert searches["full"] <= 566
+    assert 0 < searches["deletion"] <= 1100
+    assert roots == {}
+
+
 def test_alpha_critical_refuses_above_the_cap_before_any_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("the branch-and-bound ran above the cap")
 
     for mod in (kegraphs.stable, kegraphs.analysis):
-        monkeypatch.setattr(mod, "_alpha_mask", refuse)
+        monkeypatch.setattr(mod, "_stable_mask", refuse)
     big = Graph(DEFAULT_ALPHA_CAP + 1)
     with pytest.raises(CapExceededError):
         is_alpha_critical(big, 0)
@@ -734,6 +806,11 @@ ORACLES = (
 )
 
 
+def _search_kind(name, g, mask, k=None):
+    """A _stable_mask call as a full-graph alpha run or a search of G - v."""
+    return "full" if mask == g.full_mask else "deletion"
+
+
 def _count_calls(monkeypatch, names, key=lambda name, g, *args: (name, g)):
     """Calls per key, by default (function, graph), counted through every
     package binding."""
@@ -822,7 +899,8 @@ def test_omega_oracle_catches_a_wrong_stability_number(monkeypatch):
 
 
 def test_alpha_critical_pendants_share_equal_deletions(monkeypatch):
-    runs = _count_calls(monkeypatch, ["_alpha_mask"], key=lambda name, g, mask: (g, mask))
+    runs = _count_calls(monkeypatch, ["_stable_mask"],
+                        key=lambda name, g, mask, k=None: (g, mask))
     graphs = ([g for _, g in verify.connected_corpus(1, 6, 2, 10)] + _ke16_inputs()[:12]
               + [Graph(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (3, 6)])])
     deletions = 0

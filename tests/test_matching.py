@@ -196,6 +196,35 @@ def test_has_blossom_agrees_with_the_exhaustive_walker():
             assert has_blossom(g, m) == bool(find_blossoms(g, m))
 
 
+def test_blossom_base_filter_agrees_with_every_root():
+    # _has_blossom searches only the vertices of non-bipartite components;
+    # the scan over every root is the reference, relative to maximum
+    # matchings and every prefix of them (non-maximum ones), on
+    # disconnected graphs and with an exposed base
+    triangle_p3 = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5)])
+    graphs = ([g for _, g in verify.connected_corpus(1, 60, 2, 10)]
+              + [g for _, g in verify.bipartite_corpus(1, 60, 12)]
+              + [triangle_p3, complete(3)])
+    answers = []
+    for g in graphs:
+        adj = [g.neighbors(v) for v in g.vertices()]
+        m = sorted(maximum_matching(g))
+        for i in range(len(m) + 1):
+            match = [-1] * g.n
+            for u, v in m[:i]:
+                match[u], match[v] = v, u
+            want = any(kegraphs.matching._closes_blossom_at(adj, match, r)
+                       for r in g.vertices())
+            answers.append(kegraphs.matching._has_blossom(g, frozenset(m[:i])))
+            assert answers[-1] == want, (sorted(g.edges), m[:i])
+    assert any(answers) and not all(answers)
+    # the triangle with one matched edge: its base 0 is exposed
+    assert kegraphs.matching._has_blossom(complete(3), frozenset({(1, 2)}))
+    assert kegraphs.matching._has_blossom(triangle_p3, frozenset({(1, 2), (3, 4)}))
+    assert kegraphs.matching._odd_component_vertices(
+        [triangle_p3.neighbors(v) for v in triangle_p3.vertices()]) == [0, 1, 2]
+
+
 def test_blossoms_relative_to_non_maximum_matchings():
     g = complete(4)
     got = find_blossoms(g, [(0, 1)])

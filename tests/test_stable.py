@@ -25,6 +25,7 @@ from kegraphs.limits import CapExceededError, DEFAULT_ALPHA_CAP
 from kegraphs.matching import maximum_matching
 from kegraphs.stable import (
     ExtensionBlockedError,
+    _stable_mask,
     certify_max_stable,
     core_report,
     extend_stable_through_matching,
@@ -75,6 +76,28 @@ def test_two_enumerators_agree():
                    for bits in range(1 << n)]
         assert len(set(every)) == len(every)
         assert set(every) == {s for s in subsets if is_stable_set(g, s)}
+
+
+def test_stable_mask_agrees_with_the_brute_scan():
+    # a largest stable set inside the mask; given k, a stable set of at
+    # least k vertices inside it, or None exactly when the mask holds none
+    rng = random.Random(34)
+    searched = 0
+    for _ in range(80):
+        n = rng.randint(0, 16)
+        g = random_graph(n, rng.uniform(0.1, 0.6), rng.randrange(1 << 30))
+        stable = set(brute_stable_sets(g))
+        for mask in [g.full_mask] + [rng.getrandbits(n) for _ in range(3)]:
+            alpha = max(s.bit_count() for s in stable if not s & ~mask)
+            for k in [None, *range(alpha + 2)]:
+                got = _stable_mask(g, mask, k)
+                if k is not None and k > alpha:
+                    assert got is None, (sorted(g.edges), mask, k)
+                    continue
+                assert got in stable and not got & ~mask, (sorted(g.edges), mask, k)
+                assert got.bit_count() == alpha if k is None else got.bit_count() >= k
+                searched += 1
+    assert searched > 1000
 
 
 def test_empty_graph_conventions():
