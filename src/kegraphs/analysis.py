@@ -62,10 +62,11 @@ from .stable import (
     CoreReport,
     StableSetFamily,
     _as_mask,
+    _maximum_stable_mask,
     _stable_mask,
     core_report,
     maximum_stable_sets,
-    stability_number,
+    stability_number,  # noqa: F401 - bench/test_bench.py traces this binding
 )
 
 
@@ -90,12 +91,12 @@ class Facts:
 
     A verdict may read any cached value, but the three routes to
     edge-addition stability stay apart: stable_by_definition reads only
-    alpha_critical, whose answers come from deletion searches alone (one
-    per vertex no earlier search settled), the core-size route reads core
-    and anticore (and whether a perfect matching exists), and the
-    matching-structure route reads only matchings and blossoms.  Each exact oracle refuses a
-    graph above its fixed cap (see limits) the first time a value that
-    needs it is read.
+    alpha_critical, whose answers come from the alpha run's set and the
+    deletion searches alone (one per vertex no earlier set settled), the
+    core-size route reads core and anticore (and whether a perfect
+    matching exists), and the matching-structure route reads only
+    matchings and blossoms.  Each exact oracle refuses a graph above its
+    fixed cap (see limits) the first time a value that needs it is read.
     """
 
     def __init__(self, graph: Graph):
@@ -138,7 +139,12 @@ class Facts:
 
     @cached_property
     def alpha(self) -> int:
-        return stability_number(self.graph)
+        """The size of the maximum stable set the alpha run finds, which
+        settles every vertex outside it as not alpha-critical."""
+        witness = _maximum_stable_mask(self.graph)
+        self._alpha_critical.update((u, False) for u in range(self.graph.n)
+                                    if not witness >> u & 1)
+        return witness.bit_count()
 
     def alpha_critical(self, v: int) -> bool:
         """Whether alpha(G - v) < alpha: a search of G - v that stops at its
@@ -146,18 +152,17 @@ class Facts:
         refuses a large graph before any search runs.  A set S the search
         finds is a maximum stable set of G, so it settles every vertex
         outside S as not critical, and those vertices need no search of
-        their own.  The witnesses come only from these deletion searches,
-        never from the family, the core or the stable-set scan, so the
-        definition route stays apart from the enumeration."""
-        g, cache = self.graph, self._alpha_critical
+        their own; the alpha run's own set settles vertices the same way.
+        The witnesses come only from the alpha run and these deletion
+        searches, never from the family, the core or the stable-set scan,
+        so the definition route stays apart from the enumeration."""
+        g, cache, alpha = self.graph, self._alpha_critical, self.alpha
         if v not in cache:
-            witness = _stable_mask(g, g.full_mask & ~(1 << v), self.alpha)
+            witness = _stable_mask(g, g.full_mask & ~(1 << v), alpha)
             if witness is None:
                 cache[v] = True
             else:
-                for u in range(g.n):
-                    if not witness >> u & 1:
-                        cache[u] = False
+                cache.update((u, False) for u in range(g.n) if not witness >> u & 1)
         return cache[v]
 
     @cached_property

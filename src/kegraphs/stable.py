@@ -1,11 +1,13 @@
 """Exact stability-number machinery.
 
-The stability number comes from a bitmask branch-and-bound that returns
-its largest stable set, or, given a size k, stops at the first stable set
-of k vertices (the alpha-criticality searches of analysis.Facts); the
-full family of maximum stable sets from a pruned take-then-leave
-recursion on the lowest undecided vertex of a bitmask, whose depth-first
-order is already lexicographic.  Both refuse inputs above the fixed caps in
+The stability number comes from a bitmask branch-and-reduce search that
+returns its largest stable set, or, given a size k, stops at the first
+stable set of k vertices (the alpha-criticality searches of
+analysis.Facts); it takes a vertex with at most one neighbor left
+without branching, so it never branches on a forest.  The full family
+of maximum stable sets comes from a pruned take-then-leave recursion on
+the lowest undecided vertex of a bitmask, whose depth-first order is
+already lexicographic.  Both refuse inputs above the fixed caps in
 limits.  The certificate check and the matching-driven extension replace
 enumeration for Koenig-Egervary inputs: a stable set is maximum exactly
 when it contains every exposed vertex and one endpoint of each heavy
@@ -29,13 +31,22 @@ from .matching import matching_number, partner_map, validate_matching
 
 def stability_number(g: Graph) -> int:
     """Size of a largest stable set."""
+    return _maximum_stable_mask(g).bit_count()
+
+
+def _maximum_stable_mask(g: Graph) -> int:
+    """A maximum stable set of g, as a bitmask, after the alpha cap check."""
     check_cap(g.n, DEFAULT_ALPHA_CAP, "stability number")
-    return _stable_mask(g, g.full_mask).bit_count()
+    return _stable_mask(g, g.full_mask)
 
 
 def _stable_mask(g: Graph, mask: int, k: int | None = None) -> int | None:
     """A largest stable set inside mask, as a bitmask.
 
+    A vertex v with at most one neighbor inside the mask lies in some
+    largest set of it (alpha(mask) = 1 + alpha(mask - N[v])), so the pivot
+    scan stops at the first such v and takes it without branching; else
+    it branches on the highest degree inside the mask, lowest id on ties.
     Given k, the search prunes every branch that cannot reach k vertices
     and stops at the first set of at least k vertices it finds, or
     returns None when mask holds no such set."""
@@ -49,26 +60,29 @@ def _stable_mask(g: Graph, mask: int, k: int | None = None) -> int | None:
         while True:
             if size + mask.bit_count() < need:
                 return False
-            # pivot: highest degree inside the mask, lowest id on ties
-            pivot = -1
-            pivot_deg = -1
+            if not mask:
+                best = chosen
+                need = size + 1
+                return k is not None
+            pivot = pivot_deg = -1
             rest = mask
             while rest:
                 low = rest & -rest
                 v = low.bit_length() - 1
                 rest ^= low
                 d = (masks[v] & mask).bit_count()
+                if d <= 1:
+                    pivot_deg, pivot = d, v
+                    break
                 if d > pivot_deg:
-                    pivot_deg = d
-                    pivot = v
-            if pivot_deg <= 0:  # mask is empty or stable: take all of it
-                best = chosen | mask
-                need = size + mask.bit_count() + 1
-                return k is not None
+                    pivot_deg, pivot = d, v
             take = mask & ~(masks[pivot] | (1 << pivot))
-            if rec(take, chosen | 1 << pivot, size + 1):
+            if pivot_deg <= 1:  # no branch: take the pivot and loop
+                mask, chosen, size = take, chosen | 1 << pivot, size + 1
+            elif rec(take, chosen | 1 << pivot, size + 1):
                 return True
-            mask ^= 1 << pivot  # and loop: pivot excluded
+            else:
+                mask ^= 1 << pivot  # and loop: pivot excluded
 
     rec(mask, 0, 0)
     return best
@@ -102,7 +116,10 @@ def maximum_stable_sets(g: Graph) -> StableSetFamily:
     Each branch decides its lowest undecided vertex v: first take v and
     drop its neighbors from the undecided mask, then leave v out.  A
     branch is emitted once it holds alpha vertices and pruned when its
-    size plus the undecided count falls below alpha.
+    size plus the undecided count falls below alpha.  The leave branch is
+    also pruned when v has no undecided neighbor: v is adjacent to nothing
+    chosen either, so any set that leaves v out could still add it and
+    cannot have alpha vertices.
 
     The output needs no sort.  Two emitted sets S and T part at the first
     branch that decides them differently, on its vertex v; S takes v and
@@ -110,7 +127,8 @@ def maximum_stable_sets(g: Graph) -> StableSetFamily:
     v was the lowest undecided one, so sorted(S) and sorted(T) share the
     prefix below v, and then S has v where T has a larger vertex (T is not
     shorter: both have alpha vertices).  So S < T, and S is emitted first
-    because taking comes before leaving out.
+    because taking comes before leaving out.  Both prunes cut only
+    branches that emit nothing, so they leave this order as it is.
     """
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-stable-set enumeration")
     n = g.n
@@ -126,6 +144,8 @@ def maximum_stable_sets(g: Graph) -> StableSetFamily:
             low = undecided & -undecided
             v = low.bit_length() - 1
             rec(undecided & ~(masks[v] | low), chosen | low, size + 1)
+            if not masks[v] & undecided:
+                return
             undecided ^= low  # and loop: v left out
 
     rec(g.full_mask, 0, 0)

@@ -61,6 +61,12 @@ def test_two_enumerators_agree():
         random_graph(14, 0.3, 5),
         random_graph(15, 0.25, 6),
         random_graph(16, 0.2, 7),
+        # vertices whose leave-out branch the enumeration prunes: no
+        # undecided neighbor when they are decided
+        random_graph(16, 0.1, 8),
+        random_graph(16, 0.1, 9),
+        Graph(16, [(4 * i, 4 * i + j) for i in range(4) for j in (1, 2, 3)]),
+        Graph(16, [(0, 5), (5, 9), (9, 14), (14, 0), (2, 11), (11, 7), (3, 12)]),
     ]
     for g in small + large:
         fam = maximum_stable_sets(g)
@@ -98,6 +104,66 @@ def test_stable_mask_agrees_with_the_brute_scan():
                 assert got.bit_count() == alpha if k is None else got.bit_count() >= k
                 searched += 1
     assert searched > 1000
+
+
+def _forest_alpha(g, mask):
+    """alpha of the forest g[mask] by the take/skip DP over each rooted tree."""
+    alpha = 0
+    parent = {}
+    for root in range(g.n):
+        if not mask >> root & 1 or root in parent:
+            continue
+        parent[root] = None
+        order = [root]
+        for v in order:  # grows while read: a breadth-first order
+            for u in g.neighbors(v):
+                if mask >> u & 1 and u not in parent:
+                    parent[u] = v
+                    order.append(u)
+        take, skip = {}, {}
+        for v in reversed(order):
+            kids = [u for u in g.neighbors(v) if mask >> u & 1 and parent[u] == v]
+            take[v] = 1 + sum(skip[u] for u in kids)
+            skip[v] = sum(max(take[u], skip[u]) for u in kids)
+        alpha += max(take[root], skip[root])
+    return alpha
+
+
+def _relabelled(g, rng):
+    order = list(range(g.n))
+    rng.shuffle(order)
+    return Graph(g.n, [(order[u], order[v]) for u, v in g.edges])
+
+
+def _forest_with_isolated_vertices(rng):
+    edges, n = [], 0
+    for _ in range(rng.randint(2, 6)):
+        tree = random_tree(rng.randint(1, 30), rng.randrange(1 << 30))
+        edges += [(n + u, n + v) for u, v in tree.edges]
+        n += tree.n
+    return _relabelled(Graph(n + rng.randint(1, 10), edges), rng)
+
+
+def test_stable_mask_takes_low_degree_vertices_above_the_caps():
+    # a vertex with at most one neighbor left is taken without branching,
+    # so forests far above every cap cost no branch; without the rule the
+    # search branches exponentially on a path and does not finish on P_200
+    rng = random.Random(37)
+    forests = [path(n) for n in range(17, 201)]
+    forests += [_relabelled(random_tree(rng.randint(17, 200), seed), rng)
+                for seed in range(40)]
+    forests += [complete_bipartite(1, 199)]
+    forests += [_forest_with_isolated_vertices(rng) for _ in range(20)]
+    for g in forests:
+        for mask in (g.full_mask, rng.getrandbits(g.n)):
+            alpha = _forest_alpha(g, mask)
+            got = _stable_mask(g, mask)
+            witness = _stable_mask(g, mask, alpha)
+            for s in (got, witness):
+                assert not s & ~mask
+                assert all(not g.adjacency_mask(v) & s for v in range(g.n) if s >> v & 1)
+            assert got.bit_count() == alpha and witness.bit_count() >= alpha
+            assert _stable_mask(g, mask, alpha + 1) is None
 
 
 def test_empty_graph_conventions():
