@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .graph import Edge, Graph, GraphError, complement_non_edges, normalize_edge
+from .graph import Edge, Graph, GraphError, complement_non_edges
 from .limits import DEFAULT_OMEGA_CAP, check_cap
 from .matching import partner_map, validate_matching
 
@@ -42,14 +42,6 @@ class SearchBudgetExceededError(RuntimeError):
     """An alternating-structure search ran past its step budget."""
 
 
-def is_stable_set(g: Graph, xs) -> bool:
-    xs = g.check_vertex_set(xs)
-    mask = 0
-    for v in xs:
-        mask |= 1 << v
-    return all(g._masks[v] & mask == 0 for v in xs)  # noqa: SLF001 - checked ids
-
-
 def brute_stable_sets(g: Graph) -> list[int]:
     """Every stable set as a vertex bitmask (bit v set iff v is in the set),
     the empty one included, in increasing order.  A set with highest vertex
@@ -60,11 +52,6 @@ def brute_stable_sets(g: Graph) -> list[int]:
     for v, nbrs in enumerate(g._masks):  # noqa: SLF001
         out += [s | 1 << v for s in out if not nbrs & s]
     return out
-
-
-def brute_max_stable_sets(g: Graph) -> list[frozenset[int]]:
-    """The largest sets of brute_stable_sets, in lexicographic order."""
-    return largest_stable_sets(brute_stable_sets(g))
 
 
 def largest_stable_sets(stable_sets: list[int]) -> list[frozenset[int]]:
@@ -244,12 +231,6 @@ class Blossom:
     @property
     def vertex_set(self) -> frozenset[int]:
         return frozenset(self.cycle)
-
-    def cycle_edges(self) -> tuple[Edge, ...]:
-        cyc = self.cycle
-        out = [normalize_edge(cyc[i], cyc[i + 1]) for i in range(len(cyc) - 1)]
-        out.append(normalize_edge(cyc[-1], cyc[0]))
-        return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -237,6 +237,9 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--count must be at least 1")
         if args.corpus == "bipartite" and args.n[1] < 2:
             parser.error("the bipartite corpus needs --n with HI >= 2")
+        # the corpus draws orders 2..HI; cmd_verify refuses an HI above the cap
+        if args.corpus == "bipartite" and args.n[0] > 2 and args.n[1] <= DEFAULT_OMEGA_CAP:
+            parser.error("the bipartite corpus needs --n with LO <= 2")
     # Dispatch through the module names, so that rebinding cmd_* reaches it.
     try:
         if args.command == "analyze":

@@ -15,7 +15,7 @@ by _induced_subgraph, which checks nothing again.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
 
@@ -83,11 +83,6 @@ class Graph:
         self.check_vertex(u)
         self.check_vertex(v)
         return bool(self._masks[u] >> v & 1)
-
-    def adjacency_mask(self, v: int) -> int:
-        """Neighborhood of v as a bit set (bit i set iff iv is an edge)."""
-        self.check_vertex(v)
-        return self._masks[v]
 
     @property
     def full_mask(self) -> int:
@@ -211,27 +206,44 @@ def is_bipartite(g: Graph) -> bool:
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A 2-coloring as (side0, side1), or None if an odd cycle exists.
 
-    Each component's smallest vertex goes to side0, so the result is
-    deterministic (and unique for connected graphs).
+    Each component's smallest vertex goes to side0 (_colour_components),
+    so the result is deterministic (and unique for connected graphs).
     """
-    adj = g._adj  # noqa: SLF001
-    color = [-1] * g.n
-    for s in range(g.n):
-        if color[s] != -1:
-            continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if color[w] == -1:
-                    color[w] = 1 - color[v]
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return None
-    side0 = frozenset(v for v in g.vertices() if color[v] == 0)
-    side1 = frozenset(v for v in g.vertices() if color[v] == 1)
+    colour, components = _colour_components(g._adj)  # noqa: SLF001
+    if any(odd for _, odd in components):
+        return None
+    side0 = frozenset(v for v in g.vertices() if colour[v] == 0)
+    side1 = frozenset(v for v in g.vertices() if colour[v] == 1)
     return side0, side1
+
+
+def _colour_components(adj: Sequence[tuple[int, ...]], spanned: list[bool] | None = None):
+    """One BFS 2-colouring of the subgraph spanned by the vertices flagged
+    in spanned (all when None), over the ascending neighbor tuples adj:
+    each vertex's colour (-1 outside it, 0 at each component's smallest
+    vertex) and the components in order of smallest member, each as
+    (vertices in BFS order, whether an edge joins two of one colour)."""
+    if spanned is None:
+        spanned = [True] * len(adj)
+    colour = [-1] * len(adj)
+    components = []
+    for start in range(len(adj)):
+        if not spanned[start] or colour[start] != -1:
+            continue
+        colour[start] = 0
+        component = [start]
+        odd = False
+        for v in component:  # grows as the BFS reaches new vertices
+            for w in adj[v]:
+                if not spanned[w]:
+                    continue
+                if colour[w] == -1:
+                    colour[w] = colour[v] ^ 1
+                    component.append(w)
+                elif colour[w] == colour[v]:
+                    odd = True
+        components.append((component, odd))
+    return colour, components
 
 
 def pendant_vertices(g: Graph) -> tuple[int, ...]:

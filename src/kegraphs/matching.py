@@ -28,7 +28,8 @@ through its base; has_posy only among the matched vertices whose
 component in the subgraph spanned by the matched vertices is not
 bipartite: a blossom based at a matched vertex is an odd cycle of matched
 vertices (its base is matched, the rest are covered by heavy cycle edges).
-Both filters come from one 2-colouring, _odd_component_vertices.
+Both filters come from _odd_component_vertices, which reads the package's
+one BFS 2-colouring, graph._colour_components, as graph.bipartition does.
 Each search skips a root with fewer than two matched neighbors other than
 its mate, since a base's two light cycle edges end at such vertices.  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
@@ -42,7 +43,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Sequence
 
-from .graph import Edge, Graph, GraphError, normalize_edge
+from .graph import Edge, Graph, GraphError, _colour_components, normalize_edge
 
 Matching = frozenset[Edge]
 # Each vertex's neighbors in ascending order, as Graph keeps them.
@@ -359,29 +360,10 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
 def _odd_component_vertices(adj: Adjacency, match: list[int] | None = None) -> list[int]:
     """The vertices, ascending, whose component in the subgraph spanned by
     the matched vertices (every vertex when match is None) is not
-    bipartite: one BFS 2-colouring per component, and a whole component is
-    kept once any of its edges joins two vertices of one colour."""
-    spanned = [True] * len(adj) if match is None else [w != -1 for w in match]
-    colour = [-1] * len(adj)
-    odd: list[int] = []
-    for start in range(len(adj)):
-        if not spanned[start] or colour[start] != -1:
-            continue
-        colour[start] = 0
-        component = [start]
-        clash = False
-        for v in component:  # grows as the BFS reaches new vertices
-            for w in adj[v]:
-                if not spanned[w]:
-                    continue
-                if colour[w] == -1:
-                    colour[w] = colour[v] ^ 1
-                    component.append(w)
-                elif colour[w] == colour[v]:
-                    clash = True
-        if clash:
-            odd += component
-    return sorted(odd)
+    bipartite, read off graph._colour_components."""
+    spanned = None if match is None else [w != -1 for w in match]
+    _, components = _colour_components(adj, spanned)
+    return sorted(v for component, odd in components if odd for v in component)
 
 
 def _has_posy(g: Graph, match: list[int]) -> bool:

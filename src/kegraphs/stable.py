@@ -7,8 +7,10 @@ analysis.Facts); it takes a vertex with at most one neighbor left
 without branching, so it never branches on a forest.  The full family
 of maximum stable sets comes from a pruned take-then-leave recursion on
 the lowest undecided vertex of a bitmask, whose depth-first order is
-already lexicographic.  Both refuse inputs above the fixed caps in
-limits.  The certificate check and the matching-driven extension replace
+already lexicographic; bounded by the largest set found so far, it finds
+alpha itself, a second alpha algorithm beside _stable_mask, whose alpha
+the omega-oracle row checks against the brute scan.  Both refuse inputs
+above the fixed caps in limits.  The certificate check and the matching-driven extension replace
 enumeration for Koenig-Egervary inputs: a stable set is maximum exactly
 when it contains every exposed vertex and one endpoint of each heavy
 edge, and in the blossom-free perfect-matching case any excluded vertex
@@ -111,36 +113,45 @@ class StableSetFamily:
 
 
 def maximum_stable_sets(g: Graph) -> StableSetFamily:
-    """Enumerate every maximum stable set, in lexicographic order.
+    """Enumerate every maximum stable set, in lexicographic order, finding
+    alpha on the way rather than from _stable_mask.
 
     Each branch decides its lowest undecided vertex v: first take v and
     drop its neighbors from the undecided mask, then leave v out.  A
-    branch is emitted once it holds alpha vertices and pruned when its
-    size plus the undecided count falls below alpha.  The leave branch is
-    also pruned when v has no undecided neighbor: v is adjacent to nothing
+    branch with nothing undecided is a leaf; best is the largest leaf so
+    far.  A leaf larger than best clears the list and raises best, one
+    equal to best is appended, and a branch is pruned when its size plus
+    the undecided count falls below best.  The leave branch is also
+    pruned when v has no undecided neighbor: v is adjacent to nothing
     chosen either, so any set that leaves v out could still add it and
     cannot have alpha vertices.
 
-    The output needs no sort.  Two emitted sets S and T part at the first
-    branch that decides them differently, on its vertex v; S takes v and
-    T leaves it out.  Every vertex below v is settled alike in both, since
-    v was the lowest undecided one, so sorted(S) and sorted(T) share the
-    prefix below v, and then S has v where T has a larger vertex (T is not
-    shorter: both have alpha vertices).  So S < T, and S is emitted first
-    because taking comes before leaving out.  Both prunes cut only
-    branches that emit nothing, so they leave this order as it is.
+    The output needs no sort.  Two maximum stable sets S and T part at the
+    first branch that decides them differently, on its vertex v; S takes v
+    and T leaves it out.  Every vertex below v is settled alike in both,
+    since v was the lowest undecided one, so sorted(S) and sorted(T) share
+    the prefix below v, and then S has v where T has a larger vertex (T is
+    not shorter: both have alpha vertices).  So S < T, and S is reached
+    first because taking comes before leaving out.  best <= alpha at all
+    times, so no branch holding a set of alpha vertices is ever pruned, and
+    a reset discards only smaller sets: the output is the stream of
+    lexicographically ordered leaves, filtered to the maximum ones.
     """
     check_cap(g.n, DEFAULT_OMEGA_CAP, "maximum-stable-set enumeration")
     n = g.n
-    alpha = _stable_mask(g, g.full_mask).bit_count()
     masks = g._masks  # noqa: SLF001
     out: list[int] = []
+    best = 0
 
     def rec(undecided: int, chosen: int, size: int) -> None:
-        if size == alpha:
-            out.append(chosen)
-            return
-        while size + undecided.bit_count() >= alpha:
+        nonlocal best
+        while size + undecided.bit_count() >= best:
+            if not undecided:
+                if size > best:
+                    best = size
+                    out.clear()
+                out.append(chosen)
+                return
             low = undecided & -undecided
             v = low.bit_length() - 1
             rec(undecided & ~(masks[v] | low), chosen | low, size + 1)
@@ -150,7 +161,7 @@ def maximum_stable_sets(g: Graph) -> StableSetFamily:
 
     rec(g.full_mask, 0, 0)
     sets = tuple(frozenset(u for u in range(n) if chosen >> u & 1) for chosen in out)
-    return StableSetFamily(n=n, alpha=alpha, sets=sets)
+    return StableSetFamily(n=n, alpha=best, sets=sets)
 
 
 @dataclass(frozen=True)

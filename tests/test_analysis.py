@@ -380,7 +380,7 @@ def test_analyze_workload_search_counts(monkeypatch):
     roots = _count_calls(monkeypatch, ["_closes_blossom_at"], key=lambda name, *args: name)
     for g in graphs:
         full_report(g)
-    assert searches["full"] <= 566
+    assert searches["full"] <= 283
     assert 0 < searches["deletion"] <= 927
     assert roots == {}
 

@@ -320,6 +320,7 @@ def test_verify_single_vertex_graphs_pass(capsys):
     ("--count", "0"),
     ("--count", "-3"),
     ("--n", "1..1", "--corpus", "bipartite"),
+    ("--n", "5..8", "--corpus", "bipartite"),
 ])
 def test_verify_rejects_unusable_arguments(capsys, argv):
     with pytest.raises(SystemExit) as exc:

@@ -86,7 +86,7 @@ def test_delete_nothing_is_identity():
 
 
 def test_delete_on_the_eight_vertex_pm_fixture():
-    from kegraphs.bruteforce import brute_max_matching_size, brute_max_stable_sets
+    from kegraphs.bruteforce import brute_max_matching_size, brute_stable_sets
     from kegraphs.matching import has_blossom, maximum_matching
 
     g = fixture_by_name("fig3_nonstable").graph
@@ -95,7 +95,7 @@ def test_delete_on_the_eight_vertex_pm_fixture():
     h = delete_vertices(g, {1, 2})
     assert h.n == 6 and h.m == 5 and is_connected(h)
     assert not has_blossom(h, maximum_matching(h))
-    assert len(brute_max_stable_sets(h)[0]) != brute_max_matching_size(h)
+    assert max(s.bit_count() for s in brute_stable_sets(h)) != brute_max_matching_size(h)
     # other same-column deletions merely shrink the graph
     assert delete_vertices(g, {1, 5}).n == 6
 
@@ -172,11 +172,84 @@ def test_connected_components():
     )
 
 
+def _random_mix(rng):
+    """A disjoint union of random pieces on at most 10 vertices in all, some
+    with odd cycles, some bipartite, some single vertices, relabelled."""
+    edges, n = [], 0
+    while n < 10 and (n == 0 or rng.random() < 0.7):
+        k = rng.randint(1, min(5, 10 - n))
+        piece = random_graph(k, rng.random(), rng.randrange(1 << 30))
+        edges += [(u + n, v + n) for u, v in piece.edges]
+        n += k
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[u], perm[v]) for u, v in edges])
+
+
+def _brute_components(g, spanned):
+    """The components of the subgraph spanned by the set spanned, each grown
+    from its smallest vertex by adding neighbours until nothing changes."""
+    left, out = set(spanned), []
+    while left:
+        comp = {min(left)}
+        while True:
+            grown = comp | {w for v in comp for w in g.neighbors(v) if w in spanned}
+            if grown == comp:
+                break
+            comp = grown
+        out.append(comp)
+        left -= comp
+    return out
+
+
+def _two_colourable(g, comp):
+    """Whether one of the 2^k colourings of the k vertices of comp gives
+    the two ends of every edge inside comp different colours."""
+    index = {v: i for i, v in enumerate(sorted(comp))}
+    inside = [(index[u], index[v]) for u, v in g.edges if u in comp and v in comp]
+    return any(all((bits >> i & 1) != (bits >> j & 1) for i, j in inside)
+               for bits in range(1 << len(comp)))
+
+
 def test_bipartition():
     sides = bipartition(cycle(4))
     assert sides == (frozenset({0, 2}), frozenset({1, 3}))
     assert bipartition(cycle(5)) is None
     assert is_bipartite(Graph(0))
+    # bipartition and both uses of _odd_component_vertices read one BFS
+    # colouring; each is checked against all colourings of each component
+    from kegraphs.matching import _odd_component_vertices
+
+    rng = random.Random(39)
+    mixed = isolated = 0
+    for _ in range(300):
+        g = _random_mix(rng)
+        adj = [g.neighbors(v) for v in g.vertices()]
+        comps = _brute_components(g, set(g.vertices()))
+        colourable = [_two_colourable(g, c) for c in comps]
+        mixed += any(colourable) and not all(colourable)
+        isolated += any(len(c) == 1 for c in comps)
+        sides = bipartition(g)
+        if all(colourable):
+            side0, side1 = sides
+            assert side0 | side1 == frozenset(g.vertices()) and not side0 & side1
+            assert all((u in side0) != (v in side0) for u, v in g.edges)
+            assert all(min(c) in side0 for c in comps)
+        else:
+            assert sides is None
+        odd = sorted(v for c, ok in zip(comps, colourable) if not ok for v in c)
+        assert _odd_component_vertices(adj) == odd
+        # a random matching, not always maximum: the colouring spans only
+        # the matched vertices
+        match = [-1] * g.n
+        for u, v in sorted(g.edges):
+            if match[u] == match[v] == -1 and rng.random() < 0.7:
+                match[u], match[v] = v, u
+        matched = {v for v in g.vertices() if match[v] != -1}
+        odd = sorted(v for c in _brute_components(g, matched)
+                     if not _two_colourable(g, c) for v in c)
+        assert _odd_component_vertices(adj, match) == odd
+    assert mixed > 30 and isolated > 30
 
 
 def test_pendant_vertices():

@@ -6,9 +6,8 @@ import pytest
 import kegraphs
 from kegraphs.bruteforce import (
     brute_matching_summary,
-    brute_max_stable_sets,
     brute_stable_sets,
-    is_stable_set,
+    largest_stable_sets,
 )
 from kegraphs.constructions import (
     complete_bipartite,
@@ -23,6 +22,7 @@ from kegraphs.constructions import (
 from kegraphs.graph import Graph, GraphError
 from kegraphs.limits import CapExceededError, DEFAULT_ALPHA_CAP
 from kegraphs.matching import maximum_matching
+from kegraphs.verify import bipartite_corpus, connected_corpus
 from kegraphs.stable import (
     ExtensionBlockedError,
     _stable_mask,
@@ -34,6 +34,12 @@ from kegraphs.stable import (
 )
 
 K4_MINUS_E = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+
+
+def _is_stable(g, s):
+    """No edge of g has both ends in s, checked edge by edge: the reference
+    for brute_stable_sets, so it shares none of its code."""
+    return not any(u in s and v in s for u, v in g.edges)
 
 
 def test_family_examples():
@@ -67,13 +73,16 @@ def test_two_enumerators_agree():
         random_graph(16, 0.1, 9),
         Graph(16, [(4 * i, 4 * i + j) for i in range(4) for j in (1, 2, 3)]),
         Graph(16, [(0, 5), (5, 9), (9, 14), (14, 0), (2, 11), (11, 7), (3, 12)]),
+        # the first set the enumeration reaches, {0}, is smaller than alpha
+        complete_bipartite(1, 15),
+        random_graph(16, 0.05, 10),
     ]
     for g in small + large:
         fam = maximum_stable_sets(g)
-        brute = brute_max_stable_sets(g)
+        brute = largest_stable_sets(brute_stable_sets(g))
         assert fam.alpha == len(brute[0])
         assert list(fam.sets) == brute
-        assert all(is_stable_set(g, s) for s in fam.sets)
+        assert all(_is_stable(g, s) for s in fam.sets)
     for g in small:
         n = g.n
         every = [frozenset(v for v in range(n) if bits >> v & 1)
@@ -81,7 +90,27 @@ def test_two_enumerators_agree():
         subsets = [frozenset(v for v in range(n) if bits >> v & 1)
                    for bits in range(1 << n)]
         assert len(set(every)) == len(every)
-        assert set(every) == {s for s in subsets if is_stable_set(g, s)}
+        assert set(every) == {s for s in subsets if _is_stable(g, s)}
+
+
+def test_enumeration_finds_alpha_without_the_alpha_search(monkeypatch):
+    # the family listing is a second alpha algorithm: with _stable_mask
+    # refusing, it still lists the brute scan's largest sets, in order
+    def refuse(*args):
+        raise AssertionError("maximum_stable_sets ran _stable_mask")
+
+    monkeypatch.setattr(kegraphs.stable, "_stable_mask", refuse)
+    graphs = [g for _, g in connected_corpus(1, 60, 2, 10)]
+    graphs += [g for _, g in bipartite_corpus(1, 60, 12)]
+    graphs += [random_graph(16, p, s) for p in (0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9)
+               for s in range(3)]
+    # K1,15's first leaf, {0}, is smaller than alpha, so the list is reset
+    graphs += [complete_bipartite(1, 15), Graph(0), Graph(16)]
+    for g in graphs:
+        fam = maximum_stable_sets(g)
+        brute = largest_stable_sets(brute_stable_sets(g))
+        assert list(fam.sets) == brute
+        assert fam.alpha == len(brute[0])
 
 
 def test_stable_mask_agrees_with_the_brute_scan():
@@ -161,7 +190,7 @@ def test_stable_mask_takes_low_degree_vertices_above_the_caps():
             witness = _stable_mask(g, mask, alpha)
             for s in (got, witness):
                 assert not s & ~mask
-                assert all(not g.adjacency_mask(v) & s for v in range(g.n) if s >> v & 1)
+                assert _is_stable(g, {v for v in range(g.n) if s >> v & 1})
             assert got.bit_count() == alpha and witness.bit_count() >= alpha
             assert _stable_mask(g, mask, alpha + 1) is None
 
@@ -269,7 +298,8 @@ def test_alpha_after_edge_addition_examples():
     assert stability_number(g3) == 4
     assert stability_number(g3.with_edge(0, 4)) == 3
     chord = stability_number(cycle(4).with_edge(0, 2))
-    assert chord == len(brute_max_stable_sets(cycle(4).with_edge(0, 2))[0]) == 2
+    chord_sets = largest_stable_sets(brute_stable_sets(cycle(4).with_edge(0, 2)))
+    assert chord == len(chord_sets[0]) == 2
     assert stability_number(K4_MINUS_E.with_edge(2, 3)) == 1
 
 
