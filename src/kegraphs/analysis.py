@@ -42,12 +42,11 @@ from .graph import (
     Edge,
     Graph,
     GraphError,
+    _colour_components,
     _induced_subgraph,
-    bipartition,
+    _sides,
     complement_non_edges,
-    connected_components,
     delete_vertices,
-    is_connected,
     neighborhood,
     pendant_vertices,
 )
@@ -55,6 +54,7 @@ from .matching import (
     Matching,
     _flower_and_posy,
     _has_blossom,
+    _odd_component_vertices,
     maximum_matching,
     partner_map,
 )
@@ -97,6 +97,11 @@ class Facts:
     matching exists), and the matching-structure route reads only
     matchings and blossoms.  Each exact oracle refuses a graph above its
     fixed cap (see limits) the first time a value that needs it is read.
+
+    The graph is 2-coloured once (colouring).  connected, sides, the
+    components full_report splits a disconnected graph into, and
+    odd_vertices all read that one result.  The blossom, flower and posy
+    searches read odd_vertices alone, never sides or bipartite.
     """
 
     def __init__(self, graph: Graph):
@@ -183,20 +188,33 @@ class Facts:
         return 2 * self.mu == self.graph.n
 
     @cached_property
+    def colouring(self) -> tuple[list[int], list[tuple[list[int], bool]]]:
+        """The graph's one 2-colouring (graph._colour_components): each
+        vertex's colour, and the components, each with whether it is not
+        bipartite."""
+        return _colour_components(self.graph._adj)  # noqa: SLF001
+
+    @cached_property
     def connected(self) -> bool:
-        return is_connected(self.graph)
+        return len(self.colouring[1]) <= 1
 
     @cached_property
     def sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        return bipartition(self.graph)
+        return _sides(*self.colouring)
 
     @property
     def bipartite(self) -> bool:
         return self.sides is not None
 
     @cached_property
+    def odd_vertices(self) -> list[int]:
+        """The vertices of the components that are not bipartite, the
+        candidate blossom bases."""
+        return _odd_component_vertices(self.colouring[1])
+
+    @cached_property
     def blossom_free(self) -> bool:
-        return not _has_blossom(self.graph, self.matching)
+        return not _has_blossom(self.graph, self.matching, self.odd_vertices)
 
     @cached_property
     def stable_by_definition(self) -> bool:
@@ -677,14 +695,14 @@ class StructureConsistencyVerdict:
 
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
-    g = f.graph
-    canonical = _flower_and_posy(g, f.matching)
+    g, odd = f.graph, f.odd_vertices
+    canonical = _flower_and_posy(g, f.matching, odd)
     flower_found, posy_found = canonical
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower, posy = canonical if mm == f.matching else _flower_and_posy(g, mm)
+            flower, posy = canonical if mm == f.matching else _flower_and_posy(g, mm, odd)
             flower_found = flower_found or flower
             posy_found = posy_found or posy
             if flower_found or posy_found:
@@ -779,8 +797,8 @@ def full_report(g: Graph) -> dict:
     parts = [f]
     if not f.connected:
         # equal components share one Facts (facts_of), checked once
-        parts += dict.fromkeys(f.facts_of(_induced_subgraph(g, comp)[0])
-                               for comp in connected_components(g))
+        parts += dict.fromkeys(f.facts_of(_induced_subgraph(g, frozenset(comp))[0])
+                               for comp, _ in f.colouring[1])
     for part in parts:
         for row in REPORT_CHECKS:
             if row.applies(part):

@@ -10,11 +10,16 @@ and by check_vertex_set.  Traversals over ids the package generated read
 the neighbor tuples and masks directly, as matching and stable do, and
 sets of such ids (the vertices a deletion keeps, a component) are spanned
 by _induced_subgraph, which checks nothing again.
+
+The module has one traversal, the BFS 2-colouring _colour_components.
+connected_components, is_connected and bipartition each run it once;
+analysis.Facts runs it once per graph and reads connectivity, the sides,
+the components and the odd components (matching's base filter) off that
+one result.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Sequence
 
 Edge = tuple[int, int]
@@ -175,28 +180,12 @@ def complement_non_edges(g: Graph) -> tuple[Edge, ...]:
 
 def connected_components(g: Graph) -> tuple[frozenset[int], ...]:
     """Maximal connected vertex sets, ordered by smallest member."""
-    adj = g._adj  # noqa: SLF001
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = {s}
-        seen[s] = True
-        queue = deque([s])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.add(w)
-                    queue.append(w)
-        comps.append(frozenset(comp))
-    return tuple(comps)
+    _, components = _colour_components(g._adj)  # noqa: SLF001
+    return tuple(frozenset(component) for component, _ in components)
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) <= 1
+    return len(_colour_components(g._adj)[1]) <= 1  # noqa: SLF001
 
 
 def is_bipartite(g: Graph) -> bool:
@@ -208,35 +197,39 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
     Each component's smallest vertex goes to side0 (_colour_components),
     so the result is deterministic (and unique for connected graphs).
+    The sides are read off the colouring by _sides, as Facts.sides reads
+    them off the colouring it keeps.
     """
-    colour, components = _colour_components(g._adj)  # noqa: SLF001
+    return _sides(*_colour_components(g._adj))  # noqa: SLF001
+
+
+def _sides(
+    colour: list[int], components: list[tuple[list[int], bool]]
+) -> tuple[frozenset[int], frozenset[int]] | None:
+    """bipartition's answer, read off one _colour_components result."""
     if any(odd for _, odd in components):
         return None
-    side0 = frozenset(v for v in g.vertices() if colour[v] == 0)
-    side1 = frozenset(v for v in g.vertices() if colour[v] == 1)
+    side0 = frozenset(v for v, c in enumerate(colour) if c == 0)
+    side1 = frozenset(v for v, c in enumerate(colour) if c == 1)
     return side0, side1
 
 
-def _colour_components(adj: Sequence[tuple[int, ...]], spanned: list[bool] | None = None):
-    """One BFS 2-colouring of the subgraph spanned by the vertices flagged
-    in spanned (all when None), over the ascending neighbor tuples adj:
-    each vertex's colour (-1 outside it, 0 at each component's smallest
+def _colour_components(adj: Sequence[tuple[int, ...]]):
+    """The package's one BFS 2-colouring, over the ascending neighbor
+    tuples adj: each vertex's colour (0 at each component's smallest
     vertex) and the components in order of smallest member, each as
-    (vertices in BFS order, whether an edge joins two of one colour)."""
-    if spanned is None:
-        spanned = [True] * len(adj)
+    (vertices in BFS order, whether an edge joins two of one colour, that
+    is, whether the component is not bipartite)."""
     colour = [-1] * len(adj)
     components = []
     for start in range(len(adj)):
-        if not spanned[start] or colour[start] != -1:
+        if colour[start] != -1:
             continue
         colour[start] = 0
         component = [start]
         odd = False
         for v in component:  # grows as the BFS reaches new vertices
             for w in adj[v]:
-                if not spanned[w]:
-                    continue
                 if colour[w] == -1:
                     colour[w] = colour[v] ^ 1
                     component.append(w)

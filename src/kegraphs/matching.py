@@ -22,14 +22,15 @@ Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
 searches read the graph's ascending neighbor tuples directly; has_posy's
 last search runs on neighbor tuples built for it, not on a new Graph.
-has_blossom searches for bases only among the vertices of the components
-of the graph that are not bipartite, since a blossom is an odd cycle
-through its base; has_posy only among the matched vertices whose
-component in the subgraph spanned by the matched vertices is not
-bipartite: a blossom based at a matched vertex is an odd cycle of matched
-vertices (its base is matched, the rest are covered by heavy cycle edges).
-Both filters come from _odd_component_vertices, which reads the package's
-one BFS 2-colouring, graph._colour_components, as graph.bipartition does.
+has_blossom and has_posy search for bases only among the vertices of the
+components of the graph that are not bipartite, since a blossom is an odd
+cycle through its base; has_posy tries only the matched ones among them,
+as a posy's path starts and ends with a heavy edge at its two bases.  The
+private searches take that list from their caller: it is
+_odd_component_vertices, read off the package's one BFS 2-colouring,
+graph._colour_components.  The public tests colour the graph once per
+call, and analysis.Facts reads the list off the one colouring it keeps
+per graph.
 Each search skips a root with fewer than two matched neighbors other than
 its mate, since a base's two light cycle edges end at such vertices.  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
@@ -227,15 +228,16 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     cycle neighbors of a real base r are even, so the edge back to r closes
     a cycle at r.
     """
-    return _has_blossom(g, validate_matching(g, m))
+    return _has_blossom(g, validate_matching(g, m), _odd_vertices(g))
 
 
-def _has_blossom(g: Graph, m: Matching) -> bool:
+def _has_blossom(g: Graph, m: Matching, odd: list[int]) -> bool:
     """has_blossom of a matching the package made, not validated again;
-    only the vertices of non-bipartite components are tried as bases."""
+    only the vertices in odd, those of the non-bipartite components, are
+    tried as bases."""
     adj = g._adj  # noqa: SLF001 - hot path inside the package
     match = _match_list(g, m)
-    return any(_closes_blossom_at(adj, match, r) for r in _odd_component_vertices(adj))
+    return any(_closes_blossom_at(adj, match, r) for r in odd)
 
 
 def _match_list(g: Graph, m: Matching) -> list[int]:
@@ -348,28 +350,29 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     built.
 
     Only the matched vertices of the odd components (_odd_component_vertices)
-    are searched as bases.  A blossom based at a matched vertex r has
-    every vertex matched: r by assumption, the others by heavy cycle
-    edges.  So the blossom lies in the subgraph spanned by the matched
-    vertices, and being an odd cycle, it puts r in a component of that
-    subgraph that is not bipartite.
+    are searched as bases.  A blossom is an odd cycle through its base, so
+    its base lies in a component of g that is not bipartite; the search
+    from a candidate is exact, so trying more candidates than the bases
+    finds the same bases.
     """
-    return _has_posy(g, _require_maximum(g, validate_matching(g, m))[0])
+    match = _require_maximum(g, validate_matching(g, m))[0]
+    return _has_posy(g, match, _odd_vertices(g))
 
 
-def _odd_component_vertices(adj: Adjacency, match: list[int] | None = None) -> list[int]:
-    """The vertices, ascending, whose component in the subgraph spanned by
-    the matched vertices (every vertex when match is None) is not
-    bipartite, read off graph._colour_components."""
-    spanned = None if match is None else [w != -1 for w in match]
-    _, components = _colour_components(adj, spanned)
+def _odd_component_vertices(components: list[tuple[list[int], bool]]) -> list[int]:
+    """The vertices, ascending, of the components that are not bipartite,
+    read off the components graph._colour_components returns."""
     return sorted(v for component, odd in components if odd for v in component)
 
 
-def _has_posy(g: Graph, match: list[int]) -> bool:
+def _odd_vertices(g: Graph) -> list[int]:
+    """_odd_component_vertices of g, from a colouring of its own."""
+    return _odd_component_vertices(_colour_components(g._adj)[1])  # noqa: SLF001
+
+
+def _has_posy(g: Graph, match: list[int], odd: list[int]) -> bool:
     adj = g._adj  # noqa: SLF001 - hot path inside the package
-    candidates = _odd_component_vertices(adj, match)
-    bases = [r for r in candidates if _closes_blossom_at(adj, match, r)]
+    bases = [r for r in odd if match[r] != -1 and _closes_blossom_at(adj, match, r)]
     if len(bases) < 2:
         return False
     n = g.n
@@ -385,9 +388,9 @@ def _has_posy(g: Graph, match: list[int]) -> bool:
     return _augment_from(posy_adj, n, match + [-1, -1])[0]
 
 
-def _flower_and_posy(g: Graph, m: Matching) -> tuple[bool, bool]:
+def _flower_and_posy(g: Graph, m: Matching, odd: list[int]) -> tuple[bool, bool]:
     """has_flower and has_posy of a maximum matching the package made, not
     validated again but proved maximum once for both; the proof's searches
-    give the flower answer."""
+    give the flower answer.  odd is the graph's _odd_component_vertices."""
     match, flower = _require_maximum(g, m)
-    return flower, _has_posy(g, match)
+    return flower, _has_posy(g, match, odd)

@@ -359,6 +359,43 @@ def test_definition_route_reads_no_enumeration(monkeypatch):
     assert any(Facts(g).alpha_critical_pendants for g in graphs)
 
 
+def _blossom_route_verdicts(graphs):
+    out = []
+    for g in graphs:
+        f = Facts(g)
+        try:
+            anticore = check_anticore_empty_criterion(f)
+        except GraphError:  # outside its scope: disconnected or not KE
+            anticore = None
+        out.append((f.blossom_free, anticore, check_structure_consistency(f)))
+    return out
+
+
+def test_blossom_route_reads_no_bipartition(monkeypatch):
+    # the blossom, flower and posy tests read the odd components of the
+    # colouring Facts keeps, never the sides that colouring also gives
+    from test_graph import _random_mix
+
+    rng = random.Random(39)
+    graphs = ([g for _, g in verify.connected_corpus(1, 60, 2, 10)]
+              + [_random_mix(rng) for _ in range(300)])
+    expected = _blossom_route_verdicts(graphs)
+
+    def refuse(self):
+        raise AssertionError("the blossom route read the bipartition")
+
+    for name in ("sides", "bipartite"):
+        monkeypatch.setattr(Facts, name, property(refuse))
+    assert _blossom_route_verdicts(graphs) == expected
+    blossom_free = [b for b, _, _ in expected]
+    assert any(blossom_free) and not all(blossom_free)
+    anticore = [a for _, a, _ in expected if a is not None]
+    assert any(a.anticore_empty for a in anticore)
+    assert any(not a.anticore_empty for a in anticore)
+    assert any(not s.structure_free for _, _, s in expected)
+    assert any(a is None and not Facts(g).connected for g, (_, a, _) in zip(graphs, expected))
+
+
 def _analyze_workload_graphs(monkeypatch, seed, size):
     """The inputs of the benchmark's analyze-ke16 workload, as
     bench/run.py's AnalyzeWorkload.graphs builds them."""

@@ -216,8 +216,11 @@ def test_bipartition():
     assert sides == (frozenset({0, 2}), frozenset({1, 3}))
     assert bipartition(cycle(5)) is None
     assert is_bipartite(Graph(0))
-    # bipartition and both uses of _odd_component_vertices read one BFS
-    # colouring; each is checked against all colourings of each component
+    # components, connectivity, bipartition, the odd components and the
+    # same answers read off a Facts all come from one BFS colouring; each
+    # is checked against all colourings of each component
+    from kegraphs.analysis import Facts
+    from kegraphs.graph import _colour_components
     from kegraphs.matching import _odd_component_vertices
 
     rng = random.Random(39)
@@ -238,17 +241,13 @@ def test_bipartition():
         else:
             assert sides is None
         odd = sorted(v for c, ok in zip(comps, colourable) if not ok for v in c)
-        assert _odd_component_vertices(adj) == odd
-        # a random matching, not always maximum: the colouring spans only
-        # the matched vertices
-        match = [-1] * g.n
-        for u, v in sorted(g.edges):
-            if match[u] == match[v] == -1 and rng.random() < 0.7:
-                match[u], match[v] = v, u
-        matched = {v for v in g.vertices() if match[v] != -1}
-        odd = sorted(v for c in _brute_components(g, matched)
-                     if not _two_colourable(g, c) for v in c)
-        assert _odd_component_vertices(adj, match) == odd
+        assert _odd_component_vertices(_colour_components(adj)[1]) == odd
+        # _brute_components grows each component from the smallest vertex
+        # left, so its list is ordered by smallest member
+        assert connected_components(g) == tuple(frozenset(c) for c in comps)
+        assert is_connected(g) == (len(comps) <= 1)
+        f = Facts(g)
+        assert f.connected == is_connected(g) and f.sides == sides
     assert mixed > 30 and isolated > 30
 
 

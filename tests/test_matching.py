@@ -29,7 +29,7 @@ from kegraphs.constructions import (
     random_graph,
     random_tree,
 )
-from kegraphs.graph import Graph, GraphError, normalize_edge
+from kegraphs.graph import Graph, GraphError, _colour_components, normalize_edge
 from kegraphs.limits import CapExceededError
 from kegraphs.matching import (
     exposed_vertices,
@@ -215,6 +215,7 @@ def test_blossom_base_filter_agrees_with_every_root():
     answers = []
     for g in graphs:
         adj = [g.neighbors(v) for v in g.vertices()]
+        odd = kegraphs.matching._odd_component_vertices(_colour_components(adj)[1])
         m = sorted(maximum_matching(g))
         for i in range(len(m) + 1):
             match = [-1] * g.n
@@ -222,14 +223,14 @@ def test_blossom_base_filter_agrees_with_every_root():
                 match[u], match[v] = v, u
             want = any(kegraphs.matching._closes_blossom_at(adj, match, r)
                        for r in g.vertices())
-            answers.append(kegraphs.matching._has_blossom(g, frozenset(m[:i])))
+            answers.append(kegraphs.matching._has_blossom(g, frozenset(m[:i]), odd))
             assert answers[-1] == want, (sorted(g.edges), m[:i])
     assert any(answers) and not all(answers)
     # the triangle with one matched edge: its base 0 is exposed
-    assert kegraphs.matching._has_blossom(complete(3), frozenset({(1, 2)}))
-    assert kegraphs.matching._has_blossom(triangle_p3, frozenset({(1, 2), (3, 4)}))
-    assert kegraphs.matching._odd_component_vertices(
-        [triangle_p3.neighbors(v) for v in triangle_p3.vertices()]) == [0, 1, 2]
+    assert kegraphs.matching._has_blossom(complete(3), frozenset({(1, 2)}), [0, 1, 2])
+    assert kegraphs.matching._has_blossom(triangle_p3, frozenset({(1, 2), (3, 4)}), [0, 1, 2])
+    assert kegraphs.matching._odd_component_vertices(_colour_components(
+        [triangle_p3.neighbors(v) for v in triangle_p3.vertices()])[1]) == [0, 1, 2]
 
 
 def test_blossoms_relative_to_non_maximum_matchings():
@@ -328,23 +329,24 @@ def test_flower_and_posy_tests_agree_with_the_exhaustive_walker():
 
 
 def test_base_filters_never_drop_a_real_base():
-    # every matched base the exhaustive walker lists lies in a non-bipartite
-    # component of the matched vertices, and the per-base search (with its
-    # early return) finds exactly the walker's bases, matched or exposed.
-    # The graphs are sparse: there the matched vertices split into several
-    # components, some bipartite, which is where the filter cuts.
+    # every matched base the exhaustive walker lists is a matched vertex of
+    # a non-bipartite component of the graph, and the per-base search (with
+    # its early return) finds exactly the walker's bases, matched or exposed.
+    # The graphs are sparse: there they split into several components, some
+    # bipartite, which is where the filter cuts.
     rng = random.Random(91)
     cut = 0
     for _ in range(600):
         n = rng.randint(0, 9)
         g = random_graph(n, rng.uniform(0.1, 0.7), rng.randrange(1 << 30))
         adj = [g.neighbors(v) for v in g.vertices()]
+        odd = kegraphs.matching._odd_component_vertices(_colour_components(adj)[1])
         for m in brute_maximum_matchings(g, brute_max_matching_size(g)):
             match = [-1] * n
             for u, v in m:
                 match[u], match[v] = v, u
             bases = {b.base for b in find_blossoms(g, m)}
-            candidates = set(kegraphs.matching._odd_component_vertices(adj, match))
+            candidates = {v for v in odd if match[v] != -1}
             assert {b for b in bases if match[b] != -1} <= candidates, sorted(g.edges)
             assert all(match[v] != -1 for v in candidates)
             searched = {

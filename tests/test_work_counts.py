@@ -1,0 +1,101 @@
+"""Upper bounds on the work the package does on two fixed seeded input sets.
+
+The counts are cProfile call counts of named code objects.  Every search
+in the package is deterministic, so the counts are exact: the same on
+every run and machine, and under any PYTHONHASHSEED.  Each bound is the
+count measured when it was set; a change that does more work of one kind
+fails here, and one that does less may lower the bound.
+"""
+
+import cProfile
+import pstats
+
+import kegraphs.analysis
+from kegraphs import bruteforce, graph, matching, stable, verify
+from kegraphs.analysis import Facts, full_report
+
+from test_analysis import _analyze_workload_graphs
+
+
+def _nested(fn, name):
+    """The code object of the function name defined inside fn."""
+    (code,) = [c for c in fn.__code__.co_consts if getattr(c, "co_name", None) == name]
+    return code
+
+
+COUNTED = {
+    "facts": Facts.__init__.__code__,
+    "colourings": graph._colour_components.__code__,
+    "base searches": matching._closes_blossom_at.__code__,
+    "augmenting searches": matching._augment_from.__code__,
+    "alpha rec": _nested(stable._stable_mask, "rec"),
+    "listing rec": _nested(stable.maximum_stable_sets, "rec"),
+    "alpha_critical": Facts.alpha_critical.__code__,
+    "stable-set scans": bruteforce.brute_stable_sets.__code__,
+    "brute mu rec": _nested(bruteforce.brute_max_matching_size, "rec"),
+    "matchings rec": _nested(bruteforce.brute_maximum_matchings, "rec"),
+    "summary rec": _nested(bruteforce.brute_matching_summary, "rec"),
+}
+
+
+def _call_counts(work):
+    """The number of calls, recursive ones included, of each code object
+    in COUNTED while work() runs."""
+    profile = cProfile.Profile()
+    profile.enable()
+    work()
+    profile.disable()
+    calls = {(file, line, name): nc
+             for (file, line, name), (_, nc, *_) in pstats.Stats(profile).stats.items()}
+    return {key: calls.get((c.co_filename, c.co_firstlineno, c.co_name), 0)
+            for key, c in COUNTED.items()}
+
+
+def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
+    # the 270 seed-1 inputs of the benchmark's analyze-ke16 workload, all
+    # bipartite: no blossom base search runs, and no brute-force scan
+    graphs = _analyze_workload_graphs(monkeypatch, 1, 270)
+    counts = _call_counts(lambda: [full_report(g) for g in graphs])
+    assert counts["facts"] <= 283
+    assert counts["colourings"] <= counts["facts"]
+    assert counts["base searches"] == 0
+    assert counts["augmenting searches"] <= 403
+    assert counts["alpha rec"] <= 2342
+    assert counts["listing rec"] <= 24288
+    assert counts["alpha_critical"] <= 20582
+    for scan in ("stable-set scans", "brute mu rec", "matchings rec", "summary rec"):
+        assert counts[scan] == 0
+
+
+def test_verify_work_on_the_general_corpus():
+    corpus = verify.connected_corpus(1, 100, 2, 10)
+    counts = _call_counts(lambda: verify.run_checks(corpus))
+    assert counts["facts"] <= 1146
+    # one colouring per Facts at most: a Facts reads connectivity, its
+    # sides and its odd components off one colouring, and the derived
+    # graphs whose colouring nobody reads are never coloured
+    assert counts["colourings"] <= counts["facts"]
+    assert counts["colourings"] <= 965
+    assert counts["base searches"] <= 5001
+    assert counts["augmenting searches"] <= 3289
+    assert counts["alpha rec"] <= 5201
+    assert counts["listing rec"] <= 13411
+    assert counts["alpha_critical"] <= 5669
+    assert counts["stable-set scans"] <= 900
+    assert counts["brute mu rec"] <= 7128
+    assert counts["matchings rec"] <= 4490
+    assert counts["summary rec"] <= 6618
+
+
+def test_each_facts_colours_its_graph_once(monkeypatch):
+    # every answer the colouring gives, read on one Facts, costs one run
+    runs = []
+    colour = graph._colour_components
+    monkeypatch.setattr(kegraphs.analysis, "_colour_components",
+                        lambda adj: runs.append(1) or colour(adj))
+    for _, g in verify.connected_corpus(1, 20, 2, 10):
+        f = Facts(g)
+        for name in ("connected", "sides", "bipartite", "odd_vertices", "blossom_free"):
+            getattr(f, name)
+        assert kegraphs.analysis.check_structure_consistency(f).consistent
+    assert len(runs) == 20 * 9
