@@ -116,7 +116,6 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
             a, b = attach  # type: ignore[misc]
         except (TypeError, ValueError):
             raise GraphError("for p <= 2, attach must be an edge (a, b)") from None
-        a, b = int(a), int(b)
         if not g.has_edge(a, b):
             raise GraphError(f"attach pair ({a}, {b}) is not an edge of the base")
         reduced = delete_vertices(g, {a, b})

@@ -37,7 +37,6 @@ class GraphFormatError(ValueError):
 def parse_graph(text: str, max_order: int | None = None) -> Graph:
     n = None
     m = None
-    edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.removesuffix("\r").strip(" \t")
@@ -73,14 +72,13 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
             if e in seen:
                 raise GraphFormatError(line_no, f"duplicate edge ({e[0]}, {e[1]})")
             seen.add(e)
-            edges.append(e)
         else:
             raise GraphFormatError(line_no, f"unknown line type {fields[0]!r}")
     if n is None:
         raise GraphFormatError(1, "missing p line")
-    if len(edges) != m:
-        raise GraphFormatError(1, f"p line declares {m} edges, found {len(edges)}")
-    return Graph(n, edges)
+    if len(seen) != m:
+        raise GraphFormatError(1, f"p line declares {m} edges, found {len(seen)}")
+    return Graph(n, seen)
 
 
 def format_graph(g: Graph) -> str:

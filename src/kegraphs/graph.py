@@ -5,6 +5,14 @@ sorted tuples.  Graphs are value objects: every derived graph (induced
 subgraph, vertex deletion, edge addition) is a new instance, which keeps
 the theorem cross-checks free to compare many variants side by side.
 
+Graph() checks each given pair once, holding both endpoints to the rule
+check_vertex applies (an int in [0, n), never coerced, so 1.9 is not
+vertex 1), and then builds the neighbor tuples and the neighbor masks in
+one pass over the sorted edge set.  In that order every neighbor tuple
+comes out ascending: the edges (u, x) with u < x all come before the
+edges (x, v), so x meets its smaller neighbors first, in ascending order,
+and then its larger ones, in ascending order.
+
 Vertex ids from outside are checked where they enter: by the accessors
 and by check_vertex_set.  Traversals over ids the package generated read
 the neighbor tuples and masks directly, as matching and stable do, and
@@ -34,7 +42,11 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 
 class Graph:
-    """A simple graph: no loops, no multi-edges, endpoints in [0, n)."""
+    """A simple graph: no loops, no multi-edges, int endpoints in [0, n).
+
+    The edges may come in any order and orientation, and repeated; each
+    is checked, normalised to (min, max) and kept once.
+    """
 
     __slots__ = ("n", "edges", "_adj", "_masks")
 
@@ -42,28 +54,22 @@ class Graph:
         if not isinstance(n, int) or n < 0:
             raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
-        adj: list[set[int]] = [set() for _ in range(n)]
         edge_set: set[Edge] = set()
-        for e in edges:
-            u, v = e
-            u, v = int(u), int(v)
+        for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            edge_set.add(normalize_edge(u, v))
-            adj[u].add(v)
-            adj[v].add(u)
+            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+                raise GraphError(f"edge ({u!r}, {v!r}) out of range for n={n}")
+            edge_set.add((u, v) if u < v else (v, u))
+        adj: list[list[int]] = [[] for _ in range(n)]
+        masks = [0] * n
+        for u, v in sorted(edge_set):
+            adj[u].append(v)
+            adj[v].append(u)
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
         self.edges: frozenset[Edge] = frozenset(edge_set)
-        self._adj: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
-        masks = []
-        for s in adj:
-            m = 0
-            for w in s:
-                m |= 1 << w
-            masks.append(m)
+        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._masks: tuple[int, ...] = tuple(masks)
 
     # -- basic queries ---------------------------------------------------
@@ -109,8 +115,6 @@ class Graph:
         """A copy with edge uv added; uv must not already be present."""
         self.check_vertex(u)
         self.check_vertex(v)
-        if u == v:
-            raise GraphError(f"self-loop at vertex {u}")
         if self._masks[u] >> v & 1:
             raise GraphError(f"edge ({u}, {v}) already present")
         return Graph(self.n, list(self.edges) + [(u, v)])

@@ -52,11 +52,14 @@ Adjacency = Sequence[tuple[int, ...]]
 
 
 def validate_matching(g: Graph, pairs: Iterable[Edge]) -> Matching:
-    """Normalize pairs and check they form a matching of g."""
+    """Normalize pairs and check they form a matching of g; endpoints
+    must be ints, as Graph's are, and are never coerced."""
     edges = set()
     covered: set[int] = set()
     for u, v in pairs:
-        e = normalize_edge(int(u), int(v))
+        if not (isinstance(u, int) and isinstance(v, int)):
+            raise GraphError(f"pair ({u!r}, {v!r}) has an endpoint that is not an integer")
+        e = normalize_edge(u, v)
         if e not in g.edges:
             raise GraphError(f"pair {e} is not an edge of the graph")
         if e[0] in covered or e[1] in covered:

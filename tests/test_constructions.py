@@ -178,6 +178,8 @@ def test_bullet_validation():
         bullet_kp(path(4), 2, (1, 2))  # middle edge is in no perfect matching
     with pytest.raises(GraphError):
         bullet_kp(cycle(4), 2, 0)  # p <= 2 needs an edge
+    with pytest.raises(GraphError):
+        bullet_kp(cycle(4), 2, (0.9, 1.2))  # not coerced to the edge (0, 1)
 
 
 @pytest.mark.parametrize("attach", [(0,), (0, 1, 2)])

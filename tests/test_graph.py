@@ -34,6 +34,10 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(-1, [])
+    # endpoints are integers, never coerced: 1.9 is not vertex 1
+    for edges in ([(0, 1.9)], [(0, "2")], [(0, None)], [(1.0, 2)]):
+        with pytest.raises(GraphError):
+            Graph(3, edges)
 
 
 def test_graph_is_a_value():

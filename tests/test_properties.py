@@ -78,8 +78,28 @@ def test_structure_verdict_survives_relabelling(data):
 def test_edge_file_round_trip(data):
     g, _ = data.draw(relabelled_graphs())
     text = format_graph(g)
-    assert parse_graph(text) == g
-    assert format_graph(parse_graph(text)) == text
+    parsed = parse_graph(text)
+    assert parsed == g
+    assert (parsed._adj, parsed._masks) == (g._adj, g._masks)
+    assert format_graph(parsed) == text
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_neighbor_tuples_and_masks_are_read_off_the_edge_set(data):
+    g, _ = data.draw(relabelled_graphs())
+    pairs = sorted(g.edges)
+    flips = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    given_pairs = [(v, u) if flip else (u, v) for (u, v), flip in zip(pairs, flips)]
+    if given_pairs:
+        given_pairs += data.draw(st.lists(st.sampled_from(given_pairs), max_size=6))
+    h = Graph(g.n, data.draw(st.permutations(given_pairs)))
+    for v in range(h.n):
+        nbrs = sorted(w for e in h.edges if v in e for w in e if w != v)
+        assert h._adj[v] == tuple(nbrs)
+        assert h._masks[v] == sum(1 << w for w in nbrs)
+    assert h == g and hash(h) == hash(g)
+    assert (h._adj, h._masks) == (g._adj, g._masks)
 
 
 @PROPERTY_SETTINGS

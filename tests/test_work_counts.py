@@ -24,6 +24,7 @@ def _nested(fn, name):
 
 
 COUNTED = {
+    "graphs built": graph.Graph.__init__.__code__,
     "facts": Facts.__init__.__code__,
     "colourings": graph._colour_components.__code__,
     "base searches": matching._closes_blossom_at.__code__,
@@ -56,6 +57,7 @@ def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
     # bipartite: no blossom base search runs, and no brute-force scan
     graphs = _analyze_workload_graphs(monkeypatch, 1, 270)
     counts = _call_counts(lambda: [full_report(g) for g in graphs])
+    assert counts["graphs built"] <= 13
     assert counts["facts"] <= 283
     assert counts["colourings"] <= counts["facts"]
     assert counts["base searches"] == 0
@@ -70,6 +72,7 @@ def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
 def test_verify_work_on_the_general_corpus():
     corpus = verify.connected_corpus(1, 100, 2, 10)
     counts = _call_counts(lambda: verify.run_checks(corpus))
+    assert counts["graphs built"] <= 461
     assert counts["facts"] <= 1146
     # one colouring per Facts at most: a Facts reads connectivity, its
     # sides and its odd components off one colouring, and the derived
