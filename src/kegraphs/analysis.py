@@ -54,9 +54,9 @@ from .matching import (
     Matching,
     _flower_and_posy,
     _has_blossom,
+    _match_list,
     _odd_component_vertices,
     maximum_matching,
-    partner_map,
 )
 from .stable import (
     CoreReport,
@@ -102,6 +102,10 @@ class Facts:
     components full_report splits a disconnected graph into, and
     odd_vertices all read that one result.  The blossom, flower and posy
     searches read odd_vertices alone, never sides or bipartite.
+
+    The canonical maximum matching is converted once into its partner
+    list (partner), which the blossom and Sterboul searches, the duality
+    lemma, peel and the extension row read; nothing writes to it.
     """
 
     def __init__(self, graph: Graph):
@@ -123,6 +127,11 @@ class Facts:
     def matching(self) -> Matching:
         """The canonical maximum matching."""
         return maximum_matching(self.graph)
+
+    @cached_property
+    def partner(self) -> list[int]:
+        """Each vertex's mate under matching, -1 where it is exposed."""
+        return _match_list(self.graph, self.matching)
 
     @cached_property
     def mu(self) -> int:
@@ -214,7 +223,7 @@ class Facts:
 
     @cached_property
     def blossom_free(self) -> bool:
-        return not _has_blossom(self.graph, self.matching, self.odd_vertices)
+        return not _has_blossom(self.graph, self.partner, self.odd_vertices)
 
     @cached_property
     def stable_by_definition(self) -> bool:
@@ -526,10 +535,8 @@ def check_core_anticore_duality(f: Facts) -> CoreDualityVerdict:
         raise GraphError("core/anticore duality is a KE-only property")
     rep = f.core
     lemma5 = neighborhood(f.graph, rep.core) == rep.anticore
-    partner = partner_map(f.matching)
-    lemma6 = all(
-        v in partner and partner[v] in rep.core for v in rep.anticore
-    )
+    # an exposed vertex's -1 is never in the core
+    lemma6 = all(f.partner[v] in rep.core for v in rep.anticore)
     return CoreDualityVerdict(lemma5, lemma6)
 
 
@@ -675,10 +682,10 @@ class StructureConsistencyVerdict:
     instead of searching it twice; it still counts in all_matchings_checked.
 
     This is Sterboul's theorem.  Both structure sides come from the exact
-    polynomial flower and posy tests (_flower_and_posy, on the matchings
-    Facts made), which read only the graph and the matching: no stability
-    number, core, anticore or stable set, so the row stays independent of
-    the anticore-empty criterion."""
+    polynomial flower and posy tests (_flower_and_posy, on the partner lists
+    of the matchings Facts made), which read only the graph and the
+    matching: no stability number, core, anticore or stable set, so the row
+    stays independent of the anticore-empty criterion."""
 
     ke_by_arithmetic: bool
     flower_found: bool
@@ -696,13 +703,14 @@ class StructureConsistencyVerdict:
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g, odd = f.graph, f.odd_vertices
-    canonical = _flower_and_posy(g, f.matching, odd)
+    canonical = _flower_and_posy(g, f.partner, odd)
     flower_found, posy_found = canonical
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower, posy = canonical if mm == f.matching else _flower_and_posy(g, mm, odd)
+            flower, posy = (canonical if mm == f.matching
+                            else _flower_and_posy(g, _match_list(g, mm), odd))
             flower_found = flower_found or flower
             posy_found = posy_found or posy
             if flower_found or posy_found:

@@ -17,7 +17,8 @@ Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
-and has_posy.  Its running time grows with the number of alternating
+and has_posy; it walks the matching as the package's one partner form,
+the list matching._match_list builds.  Its running time grows with the number of alternating
 walks, which a vertex cap does not bound usefully, so it runs under a
 fixed step budget instead and raises SearchBudgetExceededError when that
 runs out.  find_flower and find_posy refuse a matching smaller than
@@ -27,11 +28,11 @@ brute_max_matching_size, not through matching's augmenting-path search.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graph import Edge, Graph, GraphError, complement_non_edges
 from .limits import DEFAULT_OMEGA_CAP, check_cap
-from .matching import partner_map, validate_matching
+from .matching import _match_list, validate_matching
 
 # Primitive-step allowance for the exhaustive alternating-structure
 # searches: blossom, flower and posy enumeration only.
@@ -271,10 +272,9 @@ class _Budget:
             )
 
 
-def _collect_blossoms(
-    g: Graph, partner: Mapping[int, int], budget: _Budget
-) -> list[Blossom]:
-    """All blossoms relative to the matching, canonical and deduplicated.
+def _collect_blossoms(g: Graph, partner: list[int], budget: _Budget) -> list[Blossom]:
+    """All blossoms relative to the matching, given as its partner list
+    (-1 where exposed), canonical and deduplicated.
 
     Walks b -light- x1 -heavy- x2 -light- x3 -heavy- ... and closes with a
     light edge back to b.  Every cycle vertex other than the base is covered
@@ -288,7 +288,7 @@ def _collect_blossoms(
         return min(path, rev)
 
     for base_v in range(g.n):
-        heavy_of_base = partner.get(base_v)
+        heavy_of_base = partner[base_v]
         path = [base_v]
         visited = {base_v}
 
@@ -303,8 +303,8 @@ def _collect_blossoms(
                     continue
                 if w in visited:
                     continue
-                pw = partner.get(w)
-                if pw is None or pw in visited or pw == base_v:
+                pw = partner[w]
+                if pw == -1 or pw in visited or pw == base_v:
                     continue
                 visited.add(w)
                 visited.add(pw)
@@ -320,8 +320,8 @@ def _collect_blossoms(
             budget.spend()
             if x1 == heavy_of_base:
                 continue
-            x2 = partner.get(x1)
-            if x2 is None or x2 == base_v:
+            x2 = partner[x1]
+            if x2 == -1 or x2 == base_v:
                 continue
             visited.update((x1, x2))
             path.extend((x1, x2))
@@ -337,8 +337,8 @@ def _collect_blossoms(
 
 def find_blossoms(g: Graph, m: Iterable[Edge]) -> tuple[Blossom, ...]:
     """Every blossom relative to m, in deterministic order."""
-    m = validate_matching(g, m)
-    return tuple(_collect_blossoms(g, partner_map(m), _Budget()))
+    partner = _match_list(g, validate_matching(g, m))
+    return tuple(_collect_blossoms(g, partner, _Budget()))
 
 
 def _validated_maximum(g: Graph, m: Iterable[Edge]) -> frozenset[Edge]:
@@ -357,8 +357,8 @@ def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
     alternating stem to an exposed vertex (a base that is itself exposed
     counts, with the trivial stem).
     """
-    partner = partner_map(_validated_maximum(g, m))
-    exposed = frozenset(v for v in g.vertices() if v not in partner)
+    partner = _match_list(g, _validated_maximum(g, m))
+    exposed = frozenset(v for v in g.vertices() if partner[v] == -1)
     if not exposed:
         return None
     budget_box = _Budget()
@@ -372,14 +372,14 @@ def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
 
 
 def _find_stem(
-    g: Graph, partner: Mapping[int, int], blossom: Blossom, budget: _Budget
+    g: Graph, partner: list[int], blossom: Blossom, budget: _Budget
 ) -> tuple[int, ...] | None:
     """Even alternating path base -heavy- ... -light- exposed, meeting the
     blossom only at the base."""
     base = blossom.base
     block = blossom.vertex_set
-    start = partner.get(base)
-    if start is None or start in block:
+    start = partner[base]
+    if start == -1 or start in block:
         return None
     path = [base, start]
     visited = {base, start}
@@ -390,8 +390,8 @@ def _find_stem(
             budget.spend()
             if w in visited or w in block:
                 continue
-            pw = partner.get(w)
-            if pw is None:
+            pw = partner[w]
+            if pw == -1:
                 path.append(w)  # light edge to an exposed vertex: even stem
                 return True
             if pw in visited or pw in block:
@@ -420,7 +420,7 @@ def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
     bases whose first and last edges are heavy; the two blossoms need not be
     disjoint from each other.
     """
-    partner = partner_map(_validated_maximum(g, m))
+    partner = _match_list(g, _validated_maximum(g, m))
     budget_box = _Budget()
     blossoms = _collect_blossoms(g, partner, budget_box)
     if not blossoms:
@@ -430,8 +430,8 @@ def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
         first_at_base.setdefault(b.base, b)
 
     for b1 in sorted(first_at_base):
-        start = partner.get(b1)
-        if start is None:
+        start = partner[b1]
+        if start == -1:
             continue  # an exposed base cannot anchor a heavy first edge
         path = [b1, start]
         visited = {b1, start}
@@ -444,8 +444,8 @@ def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
                 budget_box.spend()
                 if w in visited:
                     continue
-                pw = partner.get(w)
-                if pw is None or pw in visited:
+                pw = partner[w]
+                if pw == -1 or pw in visited:
                     continue
                 visited.add(w)
                 visited.add(pw)

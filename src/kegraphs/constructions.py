@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .analysis import Facts, classify_alpha_plus
 from .graph import Edge, Graph, GraphError, bipartition, delete_vertices, is_connected
-from .matching import matching_number, partner_map
+from .matching import matching_number
 
 
 # -- joins and pendant pairs ---------------------------------------------------
@@ -90,7 +90,7 @@ def peel(f: Facts) -> tuple[Edge, Graph]:
     if f.alpha != f.mu:
         raise GraphError("peel requires equal stability and matching numbers")
     (x,) = f.core.anticore
-    y = partner_map(f.matching)[x]
+    y = f.partner[x]
     return (x, y), delete_vertices(g, {x, y})
 
 

@@ -13,10 +13,13 @@ exposed vertex (sharing only the base with the cycle); a posy joins the
 bases of two blossoms by an odd-length alternating path whose first and
 last edges are heavy.
 
-A caller's matching is validated once, by the public function that
-receives it; a matching the package made (Facts.matching, the brute-force
-listing) goes to _has_blossom or _flower_and_posy unvalidated, and the
-latter still proves it maximum.
+The private searches read a matching as a partner list, each vertex's
+mate or -1 where it is exposed (_match_list), the package's one partner
+form.  A caller's matching is validated once, by the public function that
+receives it, and converted once; a matching the package made reaches
+_has_blossom or _flower_and_posy as a partner list unvalidated (for
+Facts.matching, the list Facts.partner holds), and the latter still
+proves it maximum.  No search writes to the list it is given.
 
 Whether a blossom, a flower or a posy exists is decided in polynomial time
 by alternating-tree searches (has_blossom, has_flower, has_posy).  The
@@ -69,19 +72,19 @@ def validate_matching(g: Graph, pairs: Iterable[Edge]) -> Matching:
     return frozenset(edges)
 
 
-def partner_map(m: Matching) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _match_list(g: Graph, m: Matching) -> list[int]:
+    """Each vertex's partner under m, -1 where exposed."""
+    match = [-1] * g.n
     for u, v in m:
-        out[u] = v
-        out[v] = u
-    return out
+        match[u] = v
+        match[v] = u
+    return match
 
 
 def exposed_vertices(g: Graph, m: Iterable[Edge]) -> frozenset[int]:
     """Vertices covered by no edge of the matching."""
-    m = validate_matching(g, m)
-    covered = {v for e in m for v in e}
-    return frozenset(v for v in g.vertices() if v not in covered)
+    partner = _match_list(g, validate_matching(g, m))
+    return frozenset(v for v in g.vertices() if partner[v] == -1)
 
 
 # -- maximum matching (blossom shrinking) -----------------------------------
@@ -231,25 +234,15 @@ def has_blossom(g: Graph, m: Iterable[Edge]) -> bool:
     cycle neighbors of a real base r are even, so the edge back to r closes
     a cycle at r.
     """
-    return _has_blossom(g, validate_matching(g, m), _odd_vertices(g))
+    return _has_blossom(g, _match_list(g, validate_matching(g, m)), _odd_vertices(g))
 
 
-def _has_blossom(g: Graph, m: Matching, odd: list[int]) -> bool:
-    """has_blossom of a matching the package made, not validated again;
-    only the vertices in odd, those of the non-bipartite components, are
-    tried as bases."""
+def _has_blossom(g: Graph, partner: list[int], odd: list[int]) -> bool:
+    """has_blossom of the partner list of a matching the package made, not
+    validated again; only the vertices in odd, those of the non-bipartite
+    components, are tried as bases."""
     adj = g._adj  # noqa: SLF001 - hot path inside the package
-    match = _match_list(g, m)
-    return any(_closes_blossom_at(adj, match, r) for r in odd)
-
-
-def _match_list(g: Graph, m: Matching) -> list[int]:
-    """Each vertex's partner under m, -1 where exposed."""
-    match = [-1] * g.n
-    for u, v in m:
-        match[u] = v
-        match[v] = u
-    return match
+    return any(_closes_blossom_at(adj, partner, r) for r in odd)
 
 
 def _closes_blossom_at(adj: Adjacency, matched: list[int], root: int) -> bool:
@@ -298,22 +291,23 @@ def _closes_blossom_at(adj: Adjacency, matched: list[int], root: int) -> bool:
     return False
 
 
-def _require_maximum(g: Graph, m: Matching) -> tuple[list[int], bool]:
-    """Berge: m is maximum exactly when no exposed vertex starts an
-    augmenting path, so one failed search per exposed vertex proves it.
-    Returns m as _match_list does (a failed search leaves it unchanged)
-    and whether any of those searches shrank an odd cycle, which is
-    has_flower's answer."""
+def _require_maximum(g: Graph, partner: list[int]) -> bool:
+    """Berge: the matching is maximum exactly when no exposed vertex starts
+    an augmenting path, so one failed search per exposed vertex proves it.
+    Returns whether any of those searches shrank an odd cycle, which is
+    has_flower's answer.  The searches run on a copy: an augmenting one
+    rewrites it, and partner may be the list Facts shares."""
     adj = g._adj  # noqa: SLF001 - hot path inside the package
-    match = _match_list(g, m)
+    match = partner[:]
     shrank = False
     for root in range(g.n):
         if match[root] == -1:
             augmented, cycle = _augment_from(adj, root, match)
             if augmented:
-                raise GraphError(f"matching of size {len(m)} is not maximum")
+                size = (g.n - partner.count(-1)) // 2
+                raise GraphError(f"matching of size {size} is not maximum")
             shrank |= cycle
-    return match, shrank
+    return shrank
 
 
 def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
@@ -336,7 +330,7 @@ def has_flower(g: Graph, m: Iterable[Edge]) -> bool:
     shrinks at exactly the edge where the BFS finds two outer vertices
     joined, so the flag _require_maximum returns is the answer.
     """
-    return _require_maximum(g, validate_matching(g, m))[1]
+    return _require_maximum(g, _match_list(g, validate_matching(g, m)))
 
 
 def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
@@ -358,8 +352,9 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     from a candidate is exact, so trying more candidates than the bases
     finds the same bases.
     """
-    match = _require_maximum(g, validate_matching(g, m))[0]
-    return _has_posy(g, match, _odd_vertices(g))
+    partner = _match_list(g, validate_matching(g, m))
+    _require_maximum(g, partner)
+    return _has_posy(g, partner, _odd_vertices(g))
 
 
 def _odd_component_vertices(components: list[tuple[list[int], bool]]) -> list[int]:
@@ -391,9 +386,10 @@ def _has_posy(g: Graph, match: list[int], odd: list[int]) -> bool:
     return _augment_from(posy_adj, n, match + [-1, -1])[0]
 
 
-def _flower_and_posy(g: Graph, m: Matching, odd: list[int]) -> tuple[bool, bool]:
-    """has_flower and has_posy of a maximum matching the package made, not
-    validated again but proved maximum once for both; the proof's searches
-    give the flower answer.  odd is the graph's _odd_component_vertices."""
-    match, flower = _require_maximum(g, m)
-    return flower, _has_posy(g, match, odd)
+def _flower_and_posy(g: Graph, partner: list[int], odd: list[int]) -> tuple[bool, bool]:
+    """has_flower and has_posy of the partner list of a maximum matching the
+    package made, not validated again but proved maximum once for both; the
+    proof's searches give the flower answer.  odd is the graph's
+    _odd_component_vertices."""
+    flower = _require_maximum(g, partner)
+    return flower, _has_posy(g, partner, odd)

@@ -17,8 +17,12 @@ edge, and in the blossom-free perfect-matching case any excluded vertex
 can be pulled into a maximum stable set by alternating saturation.
 
 certify_max_stable and extend_stable_through_matching check the matching
-and vertex ids they receive once; past that, the certificate scan and
-the saturation read them and the adjacency without checking again.
+and vertex ids they receive once and convert the matching once to its
+partner list (matching._match_list); past that, the certificate scan
+(_certify, _certificate_failure) and the saturation (_extend) read them
+and the adjacency without checking again.  The extension row of verify
+calls those private functions with Facts.partner and the family's first
+set, which the package made, so it checks nothing twice.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 from .graph import Edge, Graph, GraphError
 from .limits import DEFAULT_ALPHA_CAP, DEFAULT_OMEGA_CAP, check_cap
-from .matching import matching_number, partner_map, validate_matching
+from .matching import _match_list, matching_number, validate_matching
 
 
 def stability_number(g: Graph) -> int:
@@ -213,17 +217,23 @@ def certify_max_stable(g: Graph, m: Iterable[Edge], s: Iterable[int]) -> Certifi
     therefore only checked, at the cost of alpha, when a scan fails.
     """
     m = validate_matching(g, m)
-    s = g.check_vertex_set(s)
-    reason = _certificate_failure(g, m, s)
+    return _certify(g, _match_list(g, m), g.check_vertex_set(s))
+
+
+def _certify(g: Graph, partner: list[int], s: frozenset[int]) -> Certification:
+    """certify_max_stable of a checked matching's partner list and a checked
+    set."""
+    reason = _certificate_failure(g, partner, s)
     if reason is None:
         return Certification(True, None)
     alpha = stability_number(g)
+    size = (g.n - partner.count(-1)) // 2
     # alpha + |m| <= n for every matching, with equality exactly when m is
     # maximum and the graph is KE; mu is only needed to say which failed
-    if alpha + len(m) != g.n:
+    if alpha + size != g.n:
         mu = matching_number(g)
-        if len(m) != mu:
-            raise GraphError(f"matching of size {len(m)} is not maximum ({mu})")
+        if size != mu:
+            raise GraphError(f"matching of size {size} is not maximum ({mu})")
         raise GraphError(
             f"certificate requires a Koenig-Egervary graph; got alpha={alpha}, "
             f"mu={mu}, n={g.n}"
@@ -231,19 +241,19 @@ def certify_max_stable(g: Graph, m: Iterable[Edge], s: Iterable[int]) -> Certifi
     return Certification(False, reason)
 
 
-def _certificate_failure(
-    g: Graph, m: frozenset[Edge], s: frozenset[int]
-) -> str | None:
-    """The first witness against the certificate of the checked m and s,
-    or None when s passes."""
+def _certificate_failure(g: Graph, partner: list[int], s: frozenset[int]) -> str | None:
+    """The first witness against the certificate of a checked matching's
+    partner list and a checked s, or None when s passes.  The heavy edges
+    are met in ascending lower endpoint, the order of the sorted matching."""
     for u, v in g.edges:
         if u in s and v in s:
             return f"not stable: edge ({u}, {v}) inside the set"
-    covered = {v for e in m for v in e}
     for v in range(g.n):
-        if v not in covered and v not in s:
+        if partner[v] == -1 and v not in s:
             return f"exposed vertex {v} missing from the set"
-    for u, v in sorted(m):
+    for u, v in enumerate(partner):
+        if v < u:  # exposed, or met already from its lower endpoint
+            continue
         hits = (u in s) + (v in s)
         if hits != 1:
             word = "neither endpoint" if hits == 0 else "both endpoints"
@@ -272,15 +282,21 @@ def extend_stable_through_matching(
     if 2 * len(m) != g.n:
         raise GraphError("extension requires a perfect matching")
     s = g.check_vertex_set(s)
-    cert = certify_max_stable(g, m, s)
+    partner = _match_list(g, m)
+    cert = _certify(g, partner, s)
     if not cert:
         raise GraphError(f"s is not a maximum stable set: {cert.reason}")
     g.check_vertex(b)
     if b in s:
         raise GraphError(f"vertex {b} is already in the stable set")
+    return _extend(g, partner, s, b)
 
+
+def _extend(g: Graph, partner: list[int], s: frozenset[int], b: int) -> frozenset[int]:
+    """extend_stable_through_matching past its checks: partner is a perfect
+    matching's partner list, s a maximum stable set it certifies, and b a
+    vertex outside s."""
     adj, masks = g._adj, g._masks  # noqa: SLF001 - every id here is checked
-    partner = partner_map(m)
     a_frontier = frozenset(adj[b]) & s
     if not a_frontier:
         # impossible for a maximum s: b would extend it
@@ -309,7 +325,7 @@ def extend_stable_through_matching(
     rest = s - a_all
     result = frozenset(b_all) | rest
     assert b in result
-    reason = _certificate_failure(g, m, result)
+    reason = _certificate_failure(g, partner, result)
     if reason is not None:
         raise AssertionError(f"extension produced a non-maximum set: {reason}")
     return result

@@ -647,9 +647,9 @@ def test_structure_consistency_proves_each_matching_maximum_once(monkeypatch):
     proved = []
     original = matching._require_maximum
 
-    def recorded(g, m):
-        proved.append(m)
-        return original(g, m)
+    def recorded(g, partner):
+        proved.append(tuple(partner))
+        return original(g, partner)
 
     monkeypatch.setattr(matching, "_require_maximum", recorded)
     all_checked = reused = 0
@@ -660,10 +660,25 @@ def test_structure_consistency_proves_each_matching_maximum_once(monkeypatch):
         checked = verdict.all_matchings_checked
         reached = f.maximum_matchings[:checked] if checked else ()
         assert len(set(proved)) == len(proved), label
-        assert set(proved) == {f.matching, *reached}, label
+        assert set(proved) == {tuple(matching._match_list(g, m))
+                               for m in (f.matching, *reached)}, label
         all_checked += checked
         reused += f.matching in reached
     assert all_checked > 0 and reused > 0
+
+
+def test_no_row_writes_to_the_shared_partner_list():
+    # every verify row reads Facts.partner, the canonical matching's one
+    # partner list; none of them may change it
+    for label, g in verify.connected_corpus(2, 30, 2, 10):
+        f = Facts(g)
+        partner = f.partner
+        before = matching._match_list(g, f.matching)
+        assert partner == before, label
+        for check in verify.CHECKS:
+            if check.applies(f):
+                check.run(f)
+        assert f.partner is partner and partner == before, label
 
 
 def test_matchings_are_validated_once_where_they_enter(monkeypatch):
@@ -678,12 +693,12 @@ def test_matchings_are_validated_once_where_they_enter(monkeypatch):
     assert validations(certify_max_stable, K4_MINUS_E, m, {2, 3}) == 1
     assert validations(certify_max_stable, K4_MINUS_E, m, {0, 3}) == 1  # fails
     c4_m = [(0, 1), (2, 3)]
-    assert validations(extend_stable_through_matching, cycle(4), c4_m, {0, 2}, 1) <= 2
+    assert validations(extend_stable_through_matching, cycle(4), c4_m, {0, 2}, 1) == 1
     g = fixture_by_name("fig4_g2").graph
     s = maximum_stable_sets(g).sets[0]
     b = min(set(range(g.n)) - s)
     args = (g, matching.maximum_matching(g), s, b)
-    assert validations(extend_stable_through_matching, *args) <= 2
+    assert validations(extend_stable_through_matching, *args) == 1
     # the Sterboul row reads only matchings Facts made
     for label, g in verify.connected_corpus(4, 10, 2, 9):
         assert validations(check_structure_consistency, Facts(g)) == 0, label

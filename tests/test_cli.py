@@ -255,6 +255,10 @@ def test_verify_self_test_fails(capsys):
                            "--n", "2..4", "--self-test")
     assert code == 1
     assert "RESULT: FAIL" in out and "self-test" in out
+    # the injected row takes the ordinary row path: counted in the table,
+    # and its failure lines carry the graph like every other FAILURE line
+    assert "\nself-test                              6       0       6\n" in out
+    assert "\nFAILURE [self-test] n2-0: injected failure\np 2 1\n" in out
 
 
 def test_a_row_that_raises_in_verify_is_a_failure_of_that_row(capsys, monkeypatch):

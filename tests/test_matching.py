@@ -38,7 +38,6 @@ from kegraphs.matching import (
     has_posy,
     matching_number,
     maximum_matching,
-    partner_map,
     validate_matching,
 )
 from kegraphs.stable import stability_number
@@ -227,12 +226,12 @@ def test_blossom_base_filter_agrees_with_every_root():
                 match[u], match[v] = v, u
             want = any(kegraphs.matching._closes_blossom_at(adj, match, r)
                        for r in g.vertices())
-            answers.append(kegraphs.matching._has_blossom(g, frozenset(m[:i]), odd))
+            answers.append(kegraphs.matching._has_blossom(g, match, odd))
             assert answers[-1] == want, (sorted(g.edges), m[:i])
     assert any(answers) and not all(answers)
     # the triangle with one matched edge: its base 0 is exposed
-    assert kegraphs.matching._has_blossom(complete(3), frozenset({(1, 2)}), [0, 1, 2])
-    assert kegraphs.matching._has_blossom(triangle_p3, frozenset({(1, 2), (3, 4)}), [0, 1, 2])
+    assert kegraphs.matching._has_blossom(complete(3), [-1, 2, 1], [0, 1, 2])
+    assert kegraphs.matching._has_blossom(triangle_p3, [-1, 2, 1, 4, 3, -1], [0, 1, 2])
     assert kegraphs.matching._odd_component_vertices(_colour_components(
         [triangle_p3.neighbors(v) for v in triangle_p3.vertices()])[1]) == [0, 1, 2]
 
@@ -300,8 +299,8 @@ def test_the_oracles_check_maximality_without_the_augmenting_search(monkeypatch)
     # with matching's proof of maximality accepting anything, wherever it is
     # bound, the oracles still refuse: they compare the size with the brute
     # matching number
-    def accept(g, m):
-        return None, False
+    def accept(g, partner):
+        return False
 
     monkeypatch.setattr(kegraphs.matching, "_require_maximum", accept)
     monkeypatch.setattr(bruteforce, "_require_maximum", accept, raising=False)
@@ -316,6 +315,14 @@ def test_flower_and_posy_tests_refuse_a_non_maximum_matching():
         has_flower(cycle(5), [(0, 1)])
     with pytest.raises(GraphError):
         has_posy(cycle(5), [(0, 1)])
+
+
+def test_the_maximality_proof_leaves_the_partner_list_alone():
+    # the augmenting search runs on a copy, since Facts shares its list
+    partner = [1, 0, -1, -1, -1]
+    with pytest.raises(GraphError, match="^matching of size 1 is not maximum$"):
+        kegraphs.matching._require_maximum(cycle(5), partner)
+    assert partner == [1, 0, -1, -1, -1]
 
 
 def test_flower_and_posy_tests_agree_with_the_exhaustive_walker():
@@ -443,8 +450,7 @@ def test_posy_in_two_bridged_triangles():
     p = posy.path
     assert p[0] == posy.blossom1.base and p[-1] == posy.blossom2.base
     assert len(p) % 2 == 0  # odd number of edges
-    partner = partner_map(m)
-    assert partner[p[0]] == p[1] and partner[p[-1]] == p[-2]
+    assert normalize_edge(p[0], p[1]) in m and normalize_edge(p[-1], p[-2]) in m
 
 
 def test_trees_have_no_posies():

@@ -1,0 +1,83 @@
+"""Scope witnesses: a row's hypotheses are needed.
+
+Each entry names a row, one hypothesis of its scope, and a witness graph
+that violates that hypothesis and on which the row's statement, evaluated
+on Facts with the gate dropped, fails.  The gated row must not apply to
+the witness, and its verdict must refuse it.
+"""
+
+import pytest
+
+from kegraphs import analysis, verify
+from kegraphs.analysis import Facts
+from kegraphs.graph import Graph, GraphError
+
+# Three triangles {0,1,2}, {3,4,5}, {6,7,8} and a hub 9 joined to 0, 3 and 6.
+# A maximum stable set takes one vertex per triangle; only the hub adds a
+# fourth, off its three neighbours, so alpha = 4 and core = {9}.  A matching
+# covers two vertices per triangle and the hub with one triangle vertex,
+# and the other two triangles stay odd, so mu = 4: alpha + mu = 8 < 10 (not
+# KE) and n - 2mu = 2 although |core| = 1.
+THREE_TRIANGLES_AND_HUB = (10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
+                                (6, 7), (7, 8), (6, 8), (0, 9), (3, 9), (6, 9)])
+
+# K2 plus an isolated vertex 2.  The maximum stable sets {0, 2} and {1, 2}
+# give alpha = 2, core = {2} and an empty anticore; mu = 1, so the graph is
+# KE.  Either added edge, 0-2 or 1-2, leaves one of the two sets, so it is
+# alpha-plus-stable by definition.  Yet n = 3 is odd, so it has no perfect
+# matching, and 2 alpha = 4 > n while |core| = 1.
+K2_PLUS_K1 = (3, [(0, 1)])
+
+
+def _near_perfect_necessity(f):
+    return f.core.core_size > 1 or f.graph.n - 2 * f.mu <= 1
+
+
+def _anticore_empty_criterion(f):
+    return (f.core.anticore_size == 0) == (f.has_pm and f.blossom_free)
+
+
+def _alpha_plus_pm_criterion(f):
+    return f.stable_by_definition == (f.has_pm and f.core.anticore_size <= 1)
+
+
+def _oversized_alpha_core_bound(f):
+    return not (f.is_ke and 2 * f.alpha > f.graph.n) or f.core.core_size >= 2
+
+
+# (row, hypothesis dropped, witness as (n, edges), the row's statement,
+# the row's verdict)
+SCOPE_WITNESSES = [
+    ("near-perfect-necessity", "KE", THREE_TRIANGLES_AND_HUB,
+     _near_perfect_necessity, analysis.check_near_perfect_necessity),
+    ("anticore-empty-criterion", "connected", K2_PLUS_K1,
+     _anticore_empty_criterion, analysis.check_anticore_empty_criterion),
+    ("alpha-plus-pm-criterion", "connected", K2_PLUS_K1,
+     _alpha_plus_pm_criterion, analysis.check_alpha_plus_pm_criterion),
+    ("core-lower-bounds", "connected", K2_PLUS_K1,
+     _oversized_alpha_core_bound, analysis.check_core_lower_bounds),
+]
+
+
+@pytest.mark.parametrize("row, hypothesis, witness, statement, verdict", SCOPE_WITNESSES,
+                         ids=[f"{row}-{hyp}" for row, hyp, *_ in SCOPE_WITNESSES])
+def test_the_witness_needs_the_hypothesis(row, hypothesis, witness, statement, verdict):
+    g = Graph(*witness)
+    f = Facts(g)
+    if hypothesis == "KE":
+        assert not f.is_ke and f.connected
+    else:
+        assert f.is_ke and not f.connected
+    assert not statement(f)
+    summary = verify.run_checks([("witness", g)], [row])
+    assert summary.checks[row].applicable == 0
+    with pytest.raises(GraphError):
+        verdict(f)
+
+
+def test_the_witnesses_are_as_described():
+    f = Facts(Graph(*THREE_TRIANGLES_AND_HUB))
+    assert (f.alpha, f.mu, sorted(f.core.core)) == (4, 4, [9])
+    f = Facts(Graph(*K2_PLUS_K1))
+    assert (f.alpha, f.mu, sorted(f.core.core), f.core.anticore_size) == (2, 1, [2], 0)
+    assert f.stable_by_definition and not f.has_pm

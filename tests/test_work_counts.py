@@ -36,6 +36,9 @@ COUNTED = {
     "brute mu rec": _nested(bruteforce.brute_max_matching_size, "rec"),
     "matchings rec": _nested(bruteforce.brute_maximum_matchings, "rec"),
     "summary rec": _nested(bruteforce.brute_matching_summary, "rec"),
+    "matching validations": matching.validate_matching.__code__,
+    "partner conversions": matching._match_list.__code__,
+    "certificate scans": stable._certificate_failure.__code__,
 }
 
 
@@ -67,6 +70,9 @@ def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
     assert counts["alpha_critical"] <= 20582
     for scan in ("stable-set scans", "brute mu rec", "matchings rec", "summary rec"):
         assert counts[scan] == 0
+    # each Facts converts its canonical matching once, if at all
+    assert counts["partner conversions"] <= counts["facts"]
+    assert counts["matching validations"] == 0
 
 
 def test_verify_work_on_the_general_corpus():
@@ -88,6 +94,13 @@ def test_verify_work_on_the_general_corpus():
     assert counts["brute mu rec"] <= 7128
     assert counts["matchings rec"] <= 4490
     assert counts["summary rec"] <= 6618
+    # every matching here is one the package made: none is validated, the
+    # canonical one is converted once per Facts and each listed maximum
+    # matching of the Sterboul row once, and the extension row scans one
+    # certificate per graph and one per extension
+    assert counts["matching validations"] == 0
+    assert counts["partner conversions"] <= 1953
+    assert counts["certificate scans"] <= 513
 
 
 def test_each_facts_colours_its_graph_once(monkeypatch):
