@@ -572,10 +572,18 @@ class PendantVerdict:
         return self.pendant_pm == self.pendant_count_non_critical == self.ke_stable_pendant_count
 
 
+def _pendant_scope(f: Facts) -> bool:
+    """The scope of the pendant characterization: a connected graph of
+    order at least 3 (K2 and 2K2 both break it)."""
+    return f.connected and f.graph.n >= 3
+
+
 def pendant_characterization(f: Facts) -> PendantVerdict:
     g = f.graph
-    if g.n < 2:
-        raise GraphError("pendant characterization requires order at least 2")
+    if not _pendant_scope(f):
+        raise GraphError(
+            "pendant characterization requires a connected graph of order at least 3"
+        )
     pendants = f.pendants
     pendant_edges = {tuple(sorted((p, g.neighbors(p)[0]))) for p in pendants}
     covered = [v for e in pendant_edges for v in e]
@@ -769,8 +777,7 @@ REPORT_CHECKS: tuple[Check, ...] = (
           lambda f: f.is_ke, _check_pm_core_sizes),
     Check("pendant-characterization",
           "pendant perfect matching three-way equivalence",
-          lambda f: f.connected and f.graph.n >= 3,
-          _verdict(pendant_characterization)),
+          _pendant_scope, _verdict(pendant_characterization)),
     Check("core-lower-bounds",
           "oversized alpha or unequal sides force core size >= 2",
           _connected_ke, _verdict(check_core_lower_bounds)),

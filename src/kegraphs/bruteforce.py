@@ -17,18 +17,23 @@ Edmonds' search.
 
 The exhaustive alternating-walk search (find_blossoms, find_flower,
 find_posy) is the oracle for matching's polynomial has_blossom, has_flower
-and has_posy; it walks the matching as the package's one partner form,
-the list matching._match_list builds.  Its running time grows with the number of alternating
-walks, which a vertex cap does not bound usefully, so it runs under a
-fixed step budget instead and raises SearchBudgetExceededError when that
-runs out.  find_flower and find_posy refuse a matching smaller than
+and has_posy.  All three run one depth-first walker, _walk, and differ
+only in the hook it asks about each neighbour: close a blossom, reach an
+exposed vertex, reach another base.  The walker reads the matching as the
+package's one partner form, the list matching._match_list builds, and the
+graph's ascending neighbour tuples directly, as the scans above read the
+masks: every id it meets is one the package made, so none is checked
+again.  Its running time grows with the number of alternating walks,
+which a vertex cap does not bound usefully, so it runs under a fixed step
+budget instead and raises SearchBudgetExceededError when that runs out.
+find_flower and find_posy refuse a matching smaller than
 brute_max_matching_size, not through matching's augmenting-path search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .graph import Edge, Graph, GraphError, complement_non_edges
 from .limits import DEFAULT_OMEGA_CAP, check_cap
@@ -272,67 +277,61 @@ class _Budget:
             )
 
 
+def _walk(
+    adj: Sequence[tuple[int, ...]],
+    partner: list[int],
+    path: list[int],
+    visited: set[int],
+    budget: _Budget,
+    stop: Callable[[int], bool],
+) -> bool:
+    """The one alternating walk of the exhaustive search, depth first from
+    path[-1]: a light edge to an unvisited neighbour w, then w's heavy edge
+    to its unvisited partner, and on from there.  Neighbours are tried in
+    ascending order, one budget step each, and stop(w) is asked about each
+    before anything else; a True answer ends the walk, with path as stop
+    left it.  Otherwise path and visited come back as they went in, and the
+    answer is False.
+    """
+    for w in adj[path[-1]]:
+        budget.spend()
+        if stop(w):
+            return True
+        pw = partner[w]
+        if w in visited or pw == -1 or pw in visited:
+            continue
+        visited.update((w, pw))
+        path.extend((w, pw))
+        if _walk(adj, partner, path, visited, budget, stop):
+            return True
+        del path[-2:]
+        visited.difference_update((w, pw))
+    return False
+
+
 def _collect_blossoms(g: Graph, partner: list[int], budget: _Budget) -> list[Blossom]:
     """All blossoms relative to the matching, given as its partner list
     (-1 where exposed), canonical and deduplicated.
 
     Walks b -light- x1 -heavy- x2 -light- x3 -heavy- ... and closes with a
     light edge back to b.  Every cycle vertex other than the base is covered
-    by a heavy cycle edge, so walk extension always jumps to the partner of
-    the vertex just entered.
+    by a heavy cycle edge, so the walk jumps to the partner of the vertex
+    just entered; b's own heavy edge leads back to b, which is visited, so
+    the walk never starts with it.
     """
     found: dict[tuple[int, ...], Blossom] = {}
+    for b in range(g.n):
+        path = [b]
 
-    def canonical(path: tuple[int, ...]) -> tuple[int, ...]:
-        rev = (path[0],) + tuple(reversed(path[1:]))
-        return min(path, rev)
+        def close(w: int) -> bool:
+            if w == b and len(path) >= 3:
+                # closing edge is light: path[-1]'s heavy partner is path[-2]
+                key = min(tuple(path), (b, *reversed(path[1:])))
+                found.setdefault(key, Blossom(key))
+            return False
 
-    for base_v in range(g.n):
-        heavy_of_base = partner[base_v]
-        path = [base_v]
-        visited = {base_v}
-
-        def walk() -> None:
-            cur = path[-1]
-            for w in g.neighbors(cur):
-                budget.spend()
-                if w == base_v and len(path) >= 3:
-                    # closing edge is light: cur's heavy partner is path[-2]
-                    key = canonical(tuple(path))
-                    found.setdefault(key, Blossom(key))
-                    continue
-                if w in visited:
-                    continue
-                pw = partner[w]
-                if pw == -1 or pw in visited or pw == base_v:
-                    continue
-                visited.add(w)
-                visited.add(pw)
-                path.append(w)
-                path.append(pw)
-                walk()
-                path.pop()
-                path.pop()
-                visited.discard(w)
-                visited.discard(pw)
-
-        for x1 in g.neighbors(base_v):
-            budget.spend()
-            if x1 == heavy_of_base:
-                continue
-            x2 = partner[x1]
-            if x2 == -1 or x2 == base_v:
-                continue
-            visited.update((x1, x2))
-            path.extend((x1, x2))
-            walk()
-            path[:] = [base_v]
-            visited.clear()
-            visited.add(base_v)
-
-    blossoms = [found[key] for key in found]
-    blossoms.sort(key=lambda b: (len(b.cycle), b.cycle))
-    return blossoms
+        _walk(g._adj, partner, path, {b}, budget, close)  # noqa: SLF001
+    return sorted(found.values(), key=lambda blossom: (len(blossom.cycle), blossom.cycle))
 
 
 def find_blossoms(g: Graph, m: Iterable[Edge]) -> tuple[Blossom, ...]:
@@ -358,14 +357,11 @@ def find_flower(g: Graph, m: Iterable[Edge]) -> Flower | None:
     counts, with the trivial stem).
     """
     partner = _match_list(g, _validated_maximum(g, m))
-    exposed = frozenset(v for v in g.vertices() if partner[v] == -1)
-    if not exposed:
+    if -1 not in partner:
         return None
-    budget_box = _Budget()
-    for blossom in _collect_blossoms(g, partner, budget_box):
-        if blossom.base in exposed:
-            return Flower(blossom, (blossom.base,))
-        stem = _find_stem(g, partner, blossom, budget_box)
+    budget = _Budget()
+    for blossom in _collect_blossoms(g, partner, budget):
+        stem = _find_stem(g, partner, blossom, budget)
         if stem is not None:
             return Flower(blossom, stem)
     return None
@@ -375,40 +371,24 @@ def _find_stem(
     g: Graph, partner: list[int], blossom: Blossom, budget: _Budget
 ) -> tuple[int, ...] | None:
     """Even alternating path base -heavy- ... -light- exposed, meeting the
-    blossom only at the base."""
+    blossom only at the base; the trivial stem (base,) if the base is
+    itself exposed."""
     base = blossom.base
-    block = blossom.vertex_set
     start = partner[base]
-    if start == -1 or start in block:
+    if start == -1:
+        return (base,)
+    if start in blossom.vertex_set:
         return None
     path = [base, start]
-    visited = {base, start}
+    visited = {start, *blossom.cycle}
 
-    def dfs() -> bool:
-        cur = path[-1]  # entered on a heavy edge; an odd prefix so far
-        for w in g.neighbors(cur):
-            budget.spend()
-            if w in visited or w in block:
-                continue
-            pw = partner[w]
-            if pw == -1:
-                path.append(w)  # light edge to an exposed vertex: even stem
-                return True
-            if pw in visited or pw in block:
-                continue
-            visited.add(w)
-            visited.add(pw)
-            path.append(w)
-            path.append(pw)
-            if dfs():
-                return True
-            path.pop()
-            path.pop()
-            visited.discard(w)
-            visited.discard(pw)
-        return False
+    def exposed(w: int) -> bool:
+        if w in visited or partner[w] != -1:
+            return False
+        path.append(w)  # light edge to an exposed vertex: even stem
+        return True
 
-    if dfs():
+    if _walk(g._adj, partner, path, visited, budget, exposed):  # noqa: SLF001
         return tuple(path)
     return None
 
@@ -421,13 +401,11 @@ def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
     disjoint from each other.
     """
     partner = _match_list(g, _validated_maximum(g, m))
-    budget_box = _Budget()
-    blossoms = _collect_blossoms(g, partner, budget_box)
-    if not blossoms:
-        return None
+    adj = g._adj  # noqa: SLF001
+    budget = _Budget()
     first_at_base: dict[int, Blossom] = {}
-    for b in blossoms:
-        first_at_base.setdefault(b.base, b)
+    for blossom in _collect_blossoms(g, partner, budget):
+        first_at_base.setdefault(blossom.base, blossom)
 
     for b1 in sorted(first_at_base):
         start = partner[b1]
@@ -436,30 +414,13 @@ def find_posy(g: Graph, m: Iterable[Edge]) -> Posy | None:
         path = [b1, start]
         visited = {b1, start}
 
-        def dfs() -> bool:
-            cur = path[-1]  # entered on a heavy edge; odd path length
-            if cur in first_at_base and cur != b1:
-                return True
-            for w in g.neighbors(cur):
-                budget_box.spend()
-                if w in visited:
-                    continue
-                pw = partner[w]
-                if pw == -1 or pw in visited:
-                    continue
-                visited.add(w)
-                visited.add(pw)
-                path.append(w)
-                path.append(pw)
-                if dfs():
-                    return True
-                path.pop()
-                path.pop()
-                visited.discard(w)
-                visited.discard(pw)
-            return False
+        def other_base(w: int) -> bool:
+            pw = partner[w]  # -1, where w is exposed, is no base
+            if w in visited or pw in visited or pw not in first_at_base:
+                return False
+            path.extend((w, pw))
+            return True
 
-        if dfs():
-            end = path[-1]
-            return Posy(first_at_base[b1], first_at_base[end], tuple(path))
+        if start in first_at_base or _walk(adj, partner, path, visited, budget, other_base):
+            return Posy(first_at_base[b1], first_at_base[path[-1]], tuple(path))
     return None

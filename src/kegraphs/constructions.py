@@ -125,7 +125,7 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
             )
         cross = [(x, a), (x, b)]
     else:
-        if not isinstance(attach, int):
+        if type(attach) is not int:  # a bool is not a vertex id
             raise GraphError("for p >= 3, attach must be a single base vertex")
         g.check_vertex(attach)
         cross = [(x, attach)]

@@ -7,8 +7,9 @@ the theorem cross-checks free to compare many variants side by side.
 
 Graph() checks each given pair once, holding both endpoints to the rule
 check_vertex applies (an int in [0, n), never coerced, so 1.9 is not
-vertex 1), and then builds the neighbor tuples and the neighbor masks in
-one pass over the sorted edge set.  In that order every neighbor tuple
+vertex 1, and never a bool, so True is not vertex 1 either; the order n
+must be an int that is not a bool too), and then builds the neighbor
+tuples and the neighbor masks in one pass over the sorted edge set.  In that order every neighbor tuple
 comes out ascending: the edges (u, x) with u < x all come before the
 edges (x, v), so x meets its smaller neighbors first, in ascending order,
 and then its larger ones, in ascending order.
@@ -51,14 +52,14 @@ class Graph:
     __slots__ = ("n", "edges", "_adj", "_masks")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
-        if not isinstance(n, int) or n < 0:
+        if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
         edge_set: set[Edge] = set()
         for u, v in edges:
             if u == v:
                 raise GraphError(f"self-loop at vertex {u}")
-            if not (isinstance(u, int) and isinstance(v, int) and 0 <= u < n and 0 <= v < n):
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u!r}, {v!r}) out of range for n={n}")
             edge_set.add((u, v) if u < v else (v, u))
         adj: list[list[int]] = [[] for _ in range(n)]
@@ -100,7 +101,7 @@ class Graph:
         return (1 << self.n) - 1
 
     def check_vertex(self, v: int) -> None:
-        if not (isinstance(v, int) and 0 <= v < self.n):
+        if not (type(v) is int and 0 <= v < self.n):
             raise GraphError(f"vertex {v!r} out of range for n={self.n}")
 
     def check_vertex_set(self, xs: Iterable[int]) -> frozenset[int]:

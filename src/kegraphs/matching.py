@@ -56,11 +56,12 @@ Adjacency = Sequence[tuple[int, ...]]
 
 def validate_matching(g: Graph, pairs: Iterable[Edge]) -> Matching:
     """Normalize pairs and check they form a matching of g; endpoints
-    must be ints, as Graph's are, and are never coerced."""
+    must be ints that are not bools, as Graph's are, and are never
+    coerced."""
     edges = set()
     covered: set[int] = set()
     for u, v in pairs:
-        if not (isinstance(u, int) and isinstance(v, int)):
+        if not (type(u) is int and type(v) is int):
             raise GraphError(f"pair ({u!r}, {v!r}) has an endpoint that is not an integer")
         e = normalize_edge(u, v)
         if e not in g.edges:

@@ -280,15 +280,9 @@ def test_core_anticore_duality_examples():
 
 
 def test_pendant_characterization_examples():
-    # single edge: a pendant perfect matching exists, but both endpoints are
-    # pendant while alpha is 1, so the counting statements fail (the
-    # three-way equivalence genuinely needs order at least 3)
-    v = pendant_characterization(Facts(Graph(2, [(0, 1)])))
-    assert (v.pendant_pm, v.pendant_count_non_critical, v.ke_stable_pendant_count) == (
-        True,
-        False,
-        False,
-    )
+    # a single edge is outside the scope (tests/test_scopes.py shows why)
+    with pytest.raises(GraphError):
+        pendant_characterization(Facts(Graph(2, [(0, 1)])))
     v = pendant_characterization(Facts(path(3)))
     assert not v.pendant_pm and not v.pendant_count_non_critical
     assert not v.ke_stable_pendant_count

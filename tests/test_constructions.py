@@ -180,6 +180,8 @@ def test_bullet_validation():
         bullet_kp(cycle(4), 2, 0)  # p <= 2 needs an edge
     with pytest.raises(GraphError):
         bullet_kp(cycle(4), 2, (0.9, 1.2))  # not coerced to the edge (0, 1)
+    with pytest.raises(GraphError):
+        bullet_kp(cycle(4), 3, True)  # a bool is not vertex 1
 
 
 @pytest.mark.parametrize("attach", [(0,), (0, 1, 2)])

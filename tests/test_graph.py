@@ -34,10 +34,17 @@ def test_construction_rejects_bad_edges():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphError):
         Graph(-1, [])
-    # endpoints are integers, never coerced: 1.9 is not vertex 1
-    for edges in ([(0, 1.9)], [(0, "2")], [(0, None)], [(1.0, 2)]):
+    # a bool is not an order
+    for n in (True, False):
+        with pytest.raises(GraphError):
+            Graph(n)
+    # endpoints are integers, never coerced: 1.9 is not vertex 1, nor True
+    for edges in ([(0, 1.9)], [(0, "2")], [(0, None)], [(1.0, 2)], [(True, 2)], [(1, False)]):
         with pytest.raises(GraphError):
             Graph(3, edges)
+    for lookup in (Graph(3).check_vertex, Graph(3).neighbors):
+        with pytest.raises(GraphError):
+            lookup(True)
 
 
 def test_graph_is_a_value():

@@ -122,8 +122,9 @@ def test_validate_matching_rejects_bad_input():
         validate_matching(path(3), [(0, 2)])  # not an edge
     with pytest.raises(GraphError):
         validate_matching(path(3), [(0, 1), (1, 2)])  # shared vertex
-    # endpoints are integers, never coerced: (0.7, 1.2) is not the edge 01
-    for pairs in ([(0.7, 1.2)], [(0.0, 1.0)], [(0, "1")], [(None, 1)]):
+    # endpoints are integers, never coerced: (0.7, 1.2) is not the edge 01,
+    # nor is (False, True)
+    for pairs in ([(0.7, 1.2)], [(0.0, 1.0)], [(0, "1")], [(None, 1)], [(False, True)]):
         with pytest.raises(GraphError):
             validate_matching(path(3), pairs)
 

@@ -28,6 +28,12 @@ THREE_TRIANGLES_AND_HUB = (10, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
 # matching, and 2 alpha = 4 > n while |core| = 1.
 K2_PLUS_K1 = (3, [(0, 1)])
 
+# K2 and 2K2, both KE (alpha = mu = n / 2).  Their pendant edges form a
+# perfect matching, but every vertex is pendant, so there are n > alpha
+# pendant vertices: the two counting statements fail.
+K2 = (2, [(0, 1)])
+TWO_K2 = (4, [(0, 1), (2, 3)])
+
 
 def _near_perfect_necessity(f):
     return f.core.core_size > 1 or f.graph.n - 2 * f.mu <= 1
@@ -45,6 +51,15 @@ def _oversized_alpha_core_bound(f):
     return not (f.is_ke and 2 * f.alpha > f.graph.n) or f.core.core_size >= 2
 
 
+def _pendant_characterization(f):
+    g = f.graph
+    pendant_edges = {frozenset((p, g.neighbors(p)[0])) for p in f.pendants}
+    pendant_pm = 2 * len(pendant_edges) == len(frozenset().union(*pendant_edges)) == g.n
+    count_is_alpha = len(f.pendants) == f.alpha
+    return (pendant_pm == (count_is_alpha and not f.alpha_critical_pendants)
+            == (count_is_alpha and f.is_ke and f.stable_by_definition))
+
+
 # (row, hypothesis dropped, witness as (n, edges), the row's statement,
 # the row's verdict)
 SCOPE_WITNESSES = [
@@ -56,6 +71,10 @@ SCOPE_WITNESSES = [
      _alpha_plus_pm_criterion, analysis.check_alpha_plus_pm_criterion),
     ("core-lower-bounds", "connected", K2_PLUS_K1,
      _oversized_alpha_core_bound, analysis.check_core_lower_bounds),
+    ("pendant-characterization", "order at least 3", K2,
+     _pendant_characterization, analysis.pendant_characterization),
+    ("pendant-characterization", "connected", TWO_K2,
+     _pendant_characterization, analysis.pendant_characterization),
 ]
 
 
@@ -66,6 +85,8 @@ def test_the_witness_needs_the_hypothesis(row, hypothesis, witness, statement, v
     f = Facts(g)
     if hypothesis == "KE":
         assert not f.is_ke and f.connected
+    elif hypothesis == "order at least 3":
+        assert f.is_ke and f.connected and g.n < 3
     else:
         assert f.is_ke and not f.connected
     assert not statement(f)
@@ -81,3 +102,6 @@ def test_the_witnesses_are_as_described():
     f = Facts(Graph(*K2_PLUS_K1))
     assert (f.alpha, f.mu, sorted(f.core.core), f.core.anticore_size) == (2, 1, [2], 0)
     assert f.stable_by_definition and not f.has_pm
+    for witness in (K2, TWO_K2):
+        f = Facts(Graph(*witness))
+        assert f.alpha == f.mu == len(f.pendants) // 2

@@ -39,6 +39,8 @@ COUNTED = {
     "matching validations": matching.validate_matching.__code__,
     "partner conversions": matching._match_list.__code__,
     "certificate scans": stable._certificate_failure.__code__,
+    "oracle steps": bruteforce._Budget.spend.__code__,
+    "neighbour lookups": graph.Graph.neighbors.__code__,
 }
 
 
@@ -115,3 +117,21 @@ def test_each_facts_colours_its_graph_once(monkeypatch):
             getattr(f, name)
         assert kegraphs.analysis.check_structure_consistency(f).consistent
     assert len(runs) == 20 * 9
+
+
+def test_oracle_walk_on_the_small_connected_corpus():
+    # the exhaustive blossom, flower and posy oracles on the maximum matching
+    # of each graph: one budget step per neighbour the walk looks at, read
+    # off the adjacency tuples, so no id is checked again
+    cases = [(g, matching.maximum_matching(g))
+             for _, g in verify.connected_corpus(3, 40, 2, 9)]
+
+    def work():
+        for g, m in cases:
+            bruteforce.find_blossoms(g, m)
+            bruteforce.find_flower(g, m)
+            bruteforce.find_posy(g, m)
+
+    counts = _call_counts(work)
+    assert counts["oracle steps"] <= 343_824
+    assert counts["neighbour lookups"] == 0
