@@ -45,7 +45,6 @@ from .graph import (
     _colour_components,
     _induced_subgraph,
     _sides,
-    complement_non_edges,
     delete_vertices,
     neighborhood,
     pendant_vertices,
@@ -233,14 +232,24 @@ class Facts:
         in G and misses u or v, that is, when it is a stable set of G-u or
         of G-v.  So alpha(G+uv) = max(alpha(G-u), alpha(G-v)), and since no
         deletion raises alpha, adding uv lowers it exactly when deleting u
-        and deleting v both do.  The route reads alpha_critical, stops at
-        the first non-edge that lowers alpha, builds no graph and reads no
-        stable-set family, core or anticore.
+        and deleting v both do.  The route takes each u in ascending order
+        with the mask of its later non-neighbours, asks alpha_critical(u)
+        once, and then asks each later non-neighbour in ascending order; it
+        stops at the first non-edge that lowers alpha, builds no graph and
+        reads no stable-set family, core or anticore.
         """
-        critical = self.alpha_critical
-        return not any(
-            critical(u) and critical(v) for u, v in complement_non_edges(self.graph)
-        )
+        g, critical = self.graph, self.alpha_critical
+        full = g.full_mask
+        for u, mask in enumerate(g._masks):  # noqa: SLF001
+            later = full & ~(mask | (2 << u) - 1)
+            if not later or not critical(u):
+                continue
+            while later:
+                low = later & -later
+                if critical(low.bit_length() - 1):
+                    return False
+                later ^= low
+        return True
 
     @cached_property
     def pendants(self) -> tuple[int, ...]:

@@ -83,7 +83,9 @@ def brute_max_matching_size(g: Graph) -> int:
     """Matching number by recursion on the lowest uncovered vertex, matched
     to each neighbour before it is left uncovered.  No matching of the
     vertices in mask has more than popcount(mask) // 2 edges, so a mask
-    stops branching once its best reaches that count."""
+    stops branching once its best reaches that count, and leaves v
+    uncovered only while its best is below popcount(rest) // 2, the most
+    that the rest without v can give."""
     check_cap(g.n, DEFAULT_OMEGA_CAP, "brute matching number")
     masks = g._masks  # noqa: SLF001
     memo: dict[int, int] = {}
@@ -98,13 +100,18 @@ def brute_max_matching_size(g: Graph) -> int:
         v = low.bit_length() - 1
         bound = mask.bit_count() // 2
         best = 0
-        nbrs = masks[v] & mask
+        rest = mask ^ low
+        nbrs = masks[v] & rest
         while nbrs and best < bound:
             ub = nbrs & -nbrs
             nbrs ^= ub
-            best = max(best, 1 + rec(mask ^ low ^ ub))
-        if best < bound:
-            best = max(best, rec(mask ^ low))  # leave v uncovered
+            size = 1 + rec(rest ^ ub)
+            if size > best:
+                best = size
+        if best < rest.bit_count() // 2:  # leave v uncovered
+            size = rec(rest)
+            if size > best:
+                best = size
         memo[mask] = best
         return best
 

@@ -8,7 +8,11 @@ vertex and its matching partner undoes the attachment; gluing a clique
 onto an edge-addition-stable bipartite base preserves stability.
 
 Randomness always flows through random.Random (the Mersenne Twister)
-seeded by the caller, so corpora are reproducible bit for bit.
+seeded by the caller, so corpora are reproducible bit for bit.  A random
+draw is an edge list first: the rejection samplers (random_connected_graph
+here, verify.bipartite_corpus) test connectivity on the drawn edges, so a
+rejected sample costs its random draws and a bitmask flood fill and builds
+no Graph; each kept sample builds exactly one.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import Facts, classify_alpha_plus
-from .graph import Edge, Graph, GraphError, bipartition, delete_vertices, is_connected
+from .graph import Edge, Graph, GraphError, bipartition, delete_vertices
 from .matching import matching_number
 
 
@@ -103,6 +107,8 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
     result keeps the stability number one above the base's and stays
     edge-addition stable.
     """
+    if type(p) is not int:  # a bool is not a clique order
+        raise GraphError(f"clique order must be an integer, got {p!r}")
     if p < 1:
         raise GraphError("clique order must be positive")
     if bipartition(g) is None:
@@ -342,31 +348,61 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
-    return _sample_graph(n, edge_prob, random.Random(seed))
+    return Graph(n, _gnp_edges(n, edge_prob, random.Random(seed)))
 
 
-def _sample_graph(n: int, edge_prob: float, rng: random.Random) -> Graph:
+def _gnp_edges(n: int, edge_prob: float, rng: random.Random) -> list[Edge]:
+    """One G(n, p) draw as an edge list: one rng.random() per pair (i, j),
+    i < j, in lexicographic order."""
     if n < 0 or not 0.0 <= edge_prob <= 1.0:
         raise GraphError("need n >= 0 and edge probability in [0, 1]")
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < edge_prob
-    ]
-    return Graph(n, edges)
+    draw = rng.random
+    return [(i, j) for i in range(n) for j in range(i + 1, n) if draw() < edge_prob]
+
+
+def _bipartite_edges(n1: int, n2: int, edge_prob: float, rng: random.Random) -> list[Edge]:
+    """One bipartite draw as an edge list: one rng.random() per cross pair
+    (i, n1 + j), in lexicographic order."""
+    if n1 < 0 or n2 < 0 or not 0.0 <= edge_prob <= 1.0:
+        raise GraphError("need nonnegative sides and edge probability in [0, 1]")
+    draw = rng.random
+    return [(i, n1 + j) for i in range(n1) for j in range(n2) if draw() < edge_prob]
+
+
+def _edges_connected(n: int, edges: list[Edge]) -> bool:
+    """Whether the graph a draw would build on 0..n-1 is connected, read
+    off the drawn edges by a bitmask flood fill from vertex 0, so that a
+    rejected draw builds no Graph.  n <= 1 counts as connected, as in
+    graph.is_connected."""
+    if n <= 1:
+        return True
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    reached = frontier = 1
+    while frontier:
+        grown = 0
+        while frontier:
+            low = frontier & -frontier
+            grown |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grown & ~reached
+        reached |= frontier
+    return reached == (1 << n) - 1
 
 
 CONNECTED_SAMPLE_TRIES = 10_000
 
 
 def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
-    """Rejection-sample random graphs until one is connected."""
+    """Rejection-sample G(n, p) draws until one is connected.  Each draw is
+    tested on its edge list, and only the accepted one becomes a Graph."""
     rng = random.Random(seed)
     for _ in range(CONNECTED_SAMPLE_TRIES):
-        g = _sample_graph(n, edge_prob, rng)
-        if is_connected(g):
-            return g
+        edges = _gnp_edges(n, edge_prob, rng)
+        if _edges_connected(n, edges):
+            return Graph(n, edges)
     raise GraphError(
         f"no connected sample after {CONNECTED_SAMPLE_TRIES} tries (n={n}, p={edge_prob})"
     )
@@ -382,16 +418,7 @@ def random_tree(n: int, seed: int) -> Graph:
 
 
 def random_bipartite(n1: int, n2: int, edge_prob: float, seed: int) -> Graph:
-    if n1 < 0 or n2 < 0 or not 0.0 <= edge_prob <= 1.0:
-        raise GraphError("need nonnegative sides and edge probability in [0, 1]")
-    rng = random.Random(seed)
-    edges = [
-        (i, n1 + j)
-        for i in range(n1)
-        for j in range(n2)
-        if rng.random() < edge_prob
-    ]
-    return Graph(n1 + n2, edges)
+    return Graph(n1 + n2, _bipartite_edges(n1, n2, edge_prob, random.Random(seed)))
 
 
 def random_bipartite_with_pm(n_side: int, extra_prob: float, seed: int) -> Graph:

@@ -8,9 +8,11 @@ the theorem cross-checks free to compare many variants side by side.
 Graph() checks each given pair once, holding both endpoints to the rule
 check_vertex applies (an int in [0, n), never coerced, so 1.9 is not
 vertex 1, and never a bool, so True is not vertex 1 either; the order n
-must be an int that is not a bool too), and then builds the neighbor
-tuples and the neighbor masks in one pass over the sorted edge set.  In that order every neighbor tuple
-comes out ascending: the edges (u, x) with u < x all come before the
+must be an int that is not a bool too).  Only a pair of two equal ints is
+refused as a self-loop, so (1, True) is out of range, not a loop.  It
+then builds the neighbor tuples and the neighbor masks in one pass over
+the sorted edge set.  In that order every neighbor tuple comes out
+ascending: the edges (u, x) with u < x all come before the
 edges (x, v), so x meets its smaller neighbors first, in ascending order,
 and then its larger ones, in ascending order.
 
@@ -57,9 +59,9 @@ class Graph:
         self.n = n
         edge_set: set[Edge] = set()
         for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            if u == v or not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+                if u == v and type(u) is int and type(v) is int:
+                    raise GraphError(f"self-loop at vertex {u}")
                 raise GraphError(f"edge ({u!r}, {v!r}) out of range for n={n}")
             edge_set.add((u, v) if u < v else (v, u))
         adj: list[list[int]] = [[] for _ in range(n)]

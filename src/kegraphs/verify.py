@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from . import analysis, bruteforce, constructions
 from .analysis import REPORT_CHECKS, Check, Facts, _verdict
 from .edgefile import format_graph
-from .graph import is_connected
+from .graph import Graph
 from .limits import DEFAULT_OMEGA_CAP, CapExceededError
 from .stable import _certificate_failure, _extend
 
@@ -275,7 +275,13 @@ def connected_corpus(seed: int, count_per_size: int, n_lo: int, n_hi: int):
 
 
 def bipartite_corpus(seed: int, count: int, n_max: int):
-    """Seeded connected bipartite graphs of order at most n_max."""
+    """Seeded connected bipartite graphs of order at most n_max.
+
+    Each sample is drawn as constructions.random_bipartite draws it, from
+    random.Random of a seed taken from the corpus rng, and tested for
+    connectivity on its edge list: a disconnected sample is skipped before
+    any Graph exists, and each kept one builds exactly one Graph.
+    """
     rng = random.Random(seed)
     out = []
     made = 0
@@ -283,9 +289,10 @@ def bipartite_corpus(seed: int, count: int, n_max: int):
         n1 = rng.randint(1, n_max - 1)
         n2 = rng.randint(1, min(n_max - n1, n_max - 1))
         p = rng.uniform(0.2, 0.95)
-        g = constructions.random_bipartite(n1, n2, p, rng.randrange(1 << 30))
-        if not is_connected(g):
+        sample = random.Random(rng.randrange(1 << 30))
+        edges = constructions._bipartite_edges(n1, n2, p, sample)
+        if not constructions._edges_connected(n1 + n2, edges):
             continue
-        out.append((f"bip{made}-{n1}x{n2}", g))
+        out.append((f"bip{made}-{n1}x{n2}", Graph(n1 + n2, edges)))
         made += 1
     return out

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from pathlib import Path
 
@@ -34,6 +36,7 @@ from kegraphs.edgefile import format_graph
 from kegraphs.graph import Graph, GraphError, is_connected
 from kegraphs.matching import matching_number
 from kegraphs.stable import core_report, maximum_stable_sets
+from kegraphs.verify import bipartite_corpus, connected_corpus
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -182,6 +185,10 @@ def test_bullet_validation():
         bullet_kp(cycle(4), 2, (0.9, 1.2))  # not coerced to the edge (0, 1)
     with pytest.raises(GraphError):
         bullet_kp(cycle(4), 3, True)  # a bool is not vertex 1
+    with pytest.raises(GraphError, match="clique order must be an integer"):
+        bullet_kp(cycle(4), True, (0, 1))  # a bool is not clique order 1
+    with pytest.raises(GraphError, match="clique order must be positive"):
+        bullet_kp(cycle(4), 0, (0, 1))
 
 
 @pytest.mark.parametrize("attach", [(0,), (0, 1, 2)])
@@ -269,6 +276,42 @@ def test_random_connected_graph_is_connected():
     for _ in range(20):
         g = random_connected_graph(rng.randint(1, 9), 0.4, rng.randrange(1 << 30))
         assert is_connected(g)
+
+
+def _corpus_digest(pairs):
+    rows = [(label, g.n, sorted(g.edges)) for label, g in pairs]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def _seeded_generator_grid():
+    out = []
+    for seed in (1, 2, 3):
+        for n in range(10):
+            for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+                out.append((f"random_graph({n}, {p}, {seed})", random_graph(n, p, seed)))
+                if n <= 1 or p > 0:  # p = 0 never connects two vertices
+                    out.append((f"random_connected_graph({n}, {p}, {seed})",
+                                random_connected_graph(n, p, seed)))
+        for n1 in range(5):
+            for n2 in range(5):
+                for p in (0.0, 0.5, 1.0):
+                    out.append((f"random_bipartite({n1}, {n2}, {p}, {seed})",
+                                random_bipartite(n1, n2, p, seed)))
+    return out
+
+
+@pytest.mark.parametrize("name, make, digest", [
+    ("connected", lambda: connected_corpus(1, 334, 2, 10),
+     "9469c63b95d2376fd18bee812c255d3854878fe44c1f57812d2e06656db6d21a"),
+    ("bipartite", lambda: bipartite_corpus(1, 550, 12),
+     "b0ac8221b197ad066540b28cc5778ecbeae344d61c1443fb8c3e46dde4df789a"),
+    ("grid", _seeded_generator_grid,
+     "e43098edf1be98f7591e3f1502012bbb0f86d6a3e5f1a29a7359fb0d7f1941d7"),
+])
+def test_seeded_corpora_are_pinned(name, make, digest):
+    # every random number is drawn in one fixed order, so each corpus is
+    # the same graph list, label for label, on every run and machine
+    assert _corpus_digest(make()) == digest, name
 
 
 @pytest.mark.parametrize("p", [-0.1, 1.5, float("nan")])

@@ -42,6 +42,14 @@ def test_construction_rejects_bad_edges():
     for edges in ([(0, 1.9)], [(0, "2")], [(0, None)], [(1.0, 2)], [(True, 2)], [(1, False)]):
         with pytest.raises(GraphError):
             Graph(3, edges)
+    # a bool equal to the other endpoint is out of range, not a self-loop,
+    # while an int self-loop is a self-loop in range or not
+    for edges in ([(1, True)], [(0, False)]):
+        with pytest.raises(GraphError, match="out of range"):
+            Graph(3, edges)
+    for edges in ([(0, 0)], [(5, 5)]):
+        with pytest.raises(GraphError, match="self-loop"):
+            Graph(3, edges)
     for lookup in (Graph(3).check_vertex, Graph(3).neighbors):
         with pytest.raises(GraphError):
             lookup(True)
