@@ -22,8 +22,15 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .analysis import Facts, classify_alpha_plus
-from .graph import Edge, Graph, GraphError, bipartition, delete_vertices
+from .graph import Edge, Graph, GraphError, _ascending_edges, bipartition, delete_vertices
 from .matching import matching_number
+
+
+def _check_int(value: object, what: str) -> None:
+    """Hold a size to the package's integer rule: an int, never coerced,
+    and never a bool, so True is not 1."""
+    if type(value) is not int:
+        raise GraphError(f"{what} must be an integer, got {value!r}")
 
 
 # -- joins and pendant pairs ---------------------------------------------------
@@ -37,16 +44,16 @@ def join(h1: Graph, h2: Graph, cross: Iterable[Edge]) -> Graph:
     required when both sides are nonempty.
     """
     cross = list(cross)
-    for u, v in cross:
-        if not (0 <= u < h1.n):
-            raise GraphError(f"cross pair ({u}, {v}): {u} is not an h1 vertex")
-        if not (0 <= v < h2.n):
-            raise GraphError(f"cross pair ({u}, {v}): {v} is not an h2 vertex")
+    for u, v in cross:  # each end an int that is not a bool, as Graph's are
+        if not (type(u) is int and 0 <= u < h1.n):
+            raise GraphError(f"cross pair ({u!r}, {v!r}): {u!r} is not an h1 vertex")
+        if not (type(v) is int and 0 <= v < h2.n):
+            raise GraphError(f"cross pair ({u!r}, {v!r}): {v!r} is not an h2 vertex")
     if h1.n and h2.n and not cross:
         raise GraphError("join of two nonempty graphs needs at least one cross edge")
     shift = h1.n
-    edges = list(h1.edges)
-    edges += [(u + shift, v + shift) for u, v in h2.edges]
+    edges = _ascending_edges(h1._adj)  # noqa: SLF001
+    edges += [(u + shift, v + shift) for u, v in _ascending_edges(h2._adj)]  # noqa: SLF001
     edges += [(u, v + shift) for u, v in cross]
     return Graph(h1.n + h2.n, edges)
 
@@ -74,7 +81,7 @@ def attach_k2(f: Facts, y_edges: Iterable[int]) -> Graph:
             )
     y = g.n
     x = g.n + 1
-    edges = list(g.edges) + [(v, y) for v in sorted(y_set)] + [(y, x)]
+    edges = _ascending_edges(g._adj) + [(v, y) for v in sorted(y_set)] + [(y, x)]  # noqa: SLF001
     return Graph(g.n + 2, edges)
 
 
@@ -107,8 +114,7 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
     result keeps the stability number one above the base's and stays
     edge-addition stable.
     """
-    if type(p) is not int:  # a bool is not a clique order
-        raise GraphError(f"clique order must be an integer, got {p!r}")
+    _check_int(p, "clique order")
     if p < 1:
         raise GraphError("clique order must be positive")
     if bipartition(g) is None:
@@ -135,7 +141,7 @@ def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:
             raise GraphError("for p >= 3, attach must be a single base vertex")
         g.check_vertex(attach)
         cross = [(x, attach)]
-    edges = list(g.edges) + clique + [(u, v) for u, v in cross]
+    edges = _ascending_edges(g._adj) + clique + cross  # noqa: SLF001
     return Graph(g.n + p, edges)
 
 
@@ -342,6 +348,8 @@ def complete(n: int) -> Graph:
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    _check_int(a, "side size")
+    _check_int(b, "side size")
     if a < 0 or b < 0:
         raise GraphError("side sizes must be nonnegative")
     return Graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
@@ -363,6 +371,8 @@ def _gnp_edges(n: int, edge_prob: float, rng: random.Random) -> list[Edge]:
 def _bipartite_edges(n1: int, n2: int, edge_prob: float, rng: random.Random) -> list[Edge]:
     """One bipartite draw as an edge list: one rng.random() per cross pair
     (i, n1 + j), in lexicographic order."""
+    _check_int(n1, "side size")
+    _check_int(n2, "side size")
     if n1 < 0 or n2 < 0 or not 0.0 <= edge_prob <= 1.0:
         raise GraphError("need nonnegative sides and edge probability in [0, 1]")
     draw = rng.random
@@ -424,6 +434,7 @@ def random_bipartite(n1: int, n2: int, edge_prob: float, seed: int) -> Graph:
 def random_bipartite_with_pm(n_side: int, extra_prob: float, seed: int) -> Graph:
     """Balanced bipartite graph with a guaranteed perfect matching: seed the
     matching i <-> n_side + i, then sprinkle extra cross edges."""
+    _check_int(n_side, "side size")
     if n_side < 1 or not 0.0 <= extra_prob <= 1.0:
         raise GraphError("need a positive side size and probability in [0, 1]")
     rng = random.Random(seed)

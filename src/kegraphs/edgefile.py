@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 
-from .graph import Graph
+from .graph import Graph, _ascending_edges
 from .limits import check_cap
 
 
@@ -82,8 +82,9 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
 
 
 def format_graph(g: Graph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    for u, v in sorted(g.edges):
+    edges = _ascending_edges(g._adj)  # noqa: SLF001
+    lines = [f"p {g.n} {len(edges)}"]
+    for u, v in edges:
         lines.append(f"e {u} {v}")
     return "\n".join(lines) + "\n"
 

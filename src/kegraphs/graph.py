@@ -1,9 +1,10 @@
 """Immutable simple undirected graphs over dense 0-based vertex ids.
 
-Vertices are the integers 0..n-1; edges are unordered pairs stored as
-sorted tuples.  Graphs are value objects: every derived graph (induced
-subgraph, vertex deletion, edge addition) is a new instance, which keeps
-the theorem cross-checks free to compare many variants side by side.
+Vertices are the integers 0..n-1; edges are unordered pairs, read as
+sorted tuples (min, max).  Graphs are value objects: every derived graph
+(induced subgraph, vertex deletion, edge addition) is a new instance,
+which keeps the theorem cross-checks free to compare many variants side
+by side.
 
 Graph() checks each given pair once, holding both endpoints to the rule
 check_vertex applies (an int in [0, n), never coerced, so 1.9 is not
@@ -15,6 +16,13 @@ the sorted edge set.  In that order every neighbor tuple comes out
 ascending: the edges (u, x) with u < x all come before the
 edges (x, v), so x meets its smaller neighbors first, in ascending order,
 and then its larger ones, in ascending order.
+
+Those two are the only stored forms of the edges.  Graph.edges is a view:
+a frozenset built from the tuples on its first read and then kept.  No
+package path reads it: m counts the tuples, == and hash compare the masks,
+and every reader that walks the edges (with_edge, _induced_subgraph, the
+constructions, edgefile.format_graph) takes them from the tuples, in
+lexicographic order from _ascending_edges where it needs a list.
 
 Vertex ids from outside are checked where they enter: by the accessors
 and by check_vertex_set.  Traversals over ids the package generated read
@@ -48,10 +56,12 @@ class Graph:
     """A simple graph: no loops, no multi-edges, int endpoints in [0, n).
 
     The edges may come in any order and orientation, and repeated; each
-    is checked, normalised to (min, max) and kept once.
+    is checked, normalised to (min, max) and kept once, as the ascending
+    neighbor tuples and the neighbor masks.  The edges property is a view
+    of them, built on first read.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_masks")
+    __slots__ = ("n", "_adj", "_masks", "_edges")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if type(n) is not int or n < 0:
@@ -71,15 +81,22 @@ class Graph:
             adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.edges: frozenset[Edge] = frozenset(edge_set)
         self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._masks: tuple[int, ...] = tuple(masks)
+        self._edges: frozenset[Edge] | None = None
 
     # -- basic queries ---------------------------------------------------
 
     @property
+    def edges(self) -> frozenset[Edge]:
+        """The edges as (min, max) pairs, built on first read and kept."""
+        if self._edges is None:
+            self._edges = frozenset(_ascending_edges(self._adj))
+        return self._edges
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._adj)) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -120,20 +137,27 @@ class Graph:
         self.check_vertex(v)
         if self._masks[u] >> v & 1:
             raise GraphError(f"edge ({u}, {v}) already present")
-        return Graph(self.n, list(self.edges) + [(u, v)])
+        return Graph(self.n, _ascending_edges(self._adj) + [(u, v)])
 
     # -- value semantics -------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edges == other.edges
+        # for one n, equal masks mean equal edge sets
+        return self.n == other.n and self._masks == other._masks
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._masks))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _ascending_edges(adj: Sequence[tuple[int, ...]]) -> list[Edge]:
+    """The edges of the ascending neighbor tuples adj as (min, max) pairs,
+    in lexicographic order: sorted(g.edges) without the set or the sort."""
+    return [(u, v) for u, nbrs in enumerate(adj) for v in nbrs if v > u]
 
 
 # -- vertex/edge set algebra ----------------------------------------------
@@ -152,8 +176,10 @@ def _induced_subgraph(g: Graph, xs: frozenset[int]) -> tuple[Graph, dict[int, in
     """induced_subgraph of ids the package made, not checked again."""
     ordered = sorted(xs)
     relabel = {old: new for new, old in enumerate(ordered)}
+    adj = g._adj  # noqa: SLF001
     edges = [
-        (relabel[u], relabel[v]) for (u, v) in g.edges if u in xs and v in xs
+        (new, relabel[v]) for new, u in enumerate(ordered) for v in adj[u]
+        if v > u and v in relabel
     ]
     return Graph(len(ordered), edges), relabel
 

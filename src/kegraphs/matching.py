@@ -64,7 +64,8 @@ def validate_matching(g: Graph, pairs: Iterable[Edge]) -> Matching:
         if not (type(u) is int and type(v) is int):
             raise GraphError(f"pair ({u!r}, {v!r}) has an endpoint that is not an integer")
         e = normalize_edge(u, v)
-        if e not in g.edges:
+        # the range test comes first: a negative id must not index the masks
+        if not (0 <= e[0] and e[1] < g.n and g._masks[e[0]] >> e[1] & 1):  # noqa: SLF001
             raise GraphError(f"pair {e} is not an edge of the graph")
         if e[0] in covered or e[1] in covered:
             raise GraphError(f"edges share a vertex at {e}")

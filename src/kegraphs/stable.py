@@ -243,11 +243,18 @@ def _certify(g: Graph, partner: list[int], s: frozenset[int]) -> Certification:
 
 def _certificate_failure(g: Graph, partner: list[int], s: frozenset[int]) -> str | None:
     """The first witness against the certificate of a checked matching's
-    partner list and a checked s, or None when s passes.  The heavy edges
-    are met in ascending lower endpoint, the order of the sorted matching."""
-    for u, v in g.edges:
-        if u in s and v in s:
-            return f"not stable: edge ({u}, {v}) inside the set"
+    partner list and a checked s, or None when s passes.  An edge inside s
+    is the lexicographically first one, and the heavy edges are met in
+    ascending lower endpoint, the order of the sorted matching."""
+    masks = g._masks  # noqa: SLF001 - every id here is checked
+    inside = 0
+    for v in s:
+        inside |= 1 << v
+    for u in sorted(s):
+        # the first member with a neighbour in s meets only later ones
+        hit = masks[u] & inside
+        if hit:
+            return f"not stable: edge ({u}, {(hit & -hit).bit_length() - 1}) inside the set"
     for v in range(g.n):
         if partner[v] == -1 and v not in s:
             return f"exposed vertex {v} missing from the set"

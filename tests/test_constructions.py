@@ -69,6 +69,32 @@ def test_join_validation():
         join(Graph(2), Graph(2), [(0, 5)])
     with pytest.raises(GraphError):
         join(Graph(2), Graph(2), [])
+    # each end of a cross pair is an int that is not a bool, and a refusal
+    # names the pair as given, not shifted into the result's numbering
+    for pair in [(0, True), (True, 0), (0.0, 1), (0, 1.0)]:
+        with pytest.raises(GraphError, match=rf"cross pair \({pair[0]!r}, {pair[1]!r}\)"):
+            join(path(3), path(2), [pair])
+
+
+def test_side_sizes_are_ints_that_are_not_bools():
+    bad = [
+        lambda: complete_bipartite(True, 2),
+        lambda: complete_bipartite(2, False),
+        lambda: complete_bipartite(2.0, 2),
+        lambda: random_bipartite(True, 2, 0.5, 1),
+        lambda: random_bipartite(2, 2.0, 0.5, 1),
+        lambda: random_bipartite_with_pm(True, 0.5, 1),
+        lambda: random_bipartite_with_pm(2.0, 0.5, 1),
+    ]
+    for build in bad:
+        with pytest.raises(GraphError, match="side size must be an integer"):
+            build()
+    with pytest.raises(GraphError, match="side sizes must be nonnegative"):
+        complete_bipartite(-1, 2)
+    with pytest.raises(GraphError, match="need nonnegative sides"):
+        random_bipartite(2, -1, 0.5, 1)
+    with pytest.raises(GraphError, match="need a positive side size"):
+        random_bipartite_with_pm(0, 0.5, 1)
 
 
 def test_join_property_stable_side_with_cut_matching():

@@ -122,6 +122,12 @@ def test_validate_matching_rejects_bad_input():
         validate_matching(path(3), [(0, 2)])  # not an edge
     with pytest.raises(GraphError):
         validate_matching(path(3), [(0, 1), (1, 2)])  # shared vertex
+    # ids outside [0, n) are no edge: a negative one never indexes the
+    # neighbour masks from the end (mask -1 of P3 holds vertex 1), nor
+    # does one past the end raise IndexError
+    for pair in [(-1, 0), (0, 3), (-1, 1), (3, 4)]:
+        with pytest.raises(GraphError, match="is not an edge of the graph"):
+            validate_matching(path(3), [pair])
     # endpoints are integers, never coerced: (0.7, 1.2) is not the edge 01,
     # nor is (False, True)
     for pairs in ([(0.7, 1.2)], [(0.0, 1.0)], [(0, "1")], [(None, 1)], [(False, True)]):

@@ -23,7 +23,13 @@ from kegraphs.bruteforce import (
 )
 from kegraphs.cli import main
 from kegraphs.edgefile import format_graph, parse_graph
-from kegraphs.graph import Graph, complement_non_edges, delete_vertices, normalize_edge
+from kegraphs.graph import (
+    Graph,
+    _ascending_edges,
+    complement_non_edges,
+    delete_vertices,
+    normalize_edge,
+)
 from kegraphs.matching import has_flower, has_posy
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -100,6 +106,48 @@ def test_neighbor_tuples_and_masks_are_read_off_the_edge_set(data):
         assert h._masks[v] == sum(1 << w for w in nbrs)
     assert h == g and hash(h) == hash(g)
     assert (h._adj, h._masks) == (g._adj, g._masks)
+
+
+@st.composite
+def presented_edges(draw, max_n=8):
+    """An order n, an edge set on it as (min, max) pairs, and the pairs as
+    given to Graph: shuffled, some reversed and some repeated."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = frozenset(e for e, k in zip(pairs, keep) if k)
+    given = [(v, u) if draw(st.booleans()) else (u, v) for u, v in sorted(edges)]
+    if given:
+        given += draw(st.lists(st.sampled_from(given), max_size=6))
+    return n, edges, draw(st.permutations(given))
+
+
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_the_edge_view_is_built_on_first_read_from_the_stored_forms(data):
+    n, edges, given = data.draw(presented_edges())
+    kind = data.draw(st.sampled_from(["same", "larger order", "other"]))
+    if kind == "same":
+        b = Graph(n, data.draw(st.permutations(given)))
+    elif kind == "larger order":
+        b = Graph(n + 1, given)
+    else:
+        n_b, _, given_b = data.draw(presented_edges())
+        b = Graph(n_b, given_b)
+    a = Graph(n, given)
+    equal, hashes_equal, m = a == b, hash(a) == hash(b), a.m
+    # m, == and hash read the stored forms and never build the view
+    assert a._edges is None and b._edges is None
+    assert a.edges == edges and a._edges is a.edges
+    assert m == len(a.edges)
+    assert _ascending_edges(a._adj) == sorted(a.edges)
+    text = f"p {n} {len(edges)}\n" + "".join(f"e {u} {v}\n" for u, v in sorted(a.edges))
+    assert format_graph(a) == text
+    assert equal == (a.n == b.n and a.edges == b.edges)
+    if kind != "other":
+        assert equal == (kind == "same")
+    if equal:
+        assert hashes_equal
 
 
 @PROPERTY_SETTINGS

@@ -237,6 +237,16 @@ def test_certificate_accepts_and_rejects():
     assert not missing.ok and "exposed" in missing.reason
 
 
+def test_certificate_names_the_first_edge_inside_the_set():
+    # each set holds two edges of the KE graph C6; the reason names the
+    # lexicographically first, whatever order an edge set would iterate in
+    m = [(0, 1), (2, 3), (4, 5)]
+    for s, first in [({3, 4, 5}, (3, 4)), ({0, 4, 5}, (0, 5))]:
+        verdict = certify_max_stable(cycle(6), m, s)
+        assert not verdict.ok
+        assert verdict.reason == f"not stable: edge {first} inside the set"
+
+
 def test_passing_certificate_needs_no_stability_number(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("stability_number was computed")

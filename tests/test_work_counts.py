@@ -41,6 +41,7 @@ COUNTED = {
     "certificate scans": stable._certificate_failure.__code__,
     "oracle steps": bruteforce._Budget.spend.__code__,
     "neighbour lookups": graph.Graph.neighbors.__code__,
+    "edge-set reads": graph.Graph.edges.fget.__code__,
 }
 
 
@@ -75,6 +76,8 @@ def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
     # each Facts converts its canonical matching once, if at all
     assert counts["partner conversions"] <= counts["facts"]
     assert counts["matching validations"] == 0
+    # Graph keeps no edge set, and no package path builds the view
+    assert counts["edge-set reads"] == 0
 
 
 def test_verify_work_on_the_general_corpus():
@@ -103,6 +106,7 @@ def test_verify_work_on_the_general_corpus():
     assert counts["matching validations"] == 0
     assert counts["partner conversions"] <= 1953
     assert counts["certificate scans"] <= 513
+    assert counts["edge-set reads"] == 0
 
 
 def test_corpus_generation_builds_one_graph_per_kept_sample():
