@@ -16,14 +16,22 @@ a Graph: full_report, is_koenig_egervary and is_alpha_critical.
 full_report returns the JSON document kegraphs analyze writes.
 
 Each per-theorem verdict (the check_* functions and
-pendant_characterization) returns a frozen dataclass whose consistent
-field or property says whether the statement held; the other fields
-record the sides that were compared; a verdict raises on an input
-outside its scope.  A Check row pairs a theorem with that scope
-(applies) and says what disagreed when it fails (run), a verdict row by
-the verdict's repr.  REPORT_CHECKS holds the rows full_report re-checks,
-on the graph and on each component of a disconnected one; verify.CHECKS
-runs the same objects.
+pendant_characterization) returns a frozen dataclass whose fields record
+the sides that were compared and whose consistent says whether the
+statement held.  The rule is written once per shape: an equivalence is
+consistent when all its sides agree (_Agreement), a list of statements
+when each holds (_Conjunction); a verdict that counts or gates stores
+consistent as a field, and two keep a rule of their own.
+
+Each scope is one predicate of Facts (_ke, _connected_ke, _pendant_scope,
+_nontrivial_connected, _bipartite, _connected_bipartite) with the text of
+its refusal beside it.  A verdict refuses an input outside its scope
+through _require, with a GraphError.  A Check row pairs a theorem with
+that same predicate (applies) and says what disagreed when it fails
+(run), a verdict row by the verdict's repr; core-lower-bounds alone
+applies more narrowly than its verdict's scope.  REPORT_CHECKS holds the
+rows full_report re-checks, on the graph and on each component of a
+disconnected one; verify.CHECKS runs the same objects.
 """
 
 from __future__ import annotations
@@ -114,10 +122,7 @@ class Facts:
 
     def facts_of(self, h: Graph) -> Facts:
         """The Facts of a graph derived from this one (a component, a
-        deletion, a construction), one per distinct graph; a connected
-        graph is its own component and gets this very Facts back."""
-        if h == self.graph:
-            return self  # storing self in _derived would make a reference cycle
+        deletion, a construction), one per distinct graph."""
         if h not in self._derived:
             self._derived[h] = Facts(h)
         return self._derived[h]
@@ -321,25 +326,90 @@ def classify_alpha_plus(f: Facts) -> StabilityClassification:
     return StabilityClassification("not_stable", (u, v))
 
 
+# -- scopes --------------------------------------------------------------------
+#
+# A scope's needs names the graphs it admits, for _require's refusal; it is
+# an attribute, not a docstring, so python -OO keeps it.
+
+
+def _ke(f: Facts) -> bool:
+    return f.is_ke
+
+
+_ke.needs = "Koenig-Egervary graphs"
+
+
+def _connected_ke(f: Facts) -> bool:
+    return f.is_ke and f.connected and f.graph.n >= 2
+
+
+_connected_ke.needs = "connected Koenig-Egervary graphs of order at least 2"
+
+
+def _pendant_scope(f: Facts) -> bool:
+    return f.connected and f.graph.n >= 3
+
+
+_pendant_scope.needs = "connected graphs of order at least 3"  # K2 and 2K2 break it
+
+
+def _nontrivial_connected(f: Facts) -> bool:
+    return f.connected and f.graph.n >= 2
+
+
+_nontrivial_connected.needs = "connected graphs of order at least 2"
+
+
+def _bipartite(f: Facts) -> bool:
+    return f.bipartite
+
+
+_bipartite.needs = "bipartite graphs"
+
+
+def _connected_bipartite(f: Facts) -> bool:
+    return f.bipartite and f.connected and f.graph.n >= 2
+
+
+_connected_bipartite.needs = "connected bipartite graphs of order at least 2"
+
+
+def _require(f: Facts, scope: Callable[[Facts], bool]) -> None:
+    """The one refusal of a statement outside its scope."""
+    if not scope(f):
+        raise GraphError(f"stated only for {scope.needs}")
+
+
 # -- per-theorem verdicts ------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class ArithmeticVerdict:
+class _Agreement:
+    """A verdict whose fields are the sides of one equivalence, each from
+    its own route: consistent when they all agree."""
+
+    @property
+    def consistent(self) -> bool:
+        return len(set(vars(self).values())) == 1
+
+
+@dataclass(frozen=True)
+class _Conjunction:
+    """A verdict whose fields are statements that must each hold."""
+
+    @property
+    def consistent(self) -> bool:
+        return all(vars(self).values())
+
+
+@dataclass(frozen=True)
+class ArithmeticVerdict(_Conjunction):
     """KE arithmetic: alpha >= n/2 >= mu; perfect matching iff alpha == mu;
     and, among graphs with a perfect matching, alpha == mu iff KE."""
 
     bounds_hold: bool
     pm_iff_alpha_equals_mu: bool
     pm_graphs_alpha_mu_iff_ke: bool
-
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.bounds_hold
-            and self.pm_iff_alpha_equals_mu
-            and self.pm_graphs_alpha_mu_iff_ke
-        )
 
 
 def check_ke_arithmetic(f: Facts) -> ArithmeticVerdict:
@@ -364,8 +434,7 @@ def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
     past the KE gate the matching side reads only the maximum matchings'
     edge union, never alpha, core or anticore.  An edge lies in the cut
     (s, V - s) when one endpoint is in s."""
-    if not f.is_ke:
-        raise GraphError("cut containment is a KE-only property")
+    _require(f, _ke)
     fam, edges = f.family, f.matching_summary.edges
     consistent = all((u in s) != (v in s) for s in fam.sets for u, v in edges)
     return CutContainmentVerdict(len(fam.sets), consistent)
@@ -401,8 +470,7 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     enumerated family and the certified side only the maximum matchings'
     summary and their size mu; neither reads alpha, core or anticore.
     """
-    if not f.is_ke:
-        raise GraphError("the stable-set certificate is a KE-only property")
+    _require(f, _ke)
     g = f.graph
     members = {_as_mask(s) for s in f.family.sets}
     exposed_sets = f.matching_summary.exposed
@@ -421,66 +489,43 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
 
 
 @dataclass(frozen=True)
-class AnticoreEmptyVerdict:
+class AnticoreEmptyVerdict(_Agreement):
     """Empty anticore iff perfect matching plus blossom-free, both sides
     computed independently."""
 
     anticore_empty: bool
     pm_and_blossom_free: bool
 
-    @property
-    def consistent(self) -> bool:
-        return self.anticore_empty == self.pm_and_blossom_free
-
-
-def _connected_ke(f: Facts) -> bool:
-    """The scope of the anticore, alpha-plus and core-lower-bound verdicts."""
-    return f.is_ke and f.connected and f.graph.n >= 2
-
-
-def _require_connected_ke(f: Facts) -> None:
-    """The scope of the anticore and alpha-plus criteria."""
-    if not _connected_ke(f):
-        raise GraphError("criterion requires a connected KE graph of order at least 2")
-
 
 def check_anticore_empty_criterion(f: Facts) -> AnticoreEmptyVerdict:
-    _require_connected_ke(f)
+    _require(f, _connected_ke)
     right = f.has_pm and f.blossom_free
     return AnticoreEmptyVerdict(f.core.anticore_size == 0, right)
 
 
 @dataclass(frozen=True)
-class PmCriterionVerdict:
+class PmCriterionVerdict(_Agreement):
     """Edge-addition stability iff perfect matching plus anticore of size at
     most one."""
 
     stable_by_definition: bool
     pm_and_small_anticore: bool
 
-    @property
-    def consistent(self) -> bool:
-        return self.stable_by_definition == self.pm_and_small_anticore
-
 
 def check_alpha_plus_pm_criterion(f: Facts) -> PmCriterionVerdict:
-    _require_connected_ke(f)
+    _require(f, _connected_ke)
     right = f.has_pm and f.core.anticore_size <= 1
     return PmCriterionVerdict(f.stable_by_definition, right)
 
 
 @dataclass(frozen=True)
-class ThreeRouteVerdict:
+class ThreeRouteVerdict(_Agreement):
     """Edge-addition stability decided by three independent routes: the
     definition, the core/anticore sizes, and matching structure."""
 
     by_definition: bool
     by_core_sets: bool
     by_matching_structure: bool
-
-    @property
-    def consistent(self) -> bool:
-        return self.by_definition == self.by_core_sets == self.by_matching_structure
 
 
 def _structural_stability_route(f: Facts) -> bool:
@@ -507,7 +552,7 @@ def _structural_stability_route(f: Facts) -> bool:
 
 
 def check_alpha_plus_three_routes(f: Facts) -> ThreeRouteVerdict:
-    _require_connected_ke(f)
+    _require(f, _connected_ke)
     rep = f.core
     by_core = rep.anticore_size == 0 or (rep.anticore_size == 1 and f.has_pm)
     return ThreeRouteVerdict(
@@ -519,29 +564,22 @@ def pm_via_core(f: Facts) -> bool:
     """Perfect-matching test through core sizes: for KE graphs a perfect
     matching exists exactly when core and anticore have the same size.
     Refuses non-KE inputs, where the equality proves nothing."""
-    if not f.is_ke:
-        raise GraphError("core-size comparison decides perfect matchings only "
-                         "for Koenig-Egervary graphs")
+    _require(f, _ke)
     return f.core.core_size == f.core.anticore_size
 
 
 @dataclass(frozen=True)
-class CoreDualityVerdict:
+class CoreDualityVerdict(_Conjunction):
     """N(core) equals the anticore, and any maximum matching pairs every
     anticore vertex with a core vertex."""
 
     neighborhood_equals_anticore: bool
     anticore_matched_into_core: bool
 
-    @property
-    def consistent(self) -> bool:
-        return self.neighborhood_equals_anticore and self.anticore_matched_into_core
-
 
 def check_core_anticore_duality(f: Facts) -> CoreDualityVerdict:
     """Reads the canonical maximum matching."""
-    if not f.is_ke:
-        raise GraphError("core/anticore duality is a KE-only property")
+    _require(f, _ke)
     rep = f.core
     lemma5 = neighborhood(f.graph, rep.core) == rep.anticore
     # an exposed vertex's -1 is never in the core
@@ -559,15 +597,14 @@ class NearPerfectVerdict:
 
 
 def check_near_perfect_necessity(f: Facts) -> NearPerfectVerdict:
-    if not f.is_ke:
-        raise GraphError("near-perfect necessity is stated for KE graphs")
+    _require(f, _ke)
     if f.core.core_size > 1:
         return NearPerfectVerdict(False, True)
     return NearPerfectVerdict(True, f.graph.n - 2 * f.mu <= 1)
 
 
 @dataclass(frozen=True)
-class PendantVerdict:
+class PendantVerdict(_Agreement):
     """Three-way equivalence for pendant structure: a perfect matching made
     of pendant edges; exactly alpha pendant vertices with none critical;
     KE plus edge-addition-stable with exactly alpha pendant vertices."""
@@ -576,23 +613,10 @@ class PendantVerdict:
     pendant_count_non_critical: bool
     ke_stable_pendant_count: bool
 
-    @property
-    def consistent(self) -> bool:
-        return self.pendant_pm == self.pendant_count_non_critical == self.ke_stable_pendant_count
-
-
-def _pendant_scope(f: Facts) -> bool:
-    """The scope of the pendant characterization: a connected graph of
-    order at least 3 (K2 and 2K2 both break it)."""
-    return f.connected and f.graph.n >= 3
-
 
 def pendant_characterization(f: Facts) -> PendantVerdict:
+    _require(f, _pendant_scope)
     g = f.graph
-    if not _pendant_scope(f):
-        raise GraphError(
-            "pendant characterization requires a connected graph of order at least 3"
-        )
     pendants = f.pendants
     pendant_edges = {tuple(sorted((p, g.neighbors(p)[0]))) for p in pendants}
     covered = [v for e in pendant_edges for v in e]
@@ -620,9 +644,7 @@ class CoreLowerBoundVerdict:
 
 
 def check_core_lower_bounds(f: Facts) -> CoreLowerBoundVerdict:
-    if f.graph.n < 2 or not f.connected:
-        raise GraphError("core lower bounds are stated for connected graphs of "
-                         "order at least 2")
+    _require(f, _nontrivial_connected)
     semi_applies = f.is_ke and 2 * f.alpha > f.graph.n
     semi_holds = f.core.core_size >= 2 if semi_applies else True
     sides = f.sides
@@ -632,7 +654,7 @@ def check_core_lower_bounds(f: Facts) -> CoreLowerBoundVerdict:
 
 
 @dataclass(frozen=True)
-class BipartiteEquivalenceVerdict:
+class BipartiteEquivalenceVerdict(_Agreement):
     """For connected bipartite graphs: edge-addition stability, a perfect
     matching, two maximum stable sets partitioning V, and an empty core are
     all equivalent."""
@@ -642,22 +664,9 @@ class BipartiteEquivalenceVerdict:
     partition_pair: bool
     empty_core: bool
 
-    @property
-    def consistent(self) -> bool:
-        return (
-            self.stable_by_definition
-            == self.has_pm
-            == self.partition_pair
-            == self.empty_core
-        )
-
 
 def check_bipartite_equivalences(f: Facts) -> BipartiteEquivalenceVerdict:
-    if f.graph.n < 2 or not f.connected:
-        raise GraphError("bipartite equivalences are stated for connected graphs "
-                         "of order at least 2")
-    if not f.bipartite:
-        raise GraphError("graph is not bipartite")
+    _require(f, _connected_bipartite)
     members = set(f.family.sets)
     full = frozenset(range(f.graph.n))
     pair = any(full - s in members for s in f.family.sets)
@@ -676,8 +685,7 @@ class BipartiteZeroCoreVerdict:
 
 
 def check_bipartite_zero_core(f: Facts) -> BipartiteZeroCoreVerdict:
-    if not f.bipartite:
-        raise GraphError("graph is not bipartite")
+    _require(f, _bipartite)
     rep = f.core
     if rep.core_size != rep.anticore_size:
         return BipartiteZeroCoreVerdict(False, True)
@@ -780,13 +788,15 @@ REPORT_CHECKS: tuple[Check, ...] = (
           _connected_ke, _verdict(check_alpha_plus_three_routes)),
     Check("core-anticore-duality",
           "N(core) equals anticore and is matched into the core",
-          lambda f: f.is_ke, _verdict(check_core_anticore_duality)),
+          _ke, _verdict(check_core_anticore_duality)),
     Check("pm-iff-core-equals-anticore",
           "perfect matching iff core and anticore sizes agree",
-          lambda f: f.is_ke, _check_pm_core_sizes),
+          _ke, _check_pm_core_sizes),
     Check("pendant-characterization",
           "pendant perfect matching three-way equivalence",
           _pendant_scope, _verdict(pendant_characterization)),
+    # gates narrower than its verdict's scope, _nontrivial_connected: widening
+    # the row changes its counts in the pinned verify tables
     Check("core-lower-bounds",
           "oversized alpha or unequal sides force core size >= 2",
           _connected_ke, _verdict(check_core_lower_bounds)),

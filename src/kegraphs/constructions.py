@@ -152,6 +152,8 @@ def non_ke_alpha_plus_family(n: int, variant: int) -> Graph:
     is exactly the pendant.  variant 0: a p-clique (p = n - 2 >= 3) glued to
     one endpoint of a single edge; the core is empty.
     """
+    _check_int(n, "order")
+    _check_int(variant, "variant")
     if n < 5:
         raise GraphError("the family starts at order 5")
     if variant not in (0, 1):
@@ -330,18 +332,21 @@ FIG3_PM: frozenset[Edge] = frozenset({(0, 1), (2, 3), (4, 5), (6, 7)})
 
 
 def path(n: int) -> Graph:
+    _check_int(n, "path order")
     if n < 0:
         raise GraphError("path order must be nonnegative")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle(n: int) -> Graph:
+    _check_int(n, "cycle order")
     if n < 3:
         raise GraphError("cycle order must be at least 3")
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete(n: int) -> Graph:
+    _check_int(n, "complete-graph order")
     if n < 0:
         raise GraphError("complete-graph order must be nonnegative")
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
@@ -362,6 +367,7 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
 def _gnp_edges(n: int, edge_prob: float, rng: random.Random) -> list[Edge]:
     """One G(n, p) draw as an edge list: one rng.random() per pair (i, j),
     i < j, in lexicographic order."""
+    _check_int(n, "order")
     if n < 0 or not 0.0 <= edge_prob <= 1.0:
         raise GraphError("need n >= 0 and edge probability in [0, 1]")
     draw = rng.random
@@ -420,6 +426,7 @@ def random_connected_graph(n: int, edge_prob: float, seed: int) -> Graph:
 
 def random_tree(n: int, seed: int) -> Graph:
     """Uniform-ish random tree: each vertex i >= 1 hangs off an earlier one."""
+    _check_int(n, "tree order")
     if n < 1:
         raise GraphError("tree order must be positive")
     rng = random.Random(seed)

@@ -8,7 +8,8 @@ implementation bug.  run_checks builds one analysis.Facts per input graph
 and hands it to every check.  CHECKS ends with analysis.REPORT_CHECKS,
 the rows full_report re-checks too.  Most checks are an analysis verdict
 run through _verdict: the check passes when the verdict is consistent,
-and a failure line carries the verdict's repr.  A check that raises
+and a failure line carries the verdict's repr.  Such a row's applies is
+the analysis scope its verdict refuses through.  A check that raises
 (TheoremViolationError included) fails on that graph, and its failure
 line names the exception; only a refusal above a cap (CapExceededError)
 and MemoryError end the run.  The checks with logic of
@@ -161,13 +162,13 @@ CHECKS: tuple[Check, ...] = (
           lambda f: True, _verdict(analysis.check_structure_consistency)),
     Check("matchings-in-cut",
           "every maximum matching lies in every maximum-stable-set cut",
-          lambda f: f.is_ke, _verdict(analysis.check_matchings_in_cuts)),
+          analysis._ke, _verdict(analysis.check_matchings_in_cuts)),
     Check("stable-set-certificate",
           "exposed+endpoint certificate equals family membership",
-          lambda f: f.is_ke, _verdict(analysis.check_certificate_equivalence)),
+          analysis._ke, _verdict(analysis.check_certificate_equivalence)),
     Check("near-perfect-necessity",
           "edge-addition-stable KE graphs have (near-)perfect matchings",
-          lambda f: f.is_ke, _verdict(analysis.check_near_perfect_necessity)),
+          analysis._ke, _verdict(analysis.check_near_perfect_necessity)),
     Check("ke-decomposition",
           "stable side * matched rest decomposition is valid",
           lambda f: f.is_ke and f.connected, _check_decomposition),
@@ -188,11 +189,10 @@ CHECKS: tuple[Check, ...] = (
           _check_extension),
     Check("bipartite-equivalences",
           "stability, perfect matching, partition pair, empty core agree",
-          lambda f: f.bipartite and f.connected and f.graph.n >= 2,
-          _verdict(analysis.check_bipartite_equivalences)),
+          analysis._connected_bipartite, _verdict(analysis.check_bipartite_equivalences)),
     Check("bipartite-zero-core",
           "equal core and anticore sizes force both empty",
-          lambda f: f.bipartite, _verdict(analysis.check_bipartite_zero_core)),
+          analysis._bipartite, _verdict(analysis.check_bipartite_zero_core)),
     *REPORT_CHECKS,
 )
 

@@ -97,6 +97,25 @@ def test_side_sizes_are_ints_that_are_not_bools():
         random_bipartite_with_pm(0, 0.5, 1)
 
 
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: path(2.0), "path order must be an integer, got 2.0"),
+    (lambda: cycle(3.0), "cycle order must be an integer, got 3.0"),
+    (lambda: complete(3.0), "complete-graph order must be an integer, got 3.0"),
+    (lambda: random_tree(2.0, 1), "tree order must be an integer, got 2.0"),
+    (lambda: random_graph(2.0, 0.5, 1), "order must be an integer, got 2.0"),
+    (lambda: random_connected_graph(2.0, 0.5, 1), "order must be an integer, got 2.0"),
+    (lambda: non_ke_alpha_plus_family(5.0, 1), "order must be an integer, got 5.0"),
+    (lambda: non_ke_alpha_plus_family(5, True), "variant must be an integer, got True"),
+    (lambda: non_ke_alpha_plus_family(5, 1.0), "variant must be an integer, got 1.0"),
+], ids=["path", "cycle", "complete", "random_tree", "random_graph",
+        "random_connected_graph", "family_order", "family_bool_variant",
+        "family_float_variant"])
+def test_construction_orders_are_integers(build, message):
+    # a float or bool order or variant is refused, not coerced
+    with pytest.raises(GraphError, match=f"^{message}$"):
+        build()
+
 def test_join_property_stable_side_with_cut_matching():
     rng = random.Random(44)
     for _ in range(60):

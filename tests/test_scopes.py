@@ -6,9 +6,11 @@ on Facts with the gate dropped, fails.  The gated row must not apply to
 the witness, and its verdict must refuse it.
 """
 
+import random
+
 import pytest
 
-from kegraphs import analysis, verify
+from kegraphs import analysis, constructions, verify
 from kegraphs.analysis import Facts
 from kegraphs.graph import Graph, GraphError
 
@@ -105,3 +107,113 @@ def test_the_witnesses_are_as_described():
     for witness in (K2, TWO_K2):
         f = Facts(Graph(*witness))
         assert f.alpha == f.mu == len(f.pendants) // 2
+
+
+# K3 and K1 for the bipartite rows: both are connected, K3 has order 3 but
+# an odd cycle, K1 is bipartite but of order 1.  Each is edge-addition
+# stable by definition (no non-edge to add) and has no perfect matching.
+K3 = (3, [(0, 1), (1, 2), (0, 2)])
+K1 = (1, [])
+
+
+def _bipartite_equivalences(f):
+    members = set(f.family.sets)
+    full = frozenset(range(f.graph.n))
+    partition_pair = any(full - s in members for s in f.family.sets)
+    return f.stable_by_definition == f.has_pm == partition_pair == (f.core.core_size == 0)
+
+
+def _bipartite_zero_core(f):
+    return f.core.core_size != f.core.anticore_size or f.core.core_size == 0
+
+
+# (row, hypothesis dropped, witness graph, the row's statement, the row's verdict)
+BIPARTITE_WITNESSES = [
+    ("bipartite-zero-core", "bipartite", constructions.fixture_by_name("fig4_g1").graph,
+     _bipartite_zero_core, analysis.check_bipartite_zero_core),
+    ("bipartite-equivalences", "bipartite", Graph(*K3),
+     _bipartite_equivalences, analysis.check_bipartite_equivalences),
+    ("bipartite-equivalences", "order at least 2", Graph(*K1),
+     _bipartite_equivalences, analysis.check_bipartite_equivalences),
+    ("bipartite-equivalences", "connected", Graph(*K2_PLUS_K1),
+     _bipartite_equivalences, analysis.check_bipartite_equivalences),
+]
+
+
+@pytest.mark.parametrize("row, hypothesis, g, statement, verdict", BIPARTITE_WITNESSES,
+                         ids=[f"{row}-{hyp}" for row, hyp, *_ in BIPARTITE_WITNESSES])
+def test_the_bipartite_rows_need_their_hypotheses(row, hypothesis, g, statement, verdict):
+    f = Facts(g)
+    holds = {"bipartite": f.bipartite, "connected": f.connected,
+             "order at least 2": g.n >= 2}
+    assert not holds.pop(hypothesis) and all(holds.values())
+    assert not statement(f)
+    summary = verify.run_checks([("witness", g)], [row])
+    assert summary.checks[row].applicable == 0
+    with pytest.raises(GraphError):
+        verdict(f)
+
+
+def test_the_bipartite_witnesses_are_as_described():
+    f = Facts(constructions.fixture_by_name("fig4_g1").graph)
+    assert f.is_ke and f.connected and not f.bipartite
+    assert (sorted(f.core.core), sorted(f.core.anticore)) == ([7], [6])
+    for witness in (K3, K1):
+        f = Facts(Graph(*witness))
+        assert f.stable_by_definition and not f.has_pm
+
+
+def _scoped_rows():
+    """The verify rows that run an analysis verdict, and the one row that
+    runs pm_via_core, which refuses through the same helper."""
+    verdict_row = analysis._verdict(analysis.check_ke_arithmetic).__code__
+    return [row for row in verify.CHECKS
+            if row.run.__code__ is verdict_row or row.name == "pm-iff-core-equals-anticore"]
+
+
+def _scope_corpus():
+    """Seeded graphs on each side of every scope: connected and not, KE and
+    not, bipartite and not, and orders 0 to 10."""
+    rng = random.Random(50)
+    graphs = [g for _, g in verify.connected_corpus(1, 20, 1, 9)]
+    graphs += [g for _, g in verify.bipartite_corpus(1, 40, 10)]
+    graphs += [constructions.random_graph(rng.randint(0, 9), rng.random(), rng.randrange(1 << 30))
+               for _ in range(200)]
+    return graphs
+
+
+@pytest.mark.parametrize("row", _scoped_rows(), ids=lambda row: row.name)
+def test_a_row_applies_exactly_where_its_verdict_answers(monkeypatch, row):
+    # the scope a verdict refuses through is the row's applies, the very
+    # same predicate; core-lower-bounds alone gates narrower than its verdict
+    required = []
+    require = analysis._require
+
+    def record(f, scope):
+        required.append(scope)
+        require(f, scope)
+
+    monkeypatch.setattr(analysis, "_require", record)
+    outcomes = []
+    for g in _scope_corpus():
+        f = Facts(g)
+        try:
+            row.run(f)
+            refusal = None
+        except GraphError as exc:
+            refusal = str(exc)
+        outcomes.append((f, refusal))
+    scopes = set(required)
+    if not scopes:  # a row without a scope answers on every graph
+        assert all(row.applies(f) and refusal is None for f, refusal in outcomes)
+        return
+    (scope,) = scopes
+    if row.name == "core-lower-bounds":
+        assert (row.applies, scope) == (analysis._connected_ke, analysis._nontrivial_connected)
+        assert all(scope(f) for f, _ in outcomes if row.applies(f))
+    else:
+        assert scope is row.applies
+    for f, refusal in outcomes:
+        assert refusal == (None if scope(f) else f"stated only for {scope.needs}")
+    assert any(refusal is None for _, refusal in outcomes)
+    assert any(refusal is not None for _, refusal in outcomes)
