@@ -24,20 +24,21 @@ when each holds (_Conjunction); a verdict that counts or gates stores
 consistent as a field, and two keep a rule of their own.
 
 Each scope is one predicate of Facts (_ke, _connected_ke, _pendant_scope,
-_nontrivial_connected, _bipartite, _connected_bipartite) with the text of
-its refusal beside it.  A verdict refuses an input outside its scope
-through _require, with a GraphError.  A Check row pairs a theorem with
-that same predicate (applies) and says what disagreed when it fails
-(run), a verdict row by the verdict's repr; core-lower-bounds alone
-applies more narrowly than its verdict's scope.  REPORT_CHECKS holds the
-rows full_report re-checks, on the graph and on each component of a
-disconnected one; verify.CHECKS runs the same objects.
+_nontrivial_connected, _bipartite, _connected_bipartite, and _decomposable
+and _peelable for decompose and constructions.peel) with the text of its
+refusal beside it.  A verdict refuses an input outside its scope through
+_require, with a GraphError, and so do decompose and peel.  A Check row
+pairs a theorem with that same predicate (applies) and says what
+disagreed when it fails (run), a verdict row by the verdict's repr;
+core-lower-bounds alone applies more narrowly than its verdict's scope.
+REPORT_CHECKS holds the rows full_report re-checks, on the graph and on
+each component of a disconnected one; verify.CHECKS runs the same
+objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable
 
 from .bruteforce import (
@@ -93,6 +94,27 @@ def is_alpha_critical(g: Graph, v: int) -> bool:
     return Facts(g).alpha_critical(v)
 
 
+class _cached:
+    """A Facts attribute computed on its first read: func's value goes into
+    the instance __dict__, which every later read finds before this
+    non-data descriptor.  functools.cached_property does the same, but
+    before Python 3.12 it takes a lock on each first read, and a Facts is
+    never shared between threads."""
+
+    def __init__(self, func: Callable[[Any], Any]):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj: Any, owner: type | None = None) -> Any:
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class Facts:
     """Per-graph quantities, each computed on first use and then shared.
 
@@ -127,35 +149,35 @@ class Facts:
             self._derived[h] = Facts(h)
         return self._derived[h]
 
-    @cached_property
+    @_cached
     def matching(self) -> Matching:
         """The canonical maximum matching."""
         return maximum_matching(self.graph)
 
-    @cached_property
+    @_cached
     def partner(self) -> list[int]:
         """Each vertex's mate under matching, -1 where it is exposed."""
         return _match_list(self.graph, self.matching)
 
-    @cached_property
+    @_cached
     def mu(self) -> int:
         return len(self.matching)
 
-    @cached_property
+    @_cached
     def maximum_matchings(self) -> tuple[Matching, ...]:
         return brute_maximum_matchings(self.graph, self.mu)
 
-    @cached_property
+    @_cached
     def matching_summary(self) -> MatchingSummary:
         """The distinct exposed sets and edge union of the maximum
         matchings, taken without listing them."""
         return brute_matching_summary(self.graph, self.mu)
 
-    @cached_property
+    @_cached
     def family(self) -> StableSetFamily:
         return maximum_stable_sets(self.graph)
 
-    @cached_property
+    @_cached
     def alpha(self) -> int:
         """The size of the maximum stable set the alpha run finds, which
         settles every vertex outside it as not alpha-critical."""
@@ -183,35 +205,35 @@ class Facts:
                 cache.update((u, False) for u in range(g.n) if not witness >> u & 1)
         return cache[v]
 
-    @cached_property
+    @_cached
     def stable_sets(self) -> list[int]:
         """Every stable set as a bitmask, in brute_stable_sets order."""
         return brute_stable_sets(self.graph)
 
-    @cached_property
+    @_cached
     def core(self) -> CoreReport:
         return core_report(self.family)
 
-    @cached_property
+    @_cached
     def is_ke(self) -> bool:
         return self.alpha + self.mu == self.graph.n
 
-    @cached_property
+    @_cached
     def has_pm(self) -> bool:
         return 2 * self.mu == self.graph.n
 
-    @cached_property
+    @_cached
     def colouring(self) -> tuple[list[int], list[tuple[list[int], bool]]]:
         """The graph's one 2-colouring (graph._colour_components): each
         vertex's colour, and the components, each with whether it is not
         bipartite."""
         return _colour_components(self.graph._adj)  # noqa: SLF001
 
-    @cached_property
+    @_cached
     def connected(self) -> bool:
         return len(self.colouring[1]) <= 1
 
-    @cached_property
+    @_cached
     def sides(self) -> tuple[frozenset[int], frozenset[int]] | None:
         return _sides(*self.colouring)
 
@@ -219,17 +241,17 @@ class Facts:
     def bipartite(self) -> bool:
         return self.sides is not None
 
-    @cached_property
+    @_cached
     def odd_vertices(self) -> list[int]:
         """The vertices of the components that are not bipartite, the
         candidate blossom bases."""
         return _odd_component_vertices(self.colouring[1])
 
-    @cached_property
+    @_cached
     def blossom_free(self) -> bool:
         return not _has_blossom(self.graph, self.partner, self.odd_vertices)
 
-    @cached_property
+    @_cached
     def stable_by_definition(self) -> bool:
         """Definition route: no single added edge lowers alpha.
 
@@ -256,11 +278,11 @@ class Facts:
                 later ^= low
         return True
 
-    @cached_property
+    @_cached
     def pendants(self) -> tuple[int, ...]:
         return pendant_vertices(self.graph)
 
-    @cached_property
+    @_cached
     def alpha_critical_pendants(self) -> tuple[int, ...]:
         return tuple(p for p in self.pendants if self.alpha_critical(p))
 
@@ -285,11 +307,8 @@ def decompose(f: Facts) -> KeDecomposition:
     witness matching is the canonical maximum matching, which necessarily
     covers all of the rest and crosses the cut.
     """
+    _require(f, _decomposable)
     g = f.graph
-    if not f.connected:
-        raise GraphError("decompose requires a connected graph; split by component")
-    if not f.is_ke:
-        raise GraphError("decompose requires a Koenig-Egervary graph")
     s = f.family.sets[0]
     rest = frozenset(range(g.n)) - s
     m = f.matching
@@ -372,6 +391,21 @@ def _connected_bipartite(f: Facts) -> bool:
 
 
 _connected_bipartite.needs = "connected bipartite graphs of order at least 2"
+
+
+def _decomposable(f: Facts) -> bool:
+    return f.is_ke and f.connected
+
+
+_decomposable.needs = "connected Koenig-Egervary graphs"  # decompose's scope
+
+
+def _peelable(f: Facts) -> bool:
+    return f.is_ke and f.core.anticore_size == 1 and f.alpha == f.mu
+
+
+_peelable.needs = ("Koenig-Egervary graphs with a one-vertex anticore and equal "
+                   "stability and matching numbers")  # constructions.peel's scope
 
 
 def _require(f: Facts, scope: Callable[[Facts], bool]) -> None:

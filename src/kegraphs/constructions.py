@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterable
 
-from .analysis import Facts, classify_alpha_plus
+from .analysis import Facts, _peelable, _require, classify_alpha_plus
 from .graph import Edge, Graph, GraphError, _ascending_edges, bipartition, delete_vertices
 from .matching import matching_number
 
@@ -93,16 +93,10 @@ def peel(f: Facts) -> tuple[Edge, Graph]:
     removed edge (anticore vertex, partner) and the peeled graph, which is
     KE with empty anticore; remaining vertices keep their relative order.
     """
-    g = f.graph
-    if not f.is_ke:
-        raise GraphError("peel requires a Koenig-Egervary graph")
-    if f.core.anticore_size != 1:
-        raise GraphError(f"peel requires anticore size 1, got {f.core.anticore_size}")
-    if f.alpha != f.mu:
-        raise GraphError("peel requires equal stability and matching numbers")
+    _require(f, _peelable)
     (x,) = f.core.anticore
     y = f.partner[x]
-    return (x, y), delete_vertices(g, {x, y})
+    return (x, y), delete_vertices(f.graph, {x, y})
 
 
 def bullet_kp(g: Graph, p: int, attach: Edge | int) -> Graph:

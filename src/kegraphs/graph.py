@@ -11,16 +11,17 @@ check_vertex applies (an int in [0, n), never coerced, so 1.9 is not
 vertex 1, and never a bool, so True is not vertex 1 either; the order n
 must be an int that is not a bool too).  Only a pair of two equal ints is
 refused as a self-loop, so (1, True) is out of range, not a loop.  It
-then builds the neighbor tuples and the neighbor masks in one pass over
-the sorted edge set.  In that order every neighbor tuple comes out
-ascending: the edges (u, x) with u < x all come before the
-edges (x, v), so x meets its smaller neighbors first, in ascending order,
-and then its larger ones, in ascending order.
+then ORs the pair into the two endpoints' neighbor masks, and does
+nothing else: a repeated pair sets the same bits again, and no edge set
+is built or sorted.
 
-Those two are the only stored forms of the edges.  Graph.edges is a view:
-a frozenset built from the tuples on its first read and then kept.  No
-package path reads it: m counts the tuples, == and hash compare the masks,
-and every reader that walks the edges (with_edge, _induced_subgraph, the
+The masks are the only stored form of the edges.  Two views are built
+from them on their first read and then kept, in slots of their own: the
+ascending neighbor tuples _adj (_neighbor_tuples), which the traversals
+walk, and the frozenset Graph.edges, which no package path reads.  m and
+degree count mask bits, and == and hash compare the masks, so a graph
+that is only built, sized, compared or hashed builds neither view.
+Every reader that walks the edges (with_edge, _induced_subgraph, the
 constructions, edgefile.format_graph) takes them from the tuples, in
 lexicographic order from _ascending_edges where it needs a list.
 
@@ -56,9 +57,9 @@ class Graph:
     """A simple graph: no loops, no multi-edges, int endpoints in [0, n).
 
     The edges may come in any order and orientation, and repeated; each
-    is checked, normalised to (min, max) and kept once, as the ascending
-    neighbor tuples and the neighbor masks.  The edges property is a view
-    of them, built on first read.
+    is checked and ORed into the neighbor masks, the one stored form.  The
+    neighbor tuples _adj and the edges property are views of the masks,
+    each built on its first read (__getattr__) and then kept.
     """
 
     __slots__ = ("n", "_adj", "_masks", "_edges")
@@ -67,36 +68,37 @@ class Graph:
         if type(n) is not int or n < 0:
             raise GraphError(f"vertex count must be a nonnegative integer, got {n!r}")
         self.n = n
-        edge_set: set[Edge] = set()
+        masks = [0] * n
         for u, v in edges:
             if u == v or not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
                 if u == v and type(u) is int and type(v) is int:
                     raise GraphError(f"self-loop at vertex {u}")
                 raise GraphError(f"edge ({u!r}, {v!r}) out of range for n={n}")
-            edge_set.add((u, v) if u < v else (v, u))
-        adj: list[list[int]] = [[] for _ in range(n)]
-        masks = [0] * n
-        for u, v in sorted(edge_set):
-            adj[u].append(v)
-            adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self._adj: tuple[tuple[int, ...], ...] = tuple(map(tuple, adj))
         self._masks: tuple[int, ...] = tuple(masks)
-        self._edges: frozenset[Edge] | None = None
+
+    def __getattr__(self, name: str):
+        # Runs only when normal lookup fails, that is, while a view's slot
+        # is unset: the view is built once, and later reads find the slot.
+        if name == "_adj":
+            self._adj: tuple[tuple[int, ...], ...] = _neighbor_tuples(self._masks)
+            return self._adj
+        if name == "_edges":
+            self._edges: frozenset[Edge] = frozenset(_ascending_edges(self._adj))
+            return self._edges
+        raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def edges(self) -> frozenset[Edge]:
         """The edges as (min, max) pairs, built on first read and kept."""
-        if self._edges is None:
-            self._edges = frozenset(_ascending_edges(self._adj))
         return self._edges
 
     @property
     def m(self) -> int:
-        return sum(map(len, self._adj)) // 2
+        return sum(map(int.bit_count, self._masks)) // 2
 
     def vertices(self) -> range:
         return range(self.n)
@@ -108,7 +110,7 @@ class Graph:
 
     def degree(self, v: int) -> int:
         self.check_vertex(v)
-        return len(self._adj[v])
+        return self._masks[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
         self.check_vertex(u)
@@ -152,6 +154,20 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _neighbor_tuples(masks: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Each mask's set bits in ascending order: the one function that
+    builds Graph._adj, taking the lowest bit off until none is left."""
+    adj = []
+    for mask in masks:
+        nbrs = []
+        while mask:
+            low = mask & -mask
+            nbrs.append(low.bit_length() - 1)
+            mask ^= low
+        adj.append(tuple(nbrs))
+    return tuple(adj)
 
 
 def _ascending_edges(adj: Sequence[tuple[int, ...]]) -> list[Edge]:

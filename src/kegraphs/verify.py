@@ -9,7 +9,8 @@ and hands it to every check.  CHECKS ends with analysis.REPORT_CHECKS,
 the rows full_report re-checks too.  Most checks are an analysis verdict
 run through _verdict: the check passes when the verdict is consistent,
 and a failure line carries the verdict's repr.  Such a row's applies is
-the analysis scope its verdict refuses through.  A check that raises
+the analysis scope its verdict refuses through, and so is the applies of
+ke-decomposition and peel-step for decompose and peel.  A check that raises
 (TheoremViolationError included) fails on that graph, and its failure
 line names the exception; only a refusal above a cap (CapExceededError)
 and MemoryError end the run.  The checks with logic of
@@ -171,12 +172,10 @@ CHECKS: tuple[Check, ...] = (
           analysis._ke, _verdict(analysis.check_near_perfect_necessity)),
     Check("ke-decomposition",
           "stable side * matched rest decomposition is valid",
-          lambda f: f.is_ke and f.connected, _check_decomposition),
+          analysis._decomposable, _check_decomposition),
     Check("peel-step",
           "peeling the anticore pair leaves an empty-anticore KE graph",
-          lambda f: (f.is_ke and f.core.anticore_size == 1
-                     and f.alpha == f.mu),
-          _check_peel),
+          analysis._peelable, _check_peel),
     # the attachment output has n + 2 vertices, and its family is enumerated
     Check("pendant-pair-roundtrip",
           "pendant-pair attachment conclusion and peel round-trip",

@@ -427,6 +427,17 @@ def test_console_entry_point_runs():
     assert result.stdout == "p 3 2\ne 0 1\ne 1 2\n"
 
 
+def test_the_package_runs_as_a_module(tmp_path):
+    # python -m kegraphs is cli.main, and main's exit code is the process's
+    def run(*args):
+        done = subprocess.run([sys.executable, "-m", "kegraphs", *args],
+                              capture_output=True, text=True, check=False)
+        return done.returncode, done.stdout
+
+    assert run("generate", "path", "--n", "3") == (0, "p 3 2\ne 0 1\ne 1 2\n")
+    assert run("analyze", str(tmp_path / "none.gr")) == (2, "")
+
+
 # sha256 of the stdout of analyze and verify, recorded before the per-graph
 # Facts cache replaced per-verdict recomputation.  Refactors must keep every
 # byte; a deliberate change of the output formats has to update these.

@@ -182,7 +182,12 @@ def _scope_corpus():
     return graphs
 
 
-@pytest.mark.parametrize("row", _scoped_rows(), ids=lambda row: row.name)
+# The rows whose check runs a function that refuses through _require:
+# decompose for ke-decomposition, constructions.peel for peel-step.
+REFUSING_ROWS = [verify.CHECKS_BY_NAME[name] for name in ("ke-decomposition", "peel-step")]
+
+
+@pytest.mark.parametrize("row", _scoped_rows() + REFUSING_ROWS, ids=lambda row: row.name)
 def test_a_row_applies_exactly_where_its_verdict_answers(monkeypatch, row):
     # the scope a verdict refuses through is the row's applies, the very
     # same predicate; core-lower-bounds alone gates narrower than its verdict
@@ -194,6 +199,7 @@ def test_a_row_applies_exactly_where_its_verdict_answers(monkeypatch, row):
         require(f, scope)
 
     monkeypatch.setattr(analysis, "_require", record)
+    monkeypatch.setattr(constructions, "_require", record)
     outcomes = []
     for g in _scope_corpus():
         f = Facts(g)

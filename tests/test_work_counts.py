@@ -42,6 +42,7 @@ COUNTED = {
     "oracle steps": bruteforce._Budget.spend.__code__,
     "neighbour lookups": graph.Graph.neighbors.__code__,
     "edge-set reads": graph.Graph.edges.fget.__code__,
+    "neighbour-tuple builds": graph._neighbor_tuples.__code__,
 }
 
 
@@ -78,6 +79,10 @@ def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
     assert counts["matching validations"] == 0
     # Graph keeps no edge set, and no package path builds the view
     assert counts["edge-set reads"] == 0
+    # each graph builds its neighbour tuples once at most: the inputs and
+    # the graphs built here are all that can
+    assert counts["neighbour-tuple builds"] <= 283
+    assert counts["neighbour-tuple builds"] <= counts["graphs built"] + len(graphs)
 
 
 def test_verify_work_on_the_general_corpus():
@@ -107,15 +112,29 @@ def test_verify_work_on_the_general_corpus():
     assert counts["partner conversions"] <= 1953
     assert counts["certificate scans"] <= 513
     assert counts["edge-set reads"] == 0
+    assert counts["neighbour-tuple builds"] <= 1146
+    assert counts["neighbour-tuple builds"] <= counts["graphs built"] + len(corpus)
 
 
 def test_corpus_generation_builds_one_graph_per_kept_sample():
     # the rejection samplers test connectivity on the drawn edges, so a
-    # rejected sample builds no Graph
+    # rejected sample builds no Graph, and a kept one only its masks
     counts = _call_counts(lambda: verify.connected_corpus(1, 100, 2, 10))
     assert counts["graphs built"] == 900
+    assert counts["neighbour-tuple builds"] == 0
     counts = _call_counts(lambda: verify.bipartite_corpus(1, 550, 12))
     assert counts["graphs built"] == 550
+    assert counts["neighbour-tuple builds"] == 0
+
+
+def test_counting_comparing_and_hashing_build_no_neighbour_tuples():
+    # m and degree count mask bits, and ==, hash and repr read the masks
+    graphs = [g for _, g in verify.connected_corpus(1, 100, 2, 10)]
+    counts = _call_counts(lambda: (
+        [(g.m, [g.degree(v) for v in range(g.n)], g == graphs[0], hash(g), repr(g))
+         for g in graphs],
+        set(graphs)))
+    assert counts["neighbour-tuple builds"] == 0
 
 
 def test_each_facts_colours_its_graph_once(monkeypatch):
