@@ -11,9 +11,13 @@ Every verdict reads one Facts, a per-graph cache, so each quantity is
 computed once however many verdicts read it: check_x(Facts(g)).  The
 definition route, the alpha-critical pendants and the not-stable witness
 all read whether deleting a vertex lowers alpha, Facts.alpha_critical,
-and build no graph.  Only entry points that start from a bare graph take
-a Graph: full_report, is_koenig_egervary and is_alpha_critical.
-full_report returns the JSON document kegraphs analyze writes.
+and build no graph.  Nor does the matching-structure route: it tests each
+G - {p, q}, p a pendant and q its neighbor, on the canonical perfect
+matching minus pq.  A Facts derives no graph and no other Facts; a caller
+that derives a graph (a component, a peel) builds that graph's own Facts.
+Only entry points that start from a bare graph take a Graph: full_report,
+is_koenig_egervary and is_alpha_critical.  full_report returns the JSON
+document kegraphs analyze writes.
 
 Each per-theorem verdict (the check_* functions and
 pendant_characterization) returns a frozen dataclass whose fields record
@@ -54,7 +58,6 @@ from .graph import (
     _colour_components,
     _induced_subgraph,
     _sides,
-    delete_vertices,
     neighborhood,
     pendant_vertices,
 )
@@ -63,6 +66,7 @@ from .matching import (
     _flower_and_posy,
     _has_blossom,
     _match_list,
+    _matched_bases,
     _odd_component_vertices,
     maximum_matching,
 )
@@ -134,20 +138,14 @@ class Facts:
 
     The canonical maximum matching is converted once into its partner
     list (partner), which the blossom and Sterboul searches, the duality
-    lemma, peel and the extension row read; nothing writes to it.
+    lemma, peel and the extension row read; nothing writes to it.  Its
+    matched blossom bases are searched once (matched_bases), for the
+    Sterboul row's posy search and the structure route.
     """
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self._derived: dict[Graph, Facts] = {}
         self._alpha_critical: dict[int, bool] = {}
-
-    def facts_of(self, h: Graph) -> Facts:
-        """The Facts of a graph derived from this one (a component, a
-        deletion, a construction), one per distinct graph."""
-        if h not in self._derived:
-            self._derived[h] = Facts(h)
-        return self._derived[h]
 
     @_cached
     def matching(self) -> Matching:
@@ -250,6 +248,12 @@ class Facts:
     @_cached
     def blossom_free(self) -> bool:
         return not _has_blossom(self.graph, self.partner, self.odd_vertices)
+
+    @_cached
+    def matched_bases(self) -> list[int]:
+        """The matched blossom bases relative to matching, which the
+        Sterboul row's posy search and the structure route read."""
+        return _matched_bases(self.graph, self.partner, self.odd_vertices)
 
     @_cached
     def stable_by_definition(self) -> bool:
@@ -563,8 +567,8 @@ class ThreeRouteVerdict(_Agreement):
 
 
 def _structural_stability_route(f: Facts) -> bool:
-    """Matching-only route: a perfect matching must exist, and the graph is
-    either blossom-free, or some pendant vertex p with neighbor q leaves
+    """Matching-only route: a perfect matching M must exist, and the graph
+    is either blossom-free, or some pendant vertex p with neighbor q leaves
     G - {p, q} blossom-free with a perfect matching.
 
     Deleting arbitrary adjacent pairs would admit false positives (deleting
@@ -572,15 +576,24 @@ def _structural_stability_route(f: Facts) -> bool:
     bare edge, yet that graph has a two-vertex anticore); restricted to
     pendant pairs, the route is equivalent to the core-size route on every
     KE graph of order at least 2.
+
+    No graph is built per pendant.  The edge pq is in M, so M - pq is a
+    perfect matching of G - {p, q}, and an (M - pq)-blossom there is an
+    M-blossom of G that avoids q (p lies on no cycle), and conversely.  So
+    the test reads M's partner list with p and q marked exposed, which the
+    base search deletes, at M's matched bases other than q.  On the KE
+    graphs tried, blossom-freeness did not depend on which perfect matching
+    was read, so G - {p, q}'s own canonical matching gives the same answer.
     """
     if not f.has_pm:
         return False
     if f.blossom_free:
         return True
-    g = f.graph
     for p in f.pendants:
-        h = f.facts_of(delete_vertices(g, {p, g.neighbors(p)[0]}))
-        if h.graph.n and h.has_pm and h.blossom_free:
+        partner = f.partner[:]
+        q = partner[p]
+        partner[p] = partner[q] = -1
+        if not _has_blossom(f.graph, partner, [r for r in f.matched_bases if r != q]):
             return True
     return False
 
@@ -737,14 +750,15 @@ class StructureConsistencyVerdict:
     posies relative to the canonical maximum matching (and, on KE graphs of
     order at most ALL_MATCHINGS_MAX_N, relative to every maximum matching;
     all_matchings_checked counts those, stopping at the first structure).
-    The loop meets the canonical matching again and reuses its answer
-    instead of searching it twice; it still counts in all_matchings_checked.
+    The loop meets the canonical matching again and skips it, since its
+    answer is already in; it still counts in all_matchings_checked.
 
     This is Sterboul's theorem.  Both structure sides come from the exact
     polynomial flower and posy tests (_flower_and_posy, on the partner lists
-    of the matchings Facts made), which read only the graph and the
-    matching: no stability number, core, anticore or stable set, so the row
-    stays independent of the anticore-empty criterion."""
+    of the matchings Facts made, with the canonical one's matched_bases),
+    which read only the graph and the matching: no stability number, core,
+    anticore or stable set, so the row stays independent of the
+    anticore-empty criterion."""
 
     ke_by_arithmetic: bool
     flower_found: bool
@@ -762,16 +776,15 @@ class StructureConsistencyVerdict:
 
 def check_structure_consistency(f: Facts) -> StructureConsistencyVerdict:
     g, odd = f.graph, f.odd_vertices
-    canonical = _flower_and_posy(g, f.partner, odd)
-    flower_found, posy_found = canonical
+    flower_found, posy_found = _flower_and_posy(g, f.partner, f.matched_bases)
     checked = 0
     if f.is_ke and g.n <= ALL_MATCHINGS_MAX_N:
         for mm in f.maximum_matchings:
             checked += 1
-            flower, posy = (canonical if mm == f.matching
-                            else _flower_and_posy(g, _match_list(g, mm), odd))
-            flower_found = flower_found or flower
-            posy_found = posy_found or posy
+            if mm != f.matching:
+                partner = _match_list(g, mm)
+                flower, posy = _flower_and_posy(g, partner, _matched_bases(g, partner, odd))
+                flower_found, posy_found = flower_found or flower, posy_found or posy
             if flower_found or posy_found:
                 break
     return StructureConsistencyVerdict(f.is_ke, flower_found, posy_found, checked)
@@ -864,9 +877,9 @@ def full_report(g: Graph) -> dict:
         }
     parts = [f]
     if not f.connected:
-        # equal components share one Facts (facts_of), checked once
-        parts += dict.fromkeys(f.facts_of(_induced_subgraph(g, frozenset(comp))[0])
-                               for comp, _ in f.colouring[1])
+        # equal components share one Facts, checked once
+        parts += map(Facts, dict.fromkeys(_induced_subgraph(g, frozenset(comp))[0]
+                                          for comp, _ in f.colouring[1]))
     for part in parts:
         for row in REPORT_CHECKS:
             if row.applies(part):

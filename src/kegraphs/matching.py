@@ -33,7 +33,9 @@ private searches take that list from their caller: it is
 _odd_component_vertices, read off the package's one BFS 2-colouring,
 graph._colour_components.  The public tests colour the graph once per
 call, and analysis.Facts reads the list off the one colouring it keeps
-per graph.
+per graph.  The matched bases are one list (_matched_bases), which
+_has_posy and _flower_and_posy take from their caller, so analysis.Facts
+searches its canonical matching's bases once (Facts.matched_bases).
 Each search skips a root with fewer than two matched neighbors other than
 its mate, since a base's two light cycle edges end at such vertices.  The
 exhaustive walkers that list blossoms and find a concrete flower or posy,
@@ -355,8 +357,7 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     finds the same bases.
     """
     partner = _match_list(g, validate_matching(g, m))
-    _require_maximum(g, partner)
-    return _has_posy(g, partner, _odd_vertices(g))
+    return _flower_and_posy(g, partner, _matched_bases(g, partner, _odd_vertices(g)))[1]
 
 
 def _odd_component_vertices(components: list[tuple[list[int], bool]]) -> list[int]:
@@ -370,11 +371,20 @@ def _odd_vertices(g: Graph) -> list[int]:
     return _odd_component_vertices(_colour_components(g._adj)[1])  # noqa: SLF001
 
 
-def _has_posy(g: Graph, match: list[int], odd: list[int]) -> bool:
+def _matched_bases(g: Graph, partner: list[int], odd: list[int]) -> list[int]:
+    """The matched blossom bases relative to the partner list, ascending:
+    one base search per matched vertex of odd, the graph's
+    _odd_component_vertices."""
     adj = g._adj  # noqa: SLF001 - hot path inside the package
-    bases = [r for r in odd if match[r] != -1 and _closes_blossom_at(adj, match, r)]
+    return [r for r in odd if partner[r] != -1 and _closes_blossom_at(adj, partner, r)]
+
+
+def _has_posy(g: Graph, match: list[int], bases: list[int]) -> bool:
+    """has_posy of the partner list of a maximum matching, given its
+    matched blossom bases (_matched_bases): one augmenting search."""
     if len(bases) < 2:
         return False
+    adj = g._adj  # noqa: SLF001 - hot path inside the package
     n = g.n
     ends = (n, n + 1)  # s and t
     is_base = set(bases)
@@ -388,10 +398,10 @@ def _has_posy(g: Graph, match: list[int], odd: list[int]) -> bool:
     return _augment_from(posy_adj, n, match + [-1, -1])[0]
 
 
-def _flower_and_posy(g: Graph, partner: list[int], odd: list[int]) -> tuple[bool, bool]:
+def _flower_and_posy(g: Graph, partner: list[int], bases: list[int]) -> tuple[bool, bool]:
     """has_flower and has_posy of the partner list of a maximum matching the
     package made, not validated again but proved maximum once for both; the
-    proof's searches give the flower answer.  odd is the graph's
-    _odd_component_vertices."""
+    proof's searches give the flower answer.  bases are the matching's
+    matched blossom bases (_matched_bases), which the caller may share."""
     flower = _require_maximum(g, partner)
-    return flower, _has_posy(g, partner, odd)
+    return flower, _has_posy(g, partner, bases)

@@ -15,8 +15,8 @@ ke-decomposition and peel-step for decompose and peel.  A check that raises
 line names the exception; only a refusal above a cap (CapExceededError)
 and MemoryError end the run.  The checks with logic of
 their own are functions here; one that derives a new graph (peel, attachment)
-takes that graph's Facts from Facts.facts_of.  The CLI's verify command
-and the acceptance suite are thin wrappers around run_checks.
+builds that graph's own Facts.  The CLI's verify command and the acceptance
+suite are thin wrappers around run_checks.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _check_peel(f: Facts) -> str | None:
     (x, y), h = constructions.peel(f)
     if x not in f.core.anticore:
         return "peeled vertex is not the anticore vertex"
-    hf = f.facts_of(h)
+    hf = Facts(h)
     if not hf.is_ke:
         return "peeled graph is not KE"
     if hf.core.anticore_size != 0:
@@ -116,7 +116,7 @@ def _check_peel(f: Facts) -> str | None:
 def _check_pendant_pair_roundtrip(f: Facts) -> str | None:
     g = f.graph
     transversal = sorted({min(s) for s in f.family.sets})
-    ff = f.facts_of(constructions.attach_k2(f, transversal))
+    ff = Facts(constructions.attach_k2(f, transversal))
     frep = ff.core
     if not ff.is_ke:
         return "attachment output is not KE"
@@ -277,18 +277,20 @@ def bipartite_corpus(seed: int, count: int, n_max: int):
     """Seeded connected bipartite graphs of order at most n_max.
 
     Each sample is drawn as constructions.random_bipartite draws it, from
-    random.Random of a seed taken from the corpus rng, and tested for
-    connectivity on its edge list: a disconnected sample is skipped before
-    any Graph exists, and each kept one builds exactly one Graph.
+    a random.Random seeded with a seed taken from the corpus rng (one
+    generator, reseeded before each draw), and tested for connectivity on
+    its edge list: a disconnected sample is skipped before any Graph
+    exists, and each kept one builds exactly one Graph.
     """
     rng = random.Random(seed)
+    sample = random.Random(0)  # reseeded per draw; a fixed seed reads no OS entropy
     out = []
     made = 0
     while made < count:
         n1 = rng.randint(1, n_max - 1)
         n2 = rng.randint(1, min(n_max - n1, n_max - 1))
         p = rng.uniform(0.2, 0.95)
-        sample = random.Random(rng.randrange(1 << 30))
+        sample.seed(rng.randrange(1 << 30))
         edges = constructions._bipartite_edges(n1, n2, p, sample)
         if not constructions._edges_connected(n1 + n2, edges):
             continue

@@ -244,6 +244,62 @@ def test_three_route_gates():
         check_alpha_plus_three_routes(Facts(Graph(1)))  # too small
 
 
+def _route_through_deleted_graphs(f):
+    """The structure route built on the deleted graphs themselves: each
+    G - {p, q} as a new Graph with its own Facts, so blossom-freeness is
+    read relative to that graph's own canonical matching, not M - pq."""
+    if not f.has_pm:
+        return False
+    if f.blossom_free:
+        return True
+    g = f.graph
+    for p in f.pendants:
+        h = Facts(delete_vertices(g, {p, g.neighbors(p)[0]}))
+        if h.graph.n and h.has_pm and h.blossom_free:
+            return True
+    return False
+
+
+def test_structure_route_agrees_with_the_route_through_deleted_graphs():
+    graphs = [g for _, g in verify.connected_corpus(1, 556, 2, 10)]
+    graphs += [g for _, g in verify.bipartite_corpus(1, 2000, 12)]
+    # a pendant pair attached to an empty-anticore KE graph: a singleton
+    # anticore, and a pendant pair the route must cut out
+    graphs += [constructions.attach_k2(f, sorted({min(s) for s in f.family.sets}))
+               for f in map(Facts, graphs)
+               if f.is_ke and f.graph.n <= DEFAULT_OMEGA_CAP - 2
+               and f.core.anticore_size == 0]
+    pendant_loop = through_a_pendant = 0
+    for g in graphs:
+        f = Facts(g)
+        route = kegraphs.analysis._structural_stability_route(f)
+        assert route == _route_through_deleted_graphs(Facts(g)), sorted(g.edges)
+        if f.has_pm and not f.blossom_free and f.pendants:
+            pendant_loop += 1
+            through_a_pendant += route
+    assert len(graphs) >= 8000
+    # both answers come out of the pendant loop
+    assert pendant_loop >= 1600 and 1400 <= through_a_pendant < pendant_loop
+
+
+def test_blossom_freeness_is_the_same_under_every_perfect_matching():
+    # on each KE graph with a perfect matching, one perfect matching has a
+    # blossom exactly when every one does, so the structure route may read
+    # M - pq where it once read the deleted graph's own matching; a
+    # bipartite graph has no blossom under any matching and is skipped
+    graphs = tested = 0
+    for _, g in verify.connected_corpus(1, 556, 2, 10):
+        f = Facts(g)
+        if not (f.is_ke and f.has_pm) or f.bipartite:
+            continue
+        answers = {matching._has_blossom(g, matching._match_list(g, mm), f.odd_vertices)
+                   for mm in f.maximum_matchings}
+        assert answers == {not f.blossom_free}, sorted(g.edges)
+        graphs += 1
+        tested += len(f.maximum_matchings)
+    assert graphs >= 500 and tested >= 1000
+
+
 def test_anticore_empty_criterion_examples():
     v = check_anticore_empty_criterion(Facts(K4_MINUS_E))
     assert v.consistent and not v.anticore_empty
@@ -717,13 +773,6 @@ def test_pendant_pair_roundtrip_stays_within_the_enumeration_cap():
     assert summary.checks["pendant-pair-roundtrip"].passed == 1
 
 
-def test_facts_share_derived_graphs():
-    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
-    f = Facts(g)
-    h = f.facts_of(Graph(2, [(0, 1)]))
-    assert h is not f and f.facts_of(Graph(2, [(0, 1)])) is h
-
-
 # For each REPORT_CHECKS row: the analysis binding it calls, and a stand-in
 # whose answer the row must reject.
 BROKEN_REPORT_ROWS = {
@@ -796,11 +845,13 @@ def test_verify_runs_each_report_row_itself():
     (path(5), 0),
     (cycle(6), 0),
     (P3_PLUS_C4, 2),
-], ids=["k3x3", "p5", "c6", "p3+c4"])
+    (Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3)]), 0),
+], ids=["k3x3", "p5", "c6", "p3+c4", "pendant-triangle"])
 def test_full_report_builds_a_component_graph_only_when_disconnected(
     monkeypatch, g, graphs_built
 ):
-    # none of these has a blossom, so the structural route deletes nothing
+    # the structural route builds no graph: on the pendant triangle, which
+    # has a blossom, it cuts the pendant pair out of the perfect matching
     built = []
     original = Graph.__init__
 
@@ -887,7 +938,8 @@ def _repeated(counts):
 
 def test_run_checks_hands_each_graph_to_each_oracle_once(oracle_calls):
     # the last graph's pendant pair and its anticore pair are the same
-    # edge, so the structural route and the peel check delete the same pair
+    # edge: the structural route cuts it out of the matching, and the peel
+    # check deletes it
     corpus = (
         verify.connected_corpus(2, 6, 2, 9)
         + verify.bipartite_corpus(2, 40, 10)

@@ -2,7 +2,7 @@
 
 A recording Facts logs every read of a public Facts attribute under the
 attribute or side function in progress, on the Facts a row is given and
-on every Facts derived from it through facts_of.  A cached value is
+on each Facts full_report builds for a component.  A cached value is
 computed once, under whichever reader came first, so a route's reads are
 the transitive closure of that log, not what one run happened to compute.
 
@@ -62,7 +62,8 @@ ROWS = {
     },
     "sterboul-structures": {
         "ke_by_arithmetic": ("is_ke",),
-        "structure_free": ("odd_vertices", "partner", "matching", "maximum_matchings"),
+        "structure_free": ("odd_vertices", "partner", "matched_bases", "matching",
+                           "maximum_matchings"),
     },
     "matchings-in-cut": {
         "stable sides": ("family",),
@@ -94,6 +95,7 @@ ROUTE_KINDS = {
     "blossom_free": "structure",
     "_structural_stability_route": "structure",
     "odd_vertices": "structure",
+    "matched_bases": "structure",
     "partner": "structure",
     "maximum_matchings": "structure",
 }
@@ -143,7 +145,7 @@ def _recording_facts(log):
             if name not in TRACKED:
                 return get(name)
             value = log.read(name, lambda: get(name))
-            if callable(value):  # alpha_critical and facts_of read when called
+            if callable(value):  # alpha_critical reads when called
                 return lambda *args: log.read(name, lambda: value(*args))
             return value
 
@@ -164,7 +166,7 @@ def _violations(monkeypatch):
     where a read breaks the declaration."""
     log = Log()
     recording = _recording_facts(log)
-    monkeypatch.setattr(analysis, "Facts", recording)  # facts_of and full_report build these
+    monkeypatch.setattr(analysis, "Facts", recording)  # full_report builds these
     for name in SIDE_FUNCTIONS:
         side = getattr(analysis, name)
         monkeypatch.setattr(analysis, name, lambda f, name=name, side=side: log.read(name, lambda: side(f)))

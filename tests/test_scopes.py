@@ -12,7 +12,7 @@ import pytest
 
 from kegraphs import analysis, constructions, verify
 from kegraphs.analysis import Facts
-from kegraphs.graph import Graph, GraphError
+from kegraphs.graph import Graph, GraphError, neighborhood
 
 # Three triangles {0,1,2}, {3,4,5}, {6,7,8} and a hub 9 joined to 0, 3 and 6.
 # A maximum stable set takes one vertex per triangle; only the hub adds a
@@ -36,6 +36,16 @@ K2_PLUS_K1 = (3, [(0, 1)])
 K2 = (2, [(0, 1)])
 TWO_K2 = (4, [(0, 1), (2, 3)])
 
+# K3, not KE: alpha = mu = 1 < 3 - 1.  Each vertex is a maximum stable set
+# on its own, so core and anticore are empty; there is no perfect matching,
+# and no non-edge to add, so it is alpha-plus-stable by definition.
+K3 = (3, [(0, 1), (1, 2), (0, 2)])
+
+# Connected and not KE: alpha = mu = 2 < 5 - 2.  The maximum stable sets
+# {0, 2}, {0, 4}, {2, 3} and {3, 4} meet in nothing and miss only vertex 1,
+# so the core is empty and the anticore is {1}, which N(core) = {} is not.
+DUALITY_BREAKER = (5, [(0, 1), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4)])
+
 
 def _near_perfect_necessity(f):
     return f.core.core_size > 1 or f.graph.n - 2 * f.mu <= 1
@@ -47,6 +57,35 @@ def _anticore_empty_criterion(f):
 
 def _alpha_plus_pm_criterion(f):
     return f.stable_by_definition == (f.has_pm and f.core.anticore_size <= 1)
+
+
+def _matchings_in_cut(f):
+    edges = f.matching_summary.edges
+    return all((u in s) != (v in s) for s in f.family.sets for u, v in edges)
+
+
+def _stable_set_certificate(f):
+    # a stable set is maximum iff it holds the exposed vertices of a maximum
+    # matching and n - mu vertices in all
+    members = {sum(1 << v for v in s) for s in f.family.sets}
+    size = f.graph.n - f.mu
+    return all((s in members) == (s.bit_count() == size and not exposed & ~s)
+               for s in f.stable_sets for exposed in f.matching_summary.exposed)
+
+
+def _pm_iff_core_equals_anticore(f):
+    return (f.core.core_size == f.core.anticore_size) == f.has_pm
+
+
+def _alpha_plus_three_routes(f):
+    by_core = f.core.anticore_size == 0 or (f.core.anticore_size == 1 and f.has_pm)
+    return f.stable_by_definition == by_core == analysis._structural_stability_route(f)
+
+
+def _core_anticore_duality(f):
+    core, anticore = f.core.core, f.core.anticore
+    return (neighborhood(f.graph, core) == anticore
+            and all(f.partner[v] in core for v in anticore))
 
 
 def _oversized_alpha_core_bound(f):
@@ -77,6 +116,19 @@ SCOPE_WITNESSES = [
      _pendant_characterization, analysis.pendant_characterization),
     ("pendant-characterization", "connected", TWO_K2,
      _pendant_characterization, analysis.pendant_characterization),
+    ("matchings-in-cut", "KE", K3, _matchings_in_cut, analysis.check_matchings_in_cuts),
+    ("stable-set-certificate", "KE", K3,
+     _stable_set_certificate, analysis.check_certificate_equivalence),
+    ("pm-iff-core-equals-anticore", "KE", K3,
+     _pm_iff_core_equals_anticore, analysis.pm_via_core),
+    ("anticore-empty-criterion", "KE", K3,
+     _anticore_empty_criterion, analysis.check_anticore_empty_criterion),
+    ("alpha-plus-pm-criterion", "KE", K3,
+     _alpha_plus_pm_criterion, analysis.check_alpha_plus_pm_criterion),
+    ("alpha-plus-three-routes", "KE", K3,
+     _alpha_plus_three_routes, analysis.check_alpha_plus_three_routes),
+    ("core-anticore-duality", "KE", DUALITY_BREAKER,
+     _core_anticore_duality, analysis.check_core_anticore_duality),
 ]
 
 
@@ -107,12 +159,16 @@ def test_the_witnesses_are_as_described():
     for witness in (K2, TWO_K2):
         f = Facts(Graph(*witness))
         assert f.alpha == f.mu == len(f.pendants) // 2
+    f = Facts(Graph(*K3))
+    assert (f.alpha, f.mu, f.core.core_size, f.core.anticore_size) == (1, 1, 0, 0)
+    assert f.stable_by_definition and not f.has_pm
+    f = Facts(Graph(*DUALITY_BREAKER))
+    assert (f.alpha, f.mu, sorted(f.core.core), sorted(f.core.anticore)) == (2, 2, [], [1])
 
 
 # K3 and K1 for the bipartite rows: both are connected, K3 has order 3 but
 # an odd cycle, K1 is bipartite but of order 1.  Each is edge-addition
 # stable by definition (no non-edge to add) and has no perfect matching.
-K3 = (3, [(0, 1), (1, 2), (0, 2)])
 K1 = (1, [])
 
 

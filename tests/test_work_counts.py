@@ -88,15 +88,15 @@ def test_full_report_work_on_the_analyze_workload_inputs(monkeypatch):
 def test_verify_work_on_the_general_corpus():
     corpus = verify.connected_corpus(1, 100, 2, 10)
     counts = _call_counts(lambda: verify.run_checks(corpus))
-    assert counts["graphs built"] <= 461
-    assert counts["facts"] <= 1146
+    assert counts["graphs built"] <= 396
+    assert counts["facts"] <= 1115
     # one colouring per Facts at most: a Facts reads connectivity, its
     # sides and its odd components off one colouring, and the derived
     # graphs whose colouring nobody reads are never coloured
     assert counts["colourings"] <= counts["facts"]
-    assert counts["colourings"] <= 965
-    assert counts["base searches"] <= 5001
-    assert counts["augmenting searches"] <= 3289
+    assert counts["colourings"] <= 900
+    assert counts["base searches"] <= 4934
+    assert counts["augmenting searches"] <= 3267
     assert counts["alpha rec"] <= 5201
     assert counts["listing rec"] <= 13411
     assert counts["alpha_critical"] <= 3229
@@ -109,10 +109,10 @@ def test_verify_work_on_the_general_corpus():
     # matching of the Sterboul row once, and the extension row scans one
     # certificate per graph and one per extension
     assert counts["matching validations"] == 0
-    assert counts["partner conversions"] <= 1953
+    assert counts["partner conversions"] <= 1888
     assert counts["certificate scans"] <= 513
     assert counts["edge-set reads"] == 0
-    assert counts["neighbour-tuple builds"] <= 1146
+    assert counts["neighbour-tuple builds"] <= 1115
     assert counts["neighbour-tuple builds"] <= counts["graphs built"] + len(corpus)
 
 
