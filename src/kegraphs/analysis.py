@@ -20,12 +20,15 @@ is_koenig_egervary and is_alpha_critical.  full_report returns the JSON
 document kegraphs analyze writes.
 
 Each per-theorem verdict (the check_* functions and
-pendant_characterization) returns a frozen dataclass whose fields record
-the sides that were compared and whose consistent says whether the
-statement held.  The rule is written once per shape: an equivalence is
-consistent when all its sides agree (_Agreement), a list of statements
-when each holds (_Conjunction); a verdict that counts or gates stores
-consistent as a field, and two keep a rule of their own.
+pendant_characterization) returns a NamedTuple whose fields record the
+sides that were compared and whose consistent says whether the statement
+held.  The rule is written once per shape, as a property a verdict sets
+as its consistent: an equivalence is consistent when all its sides agree
+(_agreement), a list of statements when each holds (_conjunction).  A
+verdict that counts or gates stores consistent as a field, and two keep a
+rule of their own.  A record is a tuple, so it equals any tuple of equal
+fields; the package never compares, indexes or unpacks one, and only the
+two rules read one as a tuple.
 
 Each scope is one predicate of Facts (_ke, _connected_ke, _pendant_scope,
 _nontrivial_connected, _bipartite, _connected_bipartite, and _decomposable
@@ -43,7 +46,7 @@ objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .bruteforce import (
     MatchingSummary,
@@ -294,8 +297,7 @@ class Facts:
 # -- decomposition ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KeDecomposition:
+class KeDecomposition(NamedTuple):
     """A maximum stable set S, the rest of the graph, and a matching of size
     |V - S| living entirely in the cut between them."""
 
@@ -326,8 +328,7 @@ def decompose(f: Facts) -> KeDecomposition:
 # -- stability classification -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StabilityClassification:
+class StabilityClassification(NamedTuple):
     """Core-size verdict: alpha0_plus (empty core), alpha1_plus (singleton),
     or not_stable with a witness edge whose addition drops alpha."""
 
@@ -421,33 +422,22 @@ def _require(f: Facts, scope: Callable[[Facts], bool]) -> None:
 # -- per-theorem verdicts ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Agreement:
-    """A verdict whose fields are the sides of one equivalence, each from
-    its own route: consistent when they all agree."""
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(vars(self).values())) == 1
+# The consistent of a verdict whose fields are the sides of one equivalence,
+# each from its own route: they all agree.
+_agreement = property(lambda v: len(set(v)) == 1)
+# The consistent of a verdict whose fields are statements that must each hold.
+_conjunction = property(all)
 
 
-@dataclass(frozen=True)
-class _Conjunction:
-    """A verdict whose fields are statements that must each hold."""
-
-    @property
-    def consistent(self) -> bool:
-        return all(vars(self).values())
-
-
-@dataclass(frozen=True)
-class ArithmeticVerdict(_Conjunction):
+class ArithmeticVerdict(NamedTuple):
     """KE arithmetic: alpha >= n/2 >= mu; perfect matching iff alpha == mu;
     and, among graphs with a perfect matching, alpha == mu iff KE."""
 
     bounds_hold: bool
     pm_iff_alpha_equals_mu: bool
     pm_graphs_alpha_mu_iff_ke: bool
+
+    consistent = _conjunction
 
 
 def check_ke_arithmetic(f: Facts) -> ArithmeticVerdict:
@@ -458,8 +448,7 @@ def check_ke_arithmetic(f: Facts) -> ArithmeticVerdict:
     return ArithmeticVerdict(bounds, iff1, iff2)
 
 
-@dataclass(frozen=True)
-class CutContainmentVerdict:
+class CutContainmentVerdict(NamedTuple):
     """Every maximum matching lies inside every (S, V-S) cut, S ranging over
     the maximum stable sets; stable_sets_checked counts those sets."""
 
@@ -478,8 +467,7 @@ def check_matchings_in_cuts(f: Facts) -> CutContainmentVerdict:
     return CutContainmentVerdict(len(fam.sets), consistent)
 
 
-@dataclass(frozen=True)
-class CertificateVerdict:
+class CertificateVerdict(NamedTuple):
     """The exposed-vertices-plus-one-endpoint certificate agrees with
     membership in the maximum-stable-set family, over every stable set and
     every maximum matching.
@@ -526,13 +514,14 @@ def check_certificate_equivalence(f: Facts) -> CertificateVerdict:
     return CertificateVerdict(len(f.stable_sets), True)
 
 
-@dataclass(frozen=True)
-class AnticoreEmptyVerdict(_Agreement):
+class AnticoreEmptyVerdict(NamedTuple):
     """Empty anticore iff perfect matching plus blossom-free, both sides
     computed independently."""
 
     anticore_empty: bool
     pm_and_blossom_free: bool
+
+    consistent = _agreement
 
 
 def check_anticore_empty_criterion(f: Facts) -> AnticoreEmptyVerdict:
@@ -541,13 +530,14 @@ def check_anticore_empty_criterion(f: Facts) -> AnticoreEmptyVerdict:
     return AnticoreEmptyVerdict(f.core.anticore_size == 0, right)
 
 
-@dataclass(frozen=True)
-class PmCriterionVerdict(_Agreement):
+class PmCriterionVerdict(NamedTuple):
     """Edge-addition stability iff perfect matching plus anticore of size at
     most one."""
 
     stable_by_definition: bool
     pm_and_small_anticore: bool
+
+    consistent = _agreement
 
 
 def check_alpha_plus_pm_criterion(f: Facts) -> PmCriterionVerdict:
@@ -556,14 +546,15 @@ def check_alpha_plus_pm_criterion(f: Facts) -> PmCriterionVerdict:
     return PmCriterionVerdict(f.stable_by_definition, right)
 
 
-@dataclass(frozen=True)
-class ThreeRouteVerdict(_Agreement):
+class ThreeRouteVerdict(NamedTuple):
     """Edge-addition stability decided by three independent routes: the
     definition, the core/anticore sizes, and matching structure."""
 
     by_definition: bool
     by_core_sets: bool
     by_matching_structure: bool
+
+    consistent = _agreement
 
 
 def _structural_stability_route(f: Facts) -> bool:
@@ -615,13 +606,14 @@ def pm_via_core(f: Facts) -> bool:
     return f.core.core_size == f.core.anticore_size
 
 
-@dataclass(frozen=True)
-class CoreDualityVerdict(_Conjunction):
+class CoreDualityVerdict(NamedTuple):
     """N(core) equals the anticore, and any maximum matching pairs every
     anticore vertex with a core vertex."""
 
     neighborhood_equals_anticore: bool
     anticore_matched_into_core: bool
+
+    consistent = _conjunction
 
 
 def check_core_anticore_duality(f: Facts) -> CoreDualityVerdict:
@@ -634,8 +626,7 @@ def check_core_anticore_duality(f: Facts) -> CoreDualityVerdict:
     return CoreDualityVerdict(lemma5, lemma6)
 
 
-@dataclass(frozen=True)
-class NearPerfectVerdict:
+class NearPerfectVerdict(NamedTuple):
     """Edge-addition-stable KE graphs have a perfect or near-perfect
     matching."""
 
@@ -650,8 +641,7 @@ def check_near_perfect_necessity(f: Facts) -> NearPerfectVerdict:
     return NearPerfectVerdict(True, f.graph.n - 2 * f.mu <= 1)
 
 
-@dataclass(frozen=True)
-class PendantVerdict(_Agreement):
+class PendantVerdict(NamedTuple):
     """Three-way equivalence for pendant structure: a perfect matching made
     of pendant edges; exactly alpha pendant vertices with none critical;
     KE plus edge-addition-stable with exactly alpha pendant vertices."""
@@ -659,6 +649,8 @@ class PendantVerdict(_Agreement):
     pendant_pm: bool
     pendant_count_non_critical: bool
     ke_stable_pendant_count: bool
+
+    consistent = _agreement
 
 
 def pendant_characterization(f: Facts) -> PendantVerdict:
@@ -674,8 +666,7 @@ def pendant_characterization(f: Facts) -> PendantVerdict:
     return PendantVerdict(stmt1, stmt2, stmt3)
 
 
-@dataclass(frozen=True)
-class CoreLowerBoundVerdict:
+class CoreLowerBoundVerdict(NamedTuple):
     """Lower bounds on the core: a KE graph with alpha > n/2 has a core of
     size at least 2; so does a connected bipartite graph with unequal
     sides."""
@@ -700,8 +691,7 @@ def check_core_lower_bounds(f: Facts) -> CoreLowerBoundVerdict:
     return CoreLowerBoundVerdict(semi_applies, semi_holds, cor_applies, cor_holds)
 
 
-@dataclass(frozen=True)
-class BipartiteEquivalenceVerdict(_Agreement):
+class BipartiteEquivalenceVerdict(NamedTuple):
     """For connected bipartite graphs: edge-addition stability, a perfect
     matching, two maximum stable sets partitioning V, and an empty core are
     all equivalent."""
@@ -710,6 +700,8 @@ class BipartiteEquivalenceVerdict(_Agreement):
     has_pm: bool
     partition_pair: bool
     empty_core: bool
+
+    consistent = _agreement
 
 
 def check_bipartite_equivalences(f: Facts) -> BipartiteEquivalenceVerdict:
@@ -722,8 +714,7 @@ def check_bipartite_equivalences(f: Facts) -> BipartiteEquivalenceVerdict:
     )
 
 
-@dataclass(frozen=True)
-class BipartiteZeroCoreVerdict:
+class BipartiteZeroCoreVerdict(NamedTuple):
     """For bipartite graphs, equal core and anticore sizes force both to be
     empty."""
 
@@ -744,8 +735,7 @@ def check_bipartite_zero_core(f: Facts) -> BipartiteZeroCoreVerdict:
 ALL_MATCHINGS_MAX_N = 8
 
 
-@dataclass(frozen=True)
-class StructureConsistencyVerdict:
+class StructureConsistencyVerdict(NamedTuple):
     """KE membership by arithmetic agrees with the absence of flowers and
     posies relative to the canonical maximum matching (and, on KE graphs of
     order at most ALL_MATCHINGS_MAX_N, relative to every maximum matching;

@@ -32,8 +32,7 @@ brute_max_matching_size, not through matching's augmenting-path search.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .graph import Edge, Graph, GraphError, complement_non_edges
 from .limits import DEFAULT_OMEGA_CAP, check_cap
@@ -163,8 +162,7 @@ def brute_maximum_matchings(g: Graph, size: int) -> tuple[frozenset[Edge], ...]:
     return tuple(results)
 
 
-@dataclass(frozen=True)
-class MatchingSummary:
+class MatchingSummary(NamedTuple):
     """What the certificate and cut checks read of a listing of matchings:
     the distinct exposed sets (vertex bitmasks) and the union of the
     edges."""
@@ -231,8 +229,7 @@ def brute_matching_summary(g: Graph, size: int) -> MatchingSummary:
 # -- exhaustive alternating-walk search ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Blossom:
+class Blossom(NamedTuple):
     """Odd cycle whose heavy edges near-perfectly match it; base first."""
 
     cycle: tuple[int, ...]
@@ -246,8 +243,7 @@ class Blossom:
         return frozenset(self.cycle)
 
 
-@dataclass(frozen=True)
-class Flower:
+class Flower(NamedTuple):
     """A blossom plus an even alternating stem from its base to an exposed
     vertex.  A stem of length zero (the base itself exposed) is recorded as
     the one-vertex tuple and flagged by trivial_stem."""
@@ -260,8 +256,7 @@ class Flower:
         return len(self.stem) == 1
 
 
-@dataclass(frozen=True)
-class Posy:
+class Posy(NamedTuple):
     """Two blossoms whose bases are joined by an odd alternating path whose
     first and last edges are heavy."""
 

@@ -18,8 +18,7 @@ no Graph; each kept sample builds exactly one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .analysis import Facts, _peelable, _require, classify_alpha_plus
 from .graph import Edge, Graph, GraphError, _ascending_edges, bipartition, delete_vertices
@@ -161,8 +160,7 @@ def non_ke_alpha_plus_family(n: int, variant: int) -> Graph:
 # -- figure fixtures -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     """A named graph with its externally pinned expectations, stated as a
     partial view of the analysis report's JSON form."""
 

@@ -354,10 +354,11 @@ def has_posy(g: Graph, m: Iterable[Edge]) -> bool:
     are searched as bases.  A blossom is an odd cycle through its base, so
     its base lies in a component of g that is not bipartite; the search
     from a candidate is exact, so trying more candidates than the bases
-    finds the same bases.
+    finds the same bases.  m is proved maximum before any base search.
     """
     partner = _match_list(g, validate_matching(g, m))
-    return _flower_and_posy(g, partner, _matched_bases(g, partner, _odd_vertices(g)))[1]
+    _require_maximum(g, partner)
+    return _has_posy(g, partner, _matched_bases(g, partner, _odd_vertices(g)))
 
 
 def _odd_component_vertices(components: list[tuple[list[int], bool]]) -> list[int]:

@@ -168,8 +168,7 @@ def maximum_stable_sets(g: Graph) -> StableSetFamily:
     return StableSetFamily(n=n, alpha=best, sets=sets)
 
 
-@dataclass(frozen=True)
-class CoreReport:
+class CoreReport(NamedTuple):
     """Intersection of all maximum stable sets (core) and of all their
     complements (anticore)."""
 

@@ -324,6 +324,22 @@ def test_flower_and_posy_tests_refuse_a_non_maximum_matching():
         has_posy(cycle(5), [(0, 1)])
 
 
+def test_has_posy_refuses_before_it_searches_for_bases(monkeypatch):
+    searched = []
+    search = kegraphs.matching._closes_blossom_at
+
+    def counting(adj, match, root):
+        searched.append(root)
+        return search(adj, match, root)
+
+    monkeypatch.setattr(kegraphs.matching, "_closes_blossom_at", counting)
+    with pytest.raises(GraphError, match="^matching of size 1 is not maximum$"):
+        has_posy(cycle(5), [(0, 1)])
+    assert searched == []
+    assert has_posy(cycle(5), [(0, 1), (2, 3)]) is False
+    assert searched == [0, 1, 2, 3]
+
+
 def test_the_maximality_proof_leaves_the_partner_list_alone():
     # the augmenting search runs on a copy, since Facts shares its list
     partner = [1, 0, -1, -1, -1]
