@@ -667,9 +667,10 @@ def pendant_characterization(f: Facts) -> PendantVerdict:
 
 
 class CoreLowerBoundVerdict(NamedTuple):
-    """Lower bounds on the core: a KE graph with alpha > n/2 has a core of
-    size at least 2; so does a connected bipartite graph with unequal
-    sides."""
+    """Lower bounds on the core of a connected graph: alpha > n/2 forces a
+    core of size at least 2, KE or not (n >= 2 mu gives alpha > mu, and
+    |core| >= alpha - mu + 1, Boros-Golumbic-Levit 2002); so does a
+    bipartite graph with unequal sides."""
 
     oversized_alpha_applicable: bool
     oversized_alpha_holds: bool
@@ -683,7 +684,7 @@ class CoreLowerBoundVerdict(NamedTuple):
 
 def check_core_lower_bounds(f: Facts) -> CoreLowerBoundVerdict:
     _require(f, _nontrivial_connected)
-    semi_applies = f.is_ke and 2 * f.alpha > f.graph.n
+    semi_applies = 2 * f.alpha > f.graph.n
     semi_holds = f.core.core_size >= 2 if semi_applies else True
     sides = f.sides
     cor_applies = sides is not None and len(sides[0]) != len(sides[1])

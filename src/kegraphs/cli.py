@@ -5,9 +5,12 @@ claims over seeded random corpora, generate graphs (`generate --help` lists
 the kinds) and dump the named fixtures.  Exit codes: 0 success, 1
 verification violation, 2 usage, parse or I/O error (reading a graph file or
 writing --out) or out of memory (a generated graph too large to build), 3
-cap exceeded, 4 internal cross-check failed or a route raised while
-analyzing a graph that was read cleanly (a bug).  verify records a row that
-raises as a failure of that row, so it ends with 1 instead.
+cap exceeded, 4 internal cross-check failed or any other exception while
+reading or analyzing a graph file (a bug).  main maps a cap refusal to 3
+for every command, and an OSError, MemoryError or failed cross-check to 2,
+2 and 4; cmd_analyze sorts what one file raises, naming the file.  verify
+records a row that raises as a failure of that row, so it ends with 1
+instead.
 
 All randomness flows from --seed; no invocation reads the clock or OS
 entropy, so identical invocations produce identical bytes.
@@ -155,21 +158,19 @@ def cmd_analyze(args) -> int:
     for path in args.paths:
         try:
             # refused at the p line, before a graph above the cap is built
-            g = read_graph(path, DEFAULT_OMEGA_CAP)
-            try:
-                report = full_report(g)
-            except (CapExceededError, AssertionError, MemoryError):
-                raise  # exit 3 below; main reports the others (4 and 2)
-            except Exception as exc:  # a route that raises is a bug too
-                print(f"{path}: internal error: {type(exc).__name__}: {exc}",
-                      file=sys.stderr)
-                return EXIT_INTERNAL
+            report = full_report(read_graph(path, DEFAULT_OMEGA_CAP))
         except GraphFormatError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_PARSE
         except CapExceededError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             return EXIT_CAP
+        except (OSError, AssertionError, MemoryError):
+            raise  # main reports them for every command
+        except Exception as exc:  # a reader or a route that raises is a bug
+            print(f"{path}: internal error: {type(exc).__name__}: {exc}",
+                  file=sys.stderr)
+            return EXIT_INTERNAL
         doc = {"source": path, **report}
         docs.append(json.dumps(doc, sort_keys=True, separators=(",", ":")))
     _emit("".join(d + "\n" for d in docs), args.out)
@@ -178,16 +179,11 @@ def cmd_analyze(args) -> int:
 
 def cmd_verify(args) -> int:
     lo, hi = args.n
-    try:
-        check_cap(hi, DEFAULT_OMEGA_CAP, "--n")
-        if args.corpus == "general":
-            graphs = verify.connected_corpus(args.seed, args.count, lo, hi)
-        else:
-            graphs = verify.bipartite_corpus(args.seed, args.count, hi)
-        summary = verify.run_checks(graphs, inject_failure=args.self_test)
-    except CapExceededError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return EXIT_CAP
+    if args.corpus == "general":
+        graphs = verify.connected_corpus(args.seed, args.count, lo, hi)
+    else:
+        graphs = verify.bipartite_corpus(args.seed, args.count, hi)
+    summary = verify.run_checks(graphs, inject_failure=args.self_test)
     lines = [summary.table()]
     for name in sorted(summary.checks):
         for failure in summary.checks[name].failures:
@@ -210,9 +206,6 @@ def cmd_generate(args) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"generate: {message}", file=sys.stderr)
         return EXIT_PARSE
-    except CapExceededError as exc:
-        print(f"generate: {exc}", file=sys.stderr)
-        return EXIT_CAP
     _emit(format_graph(g), args.out)
     return EXIT_OK
 
@@ -232,16 +225,17 @@ def cmd_fixtures(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "verify":
-        if args.count < 1:
-            parser.error("--count must be at least 1")
-        if args.corpus == "bipartite" and args.n[1] < 2:
-            parser.error("the bipartite corpus needs --n with HI >= 2")
-        # the corpus draws orders 2..HI; cmd_verify refuses an HI above the cap
-        if args.corpus == "bipartite" and args.n[0] > 2 and args.n[1] <= DEFAULT_OMEGA_CAP:
-            parser.error("the bipartite corpus needs --n with LO <= 2")
-    # Dispatch through the module names, so that rebinding cmd_* reaches it.
     try:
+        if args.command == "verify":
+            if args.count < 1:
+                parser.error("--count must be at least 1")
+            if args.corpus == "bipartite" and args.n[1] < 2:
+                parser.error("the bipartite corpus needs --n with HI >= 2")
+            # an HI above the cap is refused before any corpus is drawn
+            check_cap(args.n[1], DEFAULT_OMEGA_CAP, "--n")
+            if args.corpus == "bipartite" and args.n[0] > 2:
+                parser.error("the bipartite corpus needs --n with LO <= 2")
+        # Dispatch through the module names, so that rebinding cmd_* reaches it.
         if args.command == "analyze":
             return cmd_analyze(args)
         if args.command == "verify":
@@ -249,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "generate":
             return cmd_generate(args)
         return cmd_fixtures(args)
+    except CapExceededError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return EXIT_CAP
     except OSError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -12,18 +12,30 @@ spaces and tabs at either end.  The first non-comment line must be the
 line is an ``e`` line with 0-based endpoints, and only spaces and tabs
 separate fields.  Only comments may hold control characters or characters
 outside ASCII, and counts and endpoints are decimal digits and nothing
-else: no sign and no ``_``.  Writers emit edges sorted
-lexicographically, which makes the format bit-exact round-trippable.
-Given max_order, a reader refuses a larger order at the ``p`` line,
-before it builds the graph.
+else: no sign and no ``_``.  Leading zeros are allowed and ignored, and a
+number may have any length: past 640 digits it is read as a Decimal,
+which compares and prints exactly, so it is out of range as an endpoint
+and mismatched as an edge count, with the usual messages.  Writers emit
+edges sorted lexicographically, which makes the format bit-exact
+round-trippable.  Given max_order, a reader refuses a larger order at the
+``p`` line, before it builds the graph; without it, an order past 640
+digits is a format error there.
 """
 
 from __future__ import annotations
 
 import os
+from typing import TYPE_CHECKING
 
 from .graph import Graph, _ascending_edges
 from .limits import check_cap
+
+if TYPE_CHECKING:
+    from decimal import Decimal
+
+# The most digits int() is given here: the least limit that
+# sys.set_int_max_str_digits accepts, so no interpreter setting makes it raise.
+_INT_DIGITS = 640
 
 
 class GraphFormatError(ValueError):
@@ -32,6 +44,17 @@ class GraphFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
+
+
+def _number(field: str) -> int | Decimal:
+    """The value of a field of ASCII digits.  Past _INT_DIGITS digits, leading
+    zeros aside, it is a Decimal: that compares with ints and prints exactly."""
+    digits = field.lstrip("0") or "0"
+    if len(digits) <= _INT_DIGITS:
+        return int(digits)
+    from decimal import Decimal  # 1.5 ms of start-up that only such a file pays
+
+    return Decimal(digits)
 
 
 def parse_graph(text: str, max_order: int | None = None) -> Graph:
@@ -53,9 +76,11 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
                 raise GraphFormatError(line_no, "expected 'p <n> <m>'")
             if not (fields[1].isdigit() and fields[2].isdigit()):  # ASCII digits
                 raise GraphFormatError(line_no, "p line counts must be decimal digits")
-            n, m = int(fields[1]), int(fields[2])
+            n, m = _number(fields[1]), _number(fields[2])
             if max_order is not None:
                 check_cap(n, max_order, "graph file")
+            if not isinstance(n, int):
+                raise GraphFormatError(line_no, f"order has more than {_INT_DIGITS} digits")
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError(line_no, "e line before p line")
@@ -63,7 +88,7 @@ def parse_graph(text: str, max_order: int | None = None) -> Graph:
                 raise GraphFormatError(line_no, "expected 'e <u> <v>'")
             if not (fields[1].isdigit() and fields[2].isdigit()):
                 raise GraphFormatError(line_no, "edge endpoints must be decimal digits")
-            u, v = int(fields[1]), int(fields[2])
+            u, v = _number(fields[1]), _number(fields[2])
             if u == v:
                 raise GraphFormatError(line_no, f"self-loop at vertex {u}")
             if not (u < n and v < n):

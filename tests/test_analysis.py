@@ -53,6 +53,7 @@ from kegraphs.constructions import (
     path,
     random_bipartite,
     random_bipartite_with_pm,
+    random_connected_graph,
     random_tree,
 )
 from kegraphs.edgefile import format_graph
@@ -492,6 +493,46 @@ def test_core_lower_bound_examples():
     assert v.unequal_sides_applicable and v.consistent
     v = check_core_lower_bounds(Facts(cycle(4)))
     assert not v.oversized_alpha_applicable and not v.unequal_sides_applicable
+
+
+def _clique_and_leaves(k, hosts):
+    """K_k on 0..k-1 and one leaf on each host, in order."""
+    edges = [(u, v) for u in range(k) for v in range(u + 1, k)]
+    return Graph(k + len(hosts), edges + [(h, k + i) for i, h in enumerate(hosts)])
+
+
+def test_the_oversized_alpha_bound_needs_no_ke():
+    # alpha = 6 (the leaves and one of 1, 2, 3), mu = 2: alpha + mu < 9
+    f = Facts(_clique_and_leaves(4, [0] * 5))
+    assert (f.alpha, f.mu, f.is_ke, sorted(f.core.core)) == (6, 2, False, [4, 5, 6, 7, 8])
+    v = check_core_lower_bounds(f)
+    assert v.oversized_alpha_applicable and v.oversized_alpha_holds and v.consistent
+
+
+def test_the_oversized_alpha_bound_on_connected_graphs_that_are_not_ke():
+    # random connected graphs are rarely non-KE with 2 alpha > n.  In K_k
+    # with l leaves and b >= 3 clique vertices bare of leaves, alpha = l + 1
+    # and a maximum matching takes one leaf per host and pairs up the bare
+    # vertices, so alpha + mu = n + 1 - ceil(b / 2) < n; 2 alpha > n once
+    # l > k - 2.
+    rng = random.Random(21)
+    graphs = [random_connected_graph(rng.randint(3, 14), rng.uniform(0.3, 0.9),
+                                     rng.randrange(1 << 30))
+              for _ in range(300)]
+    for _ in range(300):
+        k = rng.randint(4, 7)
+        hosts = [rng.randrange(k - 3) for _ in range(rng.randint(1, 16 - k))]
+        graphs.append(_clique_and_leaves(k, hosts))
+    applied = 0
+    for g in graphs:
+        f = Facts(g)
+        if f.is_ke:
+            continue
+        v = check_core_lower_bounds(f)
+        assert v.oversized_alpha_applicable == (2 * f.alpha > g.n)
+        assert v.consistent
+        applied += v.oversized_alpha_applicable
+    assert applied >= 100
 
 
 def test_bipartite_equivalences():

@@ -235,6 +235,41 @@ def test_bullet_kp_refuses_a_huge_base_before_building_the_graph(
     assert len(err.splitlines()) == 1 and "above cap 16" in err
 
 
+# 1 followed by 5000 zeros: past the 4300 digits int() reads by default
+LONG = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize("text, code, message", [
+    (f"p {LONG} 0\n", 3, f"graph file refuses n={LONG} above cap 16"),
+    (f"p 3 1\ne {LONG} 2\n", 2, f"line 2: edge ({LONG}, 2) out of range for n=3"),
+    (f"p 3 {LONG}\ne 1 2\n", 2, f"line 1: p line declares {LONG} edges, found 1"),
+])
+def test_analyze_reads_numbers_of_any_length(capsys, tmp_path, text, code, message):
+    path = tmp_path / "long.gr"
+    path.write_text(text, encoding="utf-8")
+    assert run_cli(capsys, "analyze", str(path)) == (code, "", f"{path}: {message}\n")
+
+
+def test_analyze_ignores_leading_zeros_of_any_length(capsys, tmp_path):
+    padded, plain = tmp_path / "padded.gr", tmp_path / "plain.gr"
+    padded.write_text(f"p 3 1\ne 0{'0' * 5000}1 2\n", encoding="utf-8")
+    plain.write_text("p 3 1\ne 1 2\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(padded), str(plain))
+    assert code == 0 and err == ""
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r.pop("source") for r in reports] == [str(padded), str(plain)]
+    assert reports[0] == reports[1]
+
+
+def test_bullet_kp_refuses_an_over_long_base_order(capsys, tmp_path):
+    base = tmp_path / "long.gr"
+    base.write_text(f"p {LONG} 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "generate", "bullet-kp", "--base", str(base),
+                             "--p", "3")
+    assert (code, out) == (3, "")
+    assert err == f"generate: graph file refuses n={LONG} above cap 16\n"
+
+
 def test_analyze_has_no_cap_option(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["analyze", "--cap", "16", str(FIXTURE_DIR / "p3.gr")])

@@ -14,6 +14,7 @@ from kegraphs.edgefile import (
 )
 from kegraphs.constructions import random_graph
 from kegraphs.graph import Graph
+from kegraphs.limits import CapExceededError
 
 
 def test_round_trip_is_bit_exact():
@@ -79,6 +80,44 @@ def test_edge_count_mismatch():
 def test_missing_header():
     with pytest.raises(GraphFormatError):
         parse_graph("c only a comment\n")
+
+
+# 1 followed by 5000 zeros: past the 4300 digits int() reads by default
+LONG = "1" + "0" * 5000
+
+
+def test_an_over_long_order_is_refused_at_the_cap():
+    with pytest.raises(CapExceededError) as err:
+        parse_graph(f"p {LONG} 0\n", max_order=16)
+    assert str(err.value) == f"graph file refuses n={LONG} above cap 16"
+
+
+def test_an_over_long_order_without_a_cap_is_a_format_error():
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(f"c x\np {LONG} 0\n")
+    assert err.value.line_no == 2 and "more than 640 digits" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    (f"p 3 1\ne {LONG} 2\n", 2, f"edge ({LONG}, 2) out of range for n=3"),
+    (f"p 3 1\ne 0 {LONG}\n", 2, f"edge (0, {LONG}) out of range for n=3"),
+    (f"p 3 1\ne {LONG} {LONG}\n", 2, f"self-loop at vertex {LONG}"),
+    (f"p 3 1\ne {LONG} 1{LONG}\n", 2, f"edge ({LONG}, 1{LONG}) out of range for n=3"),
+    (f"p 3 {LONG}\ne 1 2\n", 1, f"p line declares {LONG} edges, found 1"),
+    (f"p 3 {LONG}\ne 1 2\ne 1 9\n", 3, "edge (1, 9) out of range for n=3"),
+])
+def test_over_long_numbers_get_the_errors_of_their_values(text, line_no, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_graph(text, max_order=16)
+    assert (err.value.line_no, str(err.value)) == (line_no, f"line {line_no}: {message}")
+
+
+@pytest.mark.parametrize("zeros", [1, 639, 640, 4300, 5000])
+def test_leading_zeros_are_ignored_at_any_length(zeros):
+    pad = "0" * zeros
+    text = f"p {pad}3 {pad}1\ne {pad}1 {pad}2\n"
+    assert parse_graph(text, max_order=16) == parse_graph("p 3 1\ne 1 2\n")
+    assert parse_graph(text) == Graph(3, [(1, 2)])
 
 
 def test_file_round_trip(tmp_path):

@@ -57,7 +57,7 @@ ROWS = {
         "ke_stable_pendant_count": ("pendants", "alpha", "is_ke", "stable_by_definition"),
     },
     "core-lower-bounds": {
-        "oversized_alpha_holds": ("is_ke", "alpha", "core"),
+        "oversized_alpha_holds": ("alpha", "core"),
         "unequal_sides_holds": ("sides", "core"),
     },
     "sterboul-structures": {
